@@ -3,8 +3,8 @@
 
 Usage: python scripts/witness_family_report.py [--q-max N] [--verify-all]
 
---verify-all attempts the full check suite on every triple found; triples
-whose field exceeds the log-table cap are reported as skipped.
+--verify-all attempts the full check suite on every triple found; a triple
+whose field GF(q^r) exceeds the field cap fails at the `build` check.
 """
 
 import argparse

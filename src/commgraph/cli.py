@@ -4,9 +4,10 @@ Subcommands: analyze, paper-verify, search-params, graph-export.  All output
 is deterministic (sorted JSON keys, fixed CSV columns) so reruns are
 byte-identical for the same inputs.
 
-Exit codes: 0 success, 1 parse error, 2 cap exceeded, 3 the classifier
-produced the sentinel verdict DisconnectedOther, 4 a verification
-check failed (paper-verify).
+Exit codes: 0 success, 1 parse error (graph-export: also a group with no
+non-central element), 2 cap exceeded, 3 the classifier produced the sentinel
+verdict DisconnectedOther, 4 a verification check failed or raised
+(paper-verify).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 from .classify import KIND_DISCONNECTED_OTHER, classify_group
 from .corpus import load_group_file
 from .diameter8 import find_params, first_failing_check, run_all_checks
-from .errors import CapExceeded
+from .errors import CapExceeded, EmptyGraph
 from .graph import build_graph
 from .groups import DEFAULT_GROUP_CAP
 
@@ -174,7 +175,8 @@ def cmd_paper_verify(cfg: RunConfig) -> int:
         _write(_dump_json(report), cfg.out)
     failing = first_failing_check(report)
     if failing:
-        print(f"check failed: {failing}", file=sys.stderr)
+        raised = any(c["name"] == failing and c["status"] == "error" for c in report["checks"])
+        print(f"check {'raised' if raised else 'failed'}: {failing}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     return EXIT_OK
 
@@ -201,7 +203,11 @@ def cmd_graph_export(cfg: RunConfig) -> int:
     except Exception as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    graph = build_graph(handle)
+    try:
+        graph = build_graph(handle)
+    except EmptyGraph as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     _write(_dump_json(graph.to_json()), cfg.out)
     return EXIT_OK
 

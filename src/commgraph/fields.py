@@ -8,6 +8,7 @@ irreducible of the requested degree, so serialized fields are reproducible.
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -470,6 +471,26 @@ def element_of_order(spec: FieldSpec, n: int) -> FieldElement:
         raise NoSuchOrder(f"{n} does not divide {size}")
     g = spec.primitive_element()
     return g ** (size // n)
+
+
+def discrete_log(a: FieldElement, base: FieldElement, n: int) -> int | None:
+    """Least j >= 0 with base^j = a, where base has order n; None if a is not
+    a power of base.  Baby-step giant-step: about 2*sqrt(n) products."""
+    if a.is_zero():
+        return None
+    m = math.isqrt(n - 1) + 1
+    baby = {}
+    acc = a.spec.one()
+    for k in range(m):
+        baby.setdefault(acc.coeffs, k)
+        acc = acc * base
+    giant = base ** -m
+    for s in range(m):
+        k = baby.get(a.coeffs)
+        if k is not None:
+            return s * m + k
+        a = a * giant
+    return None
 
 
 def frobenius_map(a: FieldElement, i: int = 1) -> FieldElement:

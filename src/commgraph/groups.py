@@ -97,7 +97,7 @@ class MatrixAutElement:
     def __mul__(self, other: "MatrixAutElement") -> "MatrixAutElement":
         b = _mat_frob(other.spec, other.mat, -self.twist)
         return MatrixAutElement(
-            self.spec, _mat_mul(self.spec, self.mat, b), self.twist + other.twist
+            self.spec, _mat_mul(self.spec.zero(), self.mat, b), self.twist + other.twist
         )
 
     def inverse(self) -> "MatrixAutElement":
@@ -148,9 +148,9 @@ def _mat_identity(spec, dim):
     return tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
 
 
-def _mat_mul(spec, a, b):
+def _mat_mul(zero, a, b):
+    """Square matrix product over any ring whose elements have `is_zero`."""
     dim = len(a)
-    zero = spec.zero()
     out = []
     for i in range(dim):
         row = []

@@ -1,8 +1,10 @@
 import json
 
 import jsonschema
+import pytest
 from importlib import resources
 
+from commgraph import diameter8
 from commgraph.cli import (
     EXIT_CAP,
     EXIT_CHECK_FAILED,
@@ -130,6 +132,33 @@ def test_paper_verify_rejects_q13_r5(capsys):
     assert "params" in err
 
 
+def _raise_type_error(*args):
+    raise TypeError("boom")
+
+
+@pytest.mark.parametrize(
+    "target, replacement, name, status, detail",
+    [
+        ("verify_f_class3", _raise_type_error, "f_class3", "error", "TypeError: boom"),
+        ("verify_symplectic", lambda eg: False, "symplectic", "fail", "symplectic: A J A^T != J"),
+        ("build_example", _raise_type_error, "build", "error", "TypeError: boom"),
+    ],
+)
+def test_paper_verify_separates_error_from_fail(
+    monkeypatch, capsys, example_group, target, replacement, name, status, detail
+):
+    monkeypatch.setattr(diameter8, "build_example", lambda params: example_group)
+    monkeypatch.setattr(diameter8, target, replacement)
+    code, out, err = run(["paper-verify"], capsys)
+    assert code == EXIT_CHECK_FAILED
+    verb = "raised" if status == "error" else "failed"
+    assert err == f"check {verb}: {name}\n"
+    report = json.loads(out)
+    jsonschema.validate(report, schema("paper_verify_report.schema.json"))
+    (check,) = [c for c in report["checks"] if c["status"] != "pass"]
+    assert (check["name"], check["status"], check["detail"]) == (name, status, detail)
+
+
 def test_search_params_q11(capsys):
     code, out, _ = run(["search-params", "--q-max", "11"], capsys)
     assert code == EXIT_OK
@@ -166,6 +195,17 @@ def test_graph_export_matrix_group(capsys):
     payload = json.loads(out)
     jsonschema.validate(payload, schema("graph_export.schema.json"))
     assert payload["components"] == 3
+
+
+def test_graph_export_all_central_group(tmp_path, capsys):
+    path = tmp_path / "c3.json"
+    path.write_text(json.dumps({
+        "type": "permutation", "degree": 3, "generators": [[1, 2, 0]],
+    }))
+    code, out, err = run(["graph-export", str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {path}: every element is central\n"
 
 
 def test_analyze_whole_corpus_never_emits_sentinel(capsys):

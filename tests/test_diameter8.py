@@ -1,8 +1,14 @@
+import random
+
 import pytest
+from oracles import LogSpaceD, LogTables, enumerated_fixed_set
 
 from commgraph.diameter8 import (
+    ALL,
     FCoords,
     ParamTriple,
+    _F_POSITIONS,
+    _fixed_set,
     build_example,
     centralizer_in_G,
     center_of_F,
@@ -20,8 +26,40 @@ from commgraph.diameter8 import (
     witness_path8,
 )
 from commgraph.errors import NoSuchParams, NotInD, NotNormalizing
-from commgraph.fields import element_order, factorize
+from commgraph.fields import element_order, factorize, field_create, frobenius_map
 from commgraph.groups import MatrixAutElement, generate_elements
+
+
+def log_d_powers(log_d, e, n):
+    out = [(0,) * 5]
+    for _ in range(n - 1):
+        out.append(log_d.mul(out[-1], e))
+    return out
+
+
+@pytest.fixture(scope="module")
+def log_tables(example_group):
+    return LogTables(example_group.spec)
+
+
+@pytest.fixture(scope="module")
+def log_d(log_tables):
+    return LogSpaceD(log_tables)
+
+
+@pytest.fixture(scope="module")
+def log_image(example_group, log_d):
+    """Map from the normal form (i, j) of x^i c^j to its log form."""
+    ctx = example_group.ctx
+    xs = log_d_powers(log_d, log_d.from_matrix(example_group.x), ctx.order_x)
+    cs = log_d_powers(log_d, log_d.from_matrix(example_group.c), ctx.order_c)
+    return lambda e: log_d.mul(xs[e[0]], cs[e[1]])
+
+
+@pytest.fixture(scope="module")
+def log_closure(example_group, log_d):
+    eg = example_group
+    return log_d.closure([log_d.from_matrix(eg.x), log_d.from_matrix(eg.c)])
 
 
 # --- parameter search ------------------------------------------------------
@@ -187,7 +225,73 @@ def test_d_is_metacyclic_shape(example_group):
     assert conj in c_powers
 
 
+def test_normal_form_product_matches_matrices(example_group, log_d, log_image):
+    eg = example_group
+    ctx = eg.ctx
+    rng = random.Random(3221)
+    sample = [(1, 0), (0, 1), (5, 0)] + [
+        (rng.randrange(ctx.order_x), rng.randrange(ctx.order_c)) for _ in range(9)
+    ]
+    for a, b in zip(sample, sample[1:] + sample[:1]):
+        assert ctx.to_matrix(ctx.mul(a, b)) == ctx.to_matrix(a) * ctx.to_matrix(b)
+    for a in sample:
+        mat = ctx.to_matrix(a)
+        assert ctx.from_matrix(mat) == a
+        assert log_d.from_matrix(mat) == log_image(a)
+    assert ctx.to_matrix((1, 0)) == eg.x and ctx.to_matrix((0, 1)) == eg.c
+
+
+def test_normal_form_is_a_bijection_onto_log_space_closure(example_group, log_image, log_closure):
+    images = {log_image(e) for e in example_group.d_elements}
+    assert len(images) == len(example_group.d_elements) == example_group.ctx.order == 80525
+    assert images == log_closure
+
+
+def test_centralizers_in_D_match_log_space_scan(example_group, log_d, log_image, log_closure):
+    eg = example_group
+    ctx = eg.ctx
+    brute = {}
+    for name in ("x", "xr", "c"):
+        w = log_d.from_matrix(getattr(eg, name))
+        brute[name] = {d for d in log_closure if log_d.mul(d, w) == log_d.mul(w, d)}
+        got = ctx.centralizer(ctx.from_matrix(getattr(eg, name)))
+        assert len(got) == len(brute[name])
+        assert {log_image(e) for e in got} == brute[name]
+    assert [len(brute[n]) for n in ("x", "xr", "c")] == [25, 80525, 16105]
+    assert {log_image(e) for e in eg.d_centre} == brute["x"] & brute["c"]
+
+
 # --- fixed points and centralizers ----------------------------------------
+
+
+def _closed_as_coeffs(spec, sols):
+    return {e.coeffs for e in spec.elements()} if sols is ALL else {m.coeffs for m in sols}
+
+
+def test_fixed_set_matches_enumeration_in_toy_field():
+    spec = field_create(3, 5)
+    tables = LogTables(spec)
+    lines = 0
+    for mu in spec.elements():
+        if mu.is_zero():
+            continue
+        for twist in range(spec.k):
+            closed = _fixed_set(spec, mu, twist)
+            assert _closed_as_coeffs(spec, closed) == enumerated_fixed_set(tables, mu, twist)
+            lines += closed is not ALL and len(closed) == spec.p
+    assert lines == 4 * (spec.size - 1) // (spec.p - 1)  # N(mu) = 1, twist != 0
+
+
+def test_fixed_set_matches_enumeration_on_witness_entries(example_group, log_tables):
+    eg = example_group
+    spec = eg.spec
+    for w in (eg.x, eg.xr, eg.c):
+        lam = [w.mat[i][i] for i in range(4)]
+        for row, col, _, _ in _F_POSITIONS:
+            mu = frobenius_map(lam[col] / lam[row], w.twist)
+            closed = _fixed_set(spec, mu, w.twist)
+            assert _closed_as_coeffs(spec, closed) == enumerated_fixed_set(log_tables, mu, w.twist)
+
 
 
 def test_fixed_points_zr_trivial(example_group):
@@ -248,14 +352,14 @@ def test_centralizer_of_xr_is_whole_D(example_group):
     assert rep.order == 80525
 
 
-def test_centralizer_of_c(example_group):
+def test_centralizer_of_c(example_group, log_d, log_image):
     eg = example_group
     rep = centralizer_in_G(eg, eg.c)
     assert rep.d_part_order == 5 * 3221
     assert rep.f_part.count == 161051
     assert rep.order == 5 * 3221 * 161051 == 2593726355
-    sub = set(eg.ctx.closure([eg.ctx.from_matrix(eg.c), eg.ctx.from_matrix(eg.xr)], cap=90000))
-    assert set(rep.d_part) == sub
+    sub = log_d.closure([log_d.from_matrix(eg.c), log_d.from_matrix(eg.xr)])
+    assert {log_image(e) for e in rep.d_part} == sub
 
 
 def test_centralizer_requires_membership(example_group):

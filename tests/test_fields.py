@@ -12,6 +12,7 @@ from commgraph.fields import (
     FieldSpec,
     Poly,
     bipoly_arith,
+    discrete_log,
     element_of_order,
     element_order,
     factorize,
@@ -93,6 +94,19 @@ def test_element_of_order(gf115, gf11):
     assert element_order(e) == 3221
     with pytest.raises(NoSuchOrder):
         element_of_order(gf11, 7)  # 7 does not divide 10
+
+
+def test_discrete_log_against_powers():
+    spec = field_create(3, 5)
+    for n in (242, 121, 11, 2):
+        base = element_of_order(spec, n)
+        powers = {}
+        acc = spec.one()
+        for j in range(n):
+            powers[acc.coeffs] = j
+            acc = acc * base
+        for a in spec.elements():
+            assert discrete_log(a, base, n) == powers.get(a.coeffs)
 
 
 def test_frobenius_fixes_prime_subfield(gf115):
