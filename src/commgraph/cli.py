@@ -4,10 +4,10 @@ Subcommands: analyze, paper-verify, search-params, graph-export.  All output
 is deterministic (sorted JSON keys, fixed CSV columns) so reruns are
 byte-identical for the same inputs.
 
-Exit codes: 0 success, 1 parse error (graph-export: also a group with no
-non-central element), 2 cap exceeded, 3 the classifier produced the sentinel
-verdict DisconnectedOther, 4 a verification check failed or raised
-(paper-verify).
+Exit codes: 0 success, 1 parse error (also --jobs below 1 or a non-integer
+COMMGRAPH_CAP; graph-export: also a group with no non-central element),
+2 cap exceeded, 3 the classifier produced the sentinel verdict
+DisconnectedOther, 4 a verification check failed or raised (paper-verify).
 """
 
 from __future__ import annotations
@@ -57,13 +57,14 @@ class RunConfig:
 
 
 def default_cap() -> int:
+    """The element cap from COMMGRAPH_CAP; ValueError if it is not an integer."""
     raw = os.environ.get(CAP_ENV_VAR)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_GROUP_CAP
+    if not raw:
+        return DEFAULT_GROUP_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -214,6 +215,14 @@ def cmd_graph_export(cfg: RunConfig) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        cap = args.cap if args.cap is not None else default_cap()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    if getattr(args, "jobs", 1) < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_PARSE
     cfg = RunConfig(
         command=args.command,
         paths=list(getattr(args, "files", [])),
@@ -221,7 +230,7 @@ def main(argv=None) -> int:
         r=getattr(args, "r", 5),
         t=getattr(args, "t", 3221),
         q_max=getattr(args, "q_max", 11),
-        cap=args.cap if args.cap is not None else default_cap(),
+        cap=cap,
         out=args.out,
         fmt=args.fmt,
         jobs=getattr(args, "jobs", 1),

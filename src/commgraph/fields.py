@@ -135,13 +135,30 @@ def _is_irreducible(modulus, p):
     return True
 
 
+def _has_root(poly, p) -> bool:
+    """True iff the polynomial vanishes at some element of GF(p)."""
+    for a in range(p):
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * a + c) % p
+        if acc == 0:
+            return True
+    return False
+
+
 def least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree k over GF(p)."""
+    """Lexicographically least monic irreducible of degree k over GF(p).
+
+    For k >= 2 a candidate with constant term 0 or another root in GF(p) has
+    a linear factor, so it is skipped before the full irreducibility test.
+    """
     if k == 1:
         return (0, 1)
     for coeffs in itertools.product(range(p), repeat=k):
+        if coeffs[0] == 0:
+            continue
         cand = list(coeffs) + [1]
-        if _is_irreducible(cand, p):
+        if not _has_root(cand, p) and _is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 

@@ -3,12 +3,16 @@
 Two element backends: permutations (image arrays) and matrices over GF(p^k)
 carrying a Frobenius twist.  Groups are handles around a generating set and
 are materialized by breadth-first closure before any structural query runs.
-All algorithms here are exhaustive and meant for desk-scale groups.
+The derived and lower central series, normal closures and p-cores work from
+generators (normal closure by a worklist of conjugates by the generators);
+centralizers, Sylow subgroups, quotients and the remaining predicates scan
+the element list.  Everything is meant for desk-scale groups.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -45,10 +49,10 @@ class PermutationElement:
         inv = [0] * len(self.images)
         for i, j in enumerate(self.images):
             inv[j] = i
-        return PermutationElement(inv)
+        return _trusted_perm(tuple(inv))
 
     def identity(self) -> "PermutationElement":
-        return PermutationElement(range(len(self.images)))
+        return _trusted_perm(tuple(range(len(self.images))))
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))
@@ -70,6 +74,14 @@ class PermutationElement:
 
     def __repr__(self):
         return f"Perm{self.images}"
+
+
+def _trusted_perm(images: tuple) -> PermutationElement:
+    """Wrap an image tuple known to be a permutation, skipping the check."""
+    out = PermutationElement.__new__(PermutationElement)
+    out.images = images
+    out._hash = hash(images)
+    return out
 
 
 class MatrixAutElement:
@@ -434,37 +446,63 @@ def center(G: GroupHandle) -> SubgroupHandle:
     )
 
 
-def _derived_members(G: GroupHandle, members) -> tuple:
-    comms = {commutator(a, b) for a in members for b in members}
-    return tuple(generate_elements(sorted(comms, key=lambda e: e.key()), cap=G.cap))
+def _normal_closure(seeds: Iterable, ambient: Sequence, cap: int) -> tuple[list, list]:
+    """Generators and members of the normal closure of `seeds` under <ambient>.
+
+    Worklist: a queued element outside the current closure becomes a new
+    generator, the closure is regenerated, and the generator's conjugates by
+    each ambient generator are queued.  Once the queue is empty, every
+    generator's conjugates lie in the closure, so it is normalized by
+    <ambient>.  The identity alone gives ([], [identity]).
+    """
+    ambient_inv = [g.inverse() for g in ambient]
+    gens: list = []
+    members = [ambient[0].identity()]
+    member_set = set(members)
+    queue = deque(seeds)
+    while queue:
+        x = queue.popleft()
+        if x in member_set:
+            continue
+        gens.append(x)
+        members = generate_elements(gens, cap=cap)
+        member_set = set(members)
+        queue.extend(gi * x * g for g, gi in zip(ambient, ambient_inv))
+    return gens, members
+
+
+def _derived_closure(gens: Sequence, cap: int) -> tuple[list, list]:
+    """Generators and members of <gens>' = <[a, b] : a, b in gens>^<gens>."""
+    comms = [commutator(a, b) for a, b in itertools.combinations(gens, 2)]
+    return _normal_closure(comms, gens, cap)
 
 
 def derived_subgroup(G: GroupHandle, H: SubgroupHandle | None = None) -> SubgroupHandle:
-    members = H.members if H is not None else tuple(G.elements)
-    return SubgroupHandle(G, _derived_members(G, members))
+    gens = H.small_generating_set() if H is not None else G.generators
+    return SubgroupHandle(G, _derived_closure(gens, G.cap)[1])
 
 
 def is_soluble(G: GroupHandle) -> bool:
-    members = tuple(G.elements)
-    while len(members) > 1:
-        nxt = _derived_members(G, members)
-        if len(nxt) == len(members):
+    gens, order = G.generators, G.order()
+    while order > 1:
+        gens, members = _derived_closure(gens, G.cap)
+        if len(members) == order:
             return False
-        members = nxt
+        order = len(members)
     return True
 
 
 def is_nilpotent(G: GroupHandle | SubgroupHandle) -> bool:
     if isinstance(G, SubgroupHandle):
         G = G.as_group()
-    whole = tuple(G.elements)
-    members = whole
-    while len(members) > 1:
-        comms = {commutator(a, b) for a in whole for b in members}
-        nxt = tuple(generate_elements(sorted(comms, key=lambda e: e.key()), cap=G.cap))
-        if len(nxt) == len(members):
+    # gamma_{i+1} = [gamma_i, G], the normal closure of [n, x] over generators
+    gens, order = G.generators, G.order()
+    while order > 1:
+        comms = [commutator(n, x) for n in gens for x in G.generators]
+        gens, members = _normal_closure(comms, G.generators, G.cap)
+        if len(members) == order:
             return False
-        members = nxt
+        order = len(members)
     return True
 
 
@@ -482,8 +520,7 @@ def conjugate_subgroup(G: GroupHandle, H: SubgroupHandle, g) -> SubgroupHandle:
 
 
 def normal_closure(G: GroupHandle, x) -> SubgroupHandle:
-    conj = {conjugate(x, g) for g in G.elements}
-    return SubgroupHandle(G, generate_elements(sorted(conj, key=lambda e: e.key()), cap=G.cap))
+    return SubgroupHandle(G, _normal_closure([x], G.generators, G.cap)[1])
 
 
 def normalizer(G: GroupHandle, H: SubgroupHandle) -> SubgroupHandle:
@@ -530,15 +567,21 @@ def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
 
 
 def p_core(G: GroupHandle, p: int) -> SubgroupHandle:
-    """O_p(G): intersection of all conjugates of one Sylow p-subgroup."""
-    P = sylow_subgroup(G, p)
-    if P.is_trivial():
-        return P
-    core = set(P.member_set)
-    for g in G.elements:
-        core &= {conjugate(h, g) for h in P.members}
-        if len(core) == 1:
+    """O_p(G) for a Sylow p-subgroup P.
+
+    C <- C cap C^g over G's generators g, starting from C = P, until C stops
+    shrinking.  The fixed point lies in P, is normalized by every generator,
+    and contains core_G(P) = O_p(G) at every step, so it is O_p(G).
+    """
+    core = set(sylow_subgroup(G, p).member_set)
+    pairs = [(g.inverse(), g) for g in G.generators]
+    while len(core) > 1:
+        shrunk = set(core)
+        for gi, g in pairs:
+            shrunk &= {gi * h * g for h in core}
+        if len(shrunk) == len(core):
             break
+        core = shrunk
     return SubgroupHandle(G, core)
 
 
@@ -599,7 +642,7 @@ def quotient_group(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
         reps[new] = min(cosets[old], key=lambda m: m.key())
 
     def project(g) -> PermutationElement:
-        return PermutationElement([coset_of[g * rep] for rep in reps])
+        return _trusted_perm(tuple(coset_of[g * rep] for rep in reps))
 
     Q = GroupHandle([project(g) for g in G.generators], cap=G.cap, name=f"{G.name}/N")
     Q.materialize()

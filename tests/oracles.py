@@ -2,11 +2,13 @@
 
 These deliberately avoid the library's own algorithms: closure is a plain
 worklist over products, and distances come from an element-level BFS over an
-explicitly built adjacency structure.  The diameter-8 references work in
-log space: D = <x, c> by closure, and fixed-point equations on F by scanning
-every field element.
+explicitly built adjacency structure.  The series and cores run over every
+element or every pair of elements of the group.  The diameter-8 references
+work in log space: D = <x, c> by closure, and fixed-point equations on F by
+scanning every field element.
 """
 
+import itertools
 from collections import deque
 
 
@@ -58,6 +60,88 @@ def naive_all_distances(vertices, adj):
 
 def brute_centralizer(group, x):
     return {g for g in group.elements if g * x == x * g}
+
+
+# --- series and cores: every element, every pair ----------------------------
+
+
+def _closure_with_identity(group, seed):
+    return naive_closure(list(seed)) | {group.identity}
+
+
+def _commutator(a, b):
+    return a.inverse() * b.inverse() * a * b
+
+
+def exhaustive_derived(group, members):
+    """<[a, b] : a, b in members> over all pairs."""
+    return _closure_with_identity(group, {_commutator(a, b) for a in members for b in members})
+
+
+def exhaustive_is_soluble(group):
+    members = set(group.elements)
+    while len(members) > 1:
+        nxt = exhaustive_derived(group, members)
+        if len(nxt) == len(members):
+            return False
+        members = nxt
+    return True
+
+
+def exhaustive_is_nilpotent(group):
+    """Lower central series, gamma_{i+1} = <[n, g] : n in gamma_i, g in G>."""
+    whole = set(group.elements)
+    members = whole
+    while len(members) > 1:
+        nxt = _closure_with_identity(group, {_commutator(n, g) for n in members for g in whole})
+        if len(nxt) == len(members):
+            return False
+        members = nxt
+    return True
+
+
+def exhaustive_normal_closure(group, x):
+    """<x^g : g in G> over every element g."""
+    return _closure_with_identity(group, {g.inverse() * x * g for g in group.elements})
+
+
+def _order(x):
+    n, acc = 1, x
+    while not acc.is_identity():
+        acc, n = acc * x, n + 1
+    return n
+
+
+def _is_p_power(n, p):
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+def exhaustive_p_core(group, p):
+    """O_p(G), the largest normal p-subgroup, without any Sylow subgroup.
+
+    x lies in O_p(G) iff its normal closure is a p-group, so O_p(G) is
+    generated by those x.
+    """
+    seed = {
+        x for x in group.elements
+        if _is_p_power(_order(x), p)
+        and _is_p_power(len(exhaustive_normal_closure(group, x)), p)
+    }
+    return _closure_with_identity(group, seed)
+
+
+def unfiltered_least_irreducible(p, k, is_irreducible):
+    """The lexicographically least monic irreducible of degree k, testing
+    every candidate with `is_irreducible` (no pre-filter)."""
+    if k == 1:
+        return (0, 1)
+    for coeffs in itertools.product(range(p), repeat=k):
+        cand = list(coeffs) + [1]
+        if is_irreducible(cand, p):
+            return tuple(cand)
+    raise AssertionError("no irreducible polynomial found")
 
 
 # --- the diameter-8 witness: log-space references ---------------------------

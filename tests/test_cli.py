@@ -84,6 +84,22 @@ def test_cap_env_var(tmp_path, capsys, monkeypatch):
     assert code == EXIT_OK
 
 
+def test_cap_env_var_rejects_non_integer(capsys, monkeypatch):
+    monkeypatch.setenv("COMMGRAPH_CAP", "lots")
+    code, out, err = run(["analyze", data_path("sym4")], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == "error: COMMGRAPH_CAP must be an integer, got 'lots'\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_analyze_rejects_jobs_below_one(capsys, jobs):
+    code, out, err = run(["analyze", data_path("sym4"), "--jobs", jobs], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
+
 def test_analyze_multiple_files_jobs_preserve_order(capsys):
     files = [data_path("sym3"), data_path("alt4"), data_path("s3xs3")]
     code, out, _ = run(["analyze", *files, "--jobs", "3"], capsys)

@@ -1,5 +1,7 @@
 import pytest
 
+from oracles import unfiltered_least_irreducible
+
 from commgraph.errors import (
     CapExceeded,
     DivisionByZero,
@@ -19,7 +21,10 @@ from commgraph.fields import (
     field_arith,
     field_create,
     frobenius_map,
+    is_prime,
+    least_irreducible,
 )
+from commgraph.fields import _is_irreducible
 
 
 def test_field_sizes(gf115):
@@ -27,6 +32,17 @@ def test_field_sizes(gf115):
     gf2 = field_create(2, 1)
     assert gf2.size == 2
     assert gf2.modulus == (0, 1)  # the identity choice for k = 1
+
+
+def test_least_irreducible_matches_unfiltered_search():
+    # every (p, k) with p^k <= 5000: the root pre-filter keeps the same modulus
+    cases = [
+        (p, k) for p in range(2, 5001) if is_prime(p)
+        for k in range(1, 13) if p ** k <= 5000
+    ]
+    assert len(cases) == 711
+    for p, k in cases:
+        assert least_irreducible(p, k) == unfiltered_least_irreducible(p, k, _is_irreducible), (p, k)
 
 
 def test_field_create_rejects_composite_p():

@@ -1,14 +1,26 @@
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import brute_centralizer, naive_closure
+from oracles import (
+    brute_centralizer,
+    exhaustive_derived,
+    exhaustive_is_nilpotent,
+    exhaustive_is_soluble,
+    exhaustive_normal_closure,
+    exhaustive_p_core,
+    naive_closure,
+)
 
+from commgraph.corpus import list_corpus
 from commgraph.errors import BackendMismatch, CapExceeded, NotMember, NotNormal
+from commgraph.fields import factorize
 from commgraph.groups import (
     GroupHandle,
     PermutationElement,
     center,
     centralizer,
     conjugate,
+    derived_subgroup,
     element_order,
     find_frobenius_complement,
     fitting_subgroup,
@@ -243,3 +255,65 @@ def test_normal_closure_and_conjugate(sym4):
     assert nc.member_set == V4
     g = P(1, 2, 3, 0)
     assert conjugate(P(1, 0, 3, 2), g) in nc
+
+
+# --- generator-driven series and cores against the exhaustive oracles -------
+
+
+def _shifted(perm, offset, degree):
+    out = list(range(degree))
+    for i, j in enumerate(perm):
+        out[offset + i] = offset + j
+    return PermutationElement(out)
+
+
+EXTRA_GROUPS = {
+    # AGL(1, 13): x -> x + 1 and x -> 2x on GF(13), order 156
+    "agl1_13": lambda: [P(*[(i + 1) % 13 for i in range(13)]), P(*[2 * i % 13 for i in range(13)])],
+    # S4 x S3 on {0..3} and {4..6}, order 144
+    "s4xs3": lambda: [
+        _shifted(perm, offset, 7)
+        for offset, n in ((0, 4), (4, 3))
+        for perm in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0])
+    ],
+}
+
+
+def _oracle_group(corpus, name):
+    if name in EXTRA_GROUPS:
+        return GroupHandle(EXTRA_GROUPS[name](), name=name).materialize()
+    return corpus[name]
+
+
+def _assert_matches_oracles(G, closure_points):
+    soluble = is_soluble(G)
+    assert soluble == exhaustive_is_soluble(G)
+    derived = derived_subgroup(G)
+    assert derived.member_set == exhaustive_derived(G, G.elements)
+    assert derived_subgroup(G, derived).member_set == exhaustive_derived(G, derived.members)
+    assert is_nilpotent(G) == exhaustive_is_nilpotent(G)
+    for x in closure_points:
+        assert normal_closure(G, x).member_set == exhaustive_normal_closure(G, x)
+    for p in factorize(G.order()):
+        assert p_core(G, p).member_set == exhaustive_p_core(G, p), p
+    return soluble
+
+
+@pytest.mark.parametrize("name", list_corpus() + sorted(EXTRA_GROUPS))
+def test_series_and_cores_match_oracles(corpus, name):
+    G = _oracle_group(corpus, name)
+    soluble = _assert_matches_oracles(G, G.elements)
+    assert soluble == (name != "alt5")
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(6)), st.permutations(range(6)))
+# S5 and a group of order 72: O_2 needs more than one round of intersections
+@example([0, 3, 4, 1, 2, 5], [2, 4, 3, 0, 1, 5])
+@example([5, 0, 4, 3, 2, 1], [4, 2, 5, 1, 0, 3])
+def test_series_and_cores_match_oracles_on_s6_subgroups(a, b):
+    a, b = PermutationElement(a), PermutationElement(b)
+    G = GroupHandle([a, b]).materialize()
+    # the oracles cost |G|^2 products; A6 and S6 would take minutes each
+    assume(G.order() <= 120)
+    _assert_matches_oracles(G, [a, b, a * b])
