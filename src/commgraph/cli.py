@@ -4,8 +4,9 @@ Subcommands: analyze, paper-verify, search-params, graph-export.  All output
 is deterministic (sorted JSON keys, fixed CSV columns) so reruns are
 byte-identical for the same inputs.
 
-Exit codes: 0 success, 1 parse error (also --jobs below 1 or a non-integer
-COMMGRAPH_CAP; graph-export: also a group with no non-central element),
+Exit codes: 0 success, 1 parse error (also --jobs below 1, a non-integer
+COMMGRAPH_CAP, or a group with no non-central element: the trivial group for
+analyze, any abelian group for graph-export),
 2 cap exceeded, 3 the classifier produced the sentinel verdict
 DisconnectedOther, 4 a verification check failed or raised (paper-verify).
 """
@@ -130,6 +131,9 @@ def _analyze_one(path: str, cap: int) -> dict:
         verdict = classify_group(handle)
     except CapExceeded as exc:
         return {"file": path, "error": str(exc), "error_kind": "cap"}
+    except EmptyGraph as exc:
+        # only the trivial group reaches the graph with no vertex
+        return {"file": path, "error": str(exc), "error_kind": "parse"}
     row = {"file": path}
     row.update(verdict.to_json())
     return row

@@ -4,9 +4,11 @@ Two element backends: permutations (image arrays) and matrices over GF(p^k)
 carrying a Frobenius twist.  Groups are handles around a generating set and
 are materialized by breadth-first closure before any structural query runs.
 The derived and lower central series, normal closures and p-cores work from
-generators (normal closure by a worklist of conjugates by the generators);
-centralizers, Sylow subgroups, quotients and the remaining predicates scan
-the element list.  Everything is meant for desk-scale groups.
+generators (normal closure by a worklist of conjugates by the generators),
+and so do conjugacy classes (orbits under conjugation by the generators,
+with a transversal); centralizers, Sylow subgroups, quotients and the
+remaining predicates scan the element list.  Everything is meant for
+desk-scale groups.
 """
 
 from __future__ import annotations
@@ -349,6 +351,8 @@ class GroupHandle:
             if int(obj.get("aut_order", spec.k)) != spec.k:
                 raise ValueError("aut_order must equal the field extension degree")
             dim = int(obj["dim"])
+            if dim < 1:
+                raise ValueError("dim must be at least 1")
             gens = []
             for gen in obj["generators"]:
                 rows = gen["matrix"]
@@ -438,6 +442,36 @@ def centralizer(G: GroupHandle, x) -> SubgroupHandle:
     return SubgroupHandle(G, [g for g in G.elements if g * x == x * g])
 
 
+def conjugacy_classes(G: GroupHandle) -> list[tuple[object, dict]]:
+    """Conjugacy classes of G as (rep, transversal) pairs.
+
+    The transversal maps every member w of the class to an element t with
+    rep^t = w.  Each class is the orbit of its representative under
+    conjugation by G's generators: if rep^t = w then rep^(t g) = w^g.
+    Representatives are the first element of each class in G's element
+    order.
+    """
+    pairs = [(g, g.inverse()) for g in G.generators]
+    classes = []
+    seen: set = set()
+    for rep in G.elements:
+        if rep in seen:
+            continue
+        transversal = {rep: G.identity}
+        queue = deque([rep])
+        while queue:
+            w = queue.popleft()
+            t = transversal[w]
+            for g, gi in pairs:
+                v = gi * w * g
+                if v not in transversal:
+                    transversal[v] = t * g
+                    queue.append(v)
+        seen.update(transversal)
+        classes.append((rep, transversal))
+    return classes
+
+
 def center(G: GroupHandle) -> SubgroupHandle:
     # commuting with every generator is commuting with the whole group
     gens = G.generators
@@ -525,9 +559,12 @@ def normal_closure(G: GroupHandle, x) -> SubgroupHandle:
 
 def normalizer(G: GroupHandle, H: SubgroupHandle) -> SubgroupHandle:
     gens = H.small_generating_set()
-    return SubgroupHandle(
-        G, [g for g in G.elements if all(conjugate(h, g) in H.member_set for h in gens)]
-    )
+    members = []
+    for g in G.elements:
+        gi = g.inverse()
+        if all(gi * h * g in H.member_set for h in gens):
+            members.append(g)
+    return SubgroupHandle(G, members)
 
 
 def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:

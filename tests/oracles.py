@@ -2,14 +2,17 @@
 
 These deliberately avoid the library's own algorithms: closure is a plain
 worklist over products, and distances come from an element-level BFS over an
-explicitly built adjacency structure.  The series and cores run over every
-element or every pair of elements of the group.  The diameter-8 references
-work in log space: D = <x, c> by closure, and fixed-point equations on F by
-scanning every field element.
+explicitly built adjacency structure.  The centralizer classes of the
+commuting graph come from scanning every element against every element.  The
+series and cores run over every element or every pair of elements of the
+group.  The diameter-8 references work in log space: D = <x, c> by closure,
+and fixed-point equations on F by scanning every field element.
 """
 
 import itertools
 from collections import deque
+
+from commgraph.errors import EmptyGraph
 
 
 def naive_closure(generators):
@@ -60,6 +63,36 @@ def naive_all_distances(vertices, adj):
 
 def brute_centralizer(group, x):
     return {g for g in group.elements if g * x == x * g}
+
+
+def scan_centralizer_classes(group):
+    """(classes, class_of, adjacency) of the commuting graph, as build_graph
+    orders them, from one centralizer scan per element.
+
+    A vertex's centralizer is the set of indices of the elements that commute
+    with it; vertices are grouped by that set, and two classes are adjacent
+    when one representative commutes with the other.  Raises EmptyGraph when
+    every element is central.
+    """
+    elems = group.elements
+    index = {g: i for i, g in enumerate(elems)}
+    cent_of = {v: frozenset(i for i, g in enumerate(elems) if g * v == v * g) for v in elems}
+    buckets = {}
+    for v in elems:
+        if len(cent_of[v]) < len(elems):
+            buckets.setdefault(cent_of[v], []).append(v)
+    if not buckets:
+        raise EmptyGraph("every element is central")
+    classes = sorted(
+        (sorted(members, key=lambda e: e.key()) for members in buckets.values()),
+        key=lambda cls: cls[0].key(),
+    )
+    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    adjacency = [
+        sorted(j for j, other in enumerate(classes) if j != i and index[other[0]] in cent_of[cls[0]])
+        for i, cls in enumerate(classes)
+    ]
+    return classes, class_of, adjacency
 
 
 # --- series and cores: every element, every pair ----------------------------

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 from importlib import resources
 
 from commgraph import diameter8
@@ -222,6 +227,93 @@ def test_graph_export_all_central_group(tmp_path, capsys):
     assert code == EXIT_PARSE
     assert out == ""
     assert err == f"error: {path}: every element is central\n"
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("generators", [[[0]], [[0, 1, 2], [0, 1, 2]]])
+def test_analyze_trivial_group(tmp_path, capsys, jobs, generators):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({
+        "type": "permutation", "degree": len(generators[0]), "generators": generators,
+    }))
+    code, out, err = run(["analyze", str(path), "--jobs", jobs], capsys)
+    assert code == EXIT_PARSE
+    assert err == f"error: {path}: every element is central\n"
+    rows = json.loads(out)
+    jsonschema.validate(rows, schema("analyze_report.schema.json"))
+    assert rows[0]["error_kind"] == "parse"
+
+
+def _identity_rows(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _matrix_file(field, dim, matrices, twist=0):
+    return {
+        "type": "matrix", "field": field, "dim": dim, "aut_order": field.get("k", 1),
+        "generators": [{"twist": twist, "matrix": m} for m in matrices],
+    }
+
+
+def _not_a_permutation(images):
+    return sorted(images) != list(range(len(images)))
+
+
+GF3 = {"p": 3, "k": 1, "modulus": [0, 1]}
+
+# Each file is malformed, or a group with no non-central element; never a
+# group that analyze could classify.
+MALFORMED_GROUP_FILES = st.one_of(
+    # not an object
+    st.one_of(st.none(), st.booleans(), st.integers(), st.text(max_size=4),
+              st.lists(st.integers(0, 3), max_size=3)),
+    # no type, an unknown type, or a field of the wrong type
+    st.fixed_dictionaries({}, optional={"type": st.sampled_from(["perm", "", "matrix"])}),
+    st.builds(lambda degree: {"type": "permutation", "degree": degree, "generators": None},
+              st.one_of(st.text(max_size=3), st.integers(-1, 4))),
+    # no generator
+    st.builds(lambda degree: {"type": "permutation", "degree": degree, "generators": []},
+              st.integers(0, 4)),
+    # a permutation whose length is not the stated degree
+    st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.integers(-1, 6).filter(lambda d: d != n), st.permutations(range(n)),
+    )).map(lambda t: {"type": "permutation", "degree": t[0], "generators": [t[1]]}),
+    # images that are not a permutation
+    st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.integers(-1, n), min_size=n, max_size=n,
+    ).filter(_not_a_permutation)).map(
+        lambda g: {"type": "permutation", "degree": len(g), "generators": [g]}),
+    # the trivial group, from identity generators of any degree
+    st.tuples(st.integers(0, 5), st.integers(1, 3)).map(lambda t: {
+        "type": "permutation", "degree": t[0], "generators": [list(range(t[0]))] * t[1],
+    }),
+    st.integers(1, 3).map(lambda n: _matrix_file(GF3, n, [_identity_rows(n)])),
+    # a field that is not prime, or a modulus that is not irreducible
+    st.sampled_from([0, 1, 4, 6, 9, 15]).map(
+        lambda p: _matrix_file({"p": p, "k": 1, "modulus": [0, 1]}, 1, [[[1]]])),
+    st.just(_matrix_file({"p": 3, "k": 2, "modulus": [0, 0, 1]}, 1, [[[[1, 0]]]])),
+    # dimension 0, or matrices of the wrong shape, or singular
+    st.integers(0, 1).map(lambda twist: _matrix_file(
+        {"p": 3, "k": 2, "modulus": [1, 0, 1]}, 0, [[]], twist=twist)),
+    st.integers(1, 3).map(lambda n: _matrix_file(GF3, n + 1, [_identity_rows(n)])),
+    st.integers(1, 3).map(lambda n: _matrix_file(GF3, n, [[[0] * n] * n])),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(MALFORMED_GROUP_FILES, st.sampled_from(["analyze", "graph-export"]))
+def test_malformed_group_files_exit_1_without_traceback(payload, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "group.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        err = io.StringIO()
+        # an uncaught exception here is the traceback a user would see
+        with contextlib.redirect_stderr(err):
+            code = main([command, path, "--out", os.path.join(tmp, "out")])
+    assert code == EXIT_PARSE
+    assert err.getvalue().startswith(f"error: {path}: ")
+    assert err.getvalue().count("\n") == 1
 
 
 def test_analyze_whole_corpus_never_emits_sentinel(capsys):

@@ -1,12 +1,20 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from oracles import naive_all_distances, naive_vertex_adjacency
+from extra_groups import EXTRA_GROUPS, oracle_group
+from oracles import (
+    brute_centralizer,
+    naive_all_distances,
+    naive_vertex_adjacency,
+    scan_centralizer_classes,
+)
 
+from commgraph.corpus import list_corpus
 from commgraph.errors import EmptyGraph, NotAVertex
 from commgraph.graph import build_graph, diameter_and_components, distance
-from commgraph.groups import GroupHandle, PermutationElement
+from commgraph.groups import GroupHandle, PermutationElement, conjugacy_classes
 
 
 def P(*images):
@@ -127,3 +135,63 @@ def test_graph_export_shape(sym3_graph):
     assert payload["diameter"] is None
     assert payload["edges"] == []
     assert sorted(c["size"] for c in payload["classes"]) == [1, 1, 1, 2]
+
+
+# --- class-driven centralizers against the per-element scan -----------------
+
+
+# AGammaL(1, 9) as [[a, b], [0, 1]] over GF(9) = GF(3)[X] / (X^2 + 1), an
+# entry a0 + a1 X written [a0, a1]: multiplication by the primitive element
+# 1 + X, translation by 1, and the Frobenius twist
+AGAML1_9 = {
+    "type": "matrix",
+    "field": {"p": 3, "k": 2, "modulus": [1, 0, 1]},
+    "dim": 2,
+    "aut_order": 2,
+    "generators": [
+        {"twist": 0, "matrix": [[[1, 1], [0, 0]], [[0, 0], [1, 0]]]},
+        {"twist": 0, "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},
+        {"twist": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    ],
+}
+
+
+def _assert_graph_matches_scan(G):
+    try:
+        want = scan_centralizer_classes(G)
+    except EmptyGraph:
+        with pytest.raises(EmptyGraph):
+            build_graph(G)
+        return
+    graph = build_graph(G)
+    assert graph.classes == want[0]
+    assert graph.class_of == want[1]
+    assert graph.adjacency == want[2]
+
+
+@pytest.mark.parametrize("name", list_corpus() + sorted(EXTRA_GROUPS) + ["agaml1_9"])
+def test_build_graph_matches_scan_oracle(corpus, name):
+    if name == "agaml1_9":
+        G = GroupHandle.from_json(AGAML1_9, name=name).materialize()
+        assert G.order() == 144
+    else:
+        G = oracle_group(corpus, name)
+    _assert_graph_matches_scan(G)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(6)), st.permutations(range(6)))
+@example([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5])  # trivial: no vertex
+@example([1, 2, 3, 4, 5, 0], [5, 4, 3, 2, 1, 0])  # dihedral of order 12
+def test_conjugacy_classes_and_graph_on_s6_subgroups(a, b):
+    G = GroupHandle([PermutationElement(a), PermutationElement(b)]).materialize()
+    # the scan oracle costs 2|G|^2 products; A6 and S6 would take seconds each
+    assume(G.order() <= 120)
+    classes = conjugacy_classes(G)
+    members = [w for _, transversal in classes for w in transversal]
+    assert len(members) == G.order() and set(members) == set(G.elements)
+    for rep, transversal in classes:
+        assert len(transversal) * len(brute_centralizer(G, rep)) == G.order()
+        for w, t in transversal.items():
+            assert t in G and t.inverse() * rep * t == w
+    _assert_graph_matches_scan(G)

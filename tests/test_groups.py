@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from extra_groups import EXTRA_GROUPS, oracle_group
 from oracles import (
     brute_centralizer,
     exhaustive_derived,
@@ -260,31 +261,6 @@ def test_normal_closure_and_conjugate(sym4):
 # --- generator-driven series and cores against the exhaustive oracles -------
 
 
-def _shifted(perm, offset, degree):
-    out = list(range(degree))
-    for i, j in enumerate(perm):
-        out[offset + i] = offset + j
-    return PermutationElement(out)
-
-
-EXTRA_GROUPS = {
-    # AGL(1, 13): x -> x + 1 and x -> 2x on GF(13), order 156
-    "agl1_13": lambda: [P(*[(i + 1) % 13 for i in range(13)]), P(*[2 * i % 13 for i in range(13)])],
-    # S4 x S3 on {0..3} and {4..6}, order 144
-    "s4xs3": lambda: [
-        _shifted(perm, offset, 7)
-        for offset, n in ((0, 4), (4, 3))
-        for perm in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0])
-    ],
-}
-
-
-def _oracle_group(corpus, name):
-    if name in EXTRA_GROUPS:
-        return GroupHandle(EXTRA_GROUPS[name](), name=name).materialize()
-    return corpus[name]
-
-
 def _assert_matches_oracles(G, closure_points):
     soluble = is_soluble(G)
     assert soluble == exhaustive_is_soluble(G)
@@ -301,7 +277,7 @@ def _assert_matches_oracles(G, closure_points):
 
 @pytest.mark.parametrize("name", list_corpus() + sorted(EXTRA_GROUPS))
 def test_series_and_cores_match_oracles(corpus, name):
-    G = _oracle_group(corpus, name)
+    G = oracle_group(corpus, name)
     soluble = _assert_matches_oracles(G, G.elements)
     assert soluble == (name != "alt5")
 
