@@ -4,6 +4,11 @@ A group X with proper nontrivial normal subgroup J is Frobenius with kernel J
 iff C_X(j) <= J for every nonidentity j in J.  Frobenius kernels coincide
 with the Fitting subgroup, so only J = F(X) needs testing; likewise the
 2-Frobenius candidates are K = F(G) and the preimage L of F(G/K).
+
+X normalizes J, so C_X(j^g) = C_X(j)^g and the condition is checked for one
+j per X-class of J.  G is 2-Frobenius iff G/K is Frobenius (with kernel
+L/K) and L is Frobenius with kernel K; L is read off the coset labels of
+G/K, without a product.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from .groups import (
     GroupHandle,
     SubgroupHandle,
     center,
+    conjugacy_classes,
     fitting_subgroup,
     is_metacyclic,
     is_soluble,
@@ -58,14 +64,16 @@ class ClassificationVerdict:
         return out
 
 
-def _kernel_condition(members, kernel_set, centralizer_pool) -> bool:
-    """C(j) <= kernel for every nonidentity j of the kernel, inside the pool."""
-    for j in members:
-        if j.is_identity():
-            continue
-        for g in centralizer_pool:
-            if g * j == j * g and g not in kernel_set:
-                return False
+def _kernel_condition(G: GroupHandle, kernel: SubgroupHandle, pool) -> bool:
+    """C_pool(j) <= kernel for every nonidentity j of the kernel.
+
+    G normalizes the kernel and the pool, so C_pool(j^g) = C_pool(j)^g and
+    one j per G-class of the kernel is enough.
+    """
+    outside = [g for g in pool if g not in kernel.member_set]
+    for j, _ in conjugacy_classes(G, kernel.members):
+        if not j.is_identity() and any(g * j == j * g for g in outside):
+            return False
     return True
 
 
@@ -75,9 +83,7 @@ def is_frobenius(G: GroupHandle) -> SubgroupHandle | None:
     J = fitting_subgroup(G)
     if J.is_trivial() or J.order() == G.order():
         return None
-    if _kernel_condition(J.members, J.member_set, G.elements):
-        return J
-    return None
+    return J if _kernel_condition(G, J, G.elements) else None
 
 
 def is_two_frobenius(G: GroupHandle):
@@ -86,18 +92,17 @@ def is_two_frobenius(G: GroupHandle):
     K = fitting_subgroup(G)
     if K.is_trivial() or K.order() == G.order():
         return None
+    # G/K Frobenius with kernel F(G/K) = L/K
     Q = quotient_group(G, K)
-    FQ = fitting_subgroup(Q)
-    # g lies in the preimage L iff its image permutation is in F(Q)
-    L = SubgroupHandle(G, [g for g in G.elements if Q.project(g) in FQ.member_set])
-    if L.order() <= K.order() or L.order() >= G.order():
+    FQ = is_frobenius(Q)
+    if FQ is None:
         return None
+    # the image of g sends the label of K to the label of gK
+    home = Q.coset_index_of[G.identity]
+    labels = {q.images[home] for q in FQ.members}
+    L = SubgroupHandle(G, [g for g in G.elements if Q.coset_index_of[g] in labels])
     # L Frobenius with kernel K
-    if not _kernel_condition(K.members, K.member_set, L.members):
-        return None
-    # G/K Frobenius with kernel L/K
-    image = {Q.project(m) for m in L.members}
-    if not _kernel_condition(sorted(image, key=lambda e: e.key()), image, Q.elements):
+    if not _kernel_condition(G, K, L.members):
         return None
     return K, L
 

@@ -20,7 +20,6 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 
 from .classify import KIND_DISCONNECTED_OTHER, classify_group
 from .corpus import load_group_file
@@ -41,20 +40,6 @@ ANALYZE_COLUMNS = [
     "file", "kind", "order", "kernel_order", "K_order", "L_order",
     "diameter", "components",
 ]
-
-
-@dataclass
-class RunConfig:
-    command: str
-    paths: list = field(default_factory=list)
-    q: int = 11
-    r: int = 5
-    t: int = 3221
-    q_max: int = 11
-    cap: int = DEFAULT_GROUP_CAP
-    out: str | None = None
-    fmt: str = "json"
-    jobs: int = 1
 
 
 def default_cap() -> int:
@@ -139,23 +124,26 @@ def _analyze_one(path: str, cap: int) -> dict:
     return row
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            rows = list(pool.map(lambda p: _analyze_one(p, cfg.cap), cfg.paths))
+def cmd_analyze(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return EXIT_PARSE
+    if args.jobs > 1:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            rows = list(pool.map(lambda p: _analyze_one(p, args.cap), args.files))
     else:
-        rows = [_analyze_one(p, cfg.cap) for p in cfg.paths]
+        rows = [_analyze_one(p, args.cap) for p in args.files]
 
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         csv_rows = []
         for row in rows:
             if "error" in row:
                 csv_rows.append({"file": row["file"], "kind": "Error"})
             else:
                 csv_rows.append(row)
-        _write(_dump_csv(csv_rows, ANALYZE_COLUMNS), cfg.out)
+        _write(_dump_csv(csv_rows, ANALYZE_COLUMNS), args.out)
     else:
-        _write(_dump_json(rows), cfg.out)
+        _write(_dump_json(rows), args.out)
 
     for row in rows:
         if row.get("error_kind") == "parse":
@@ -172,12 +160,12 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_paper_verify(cfg: RunConfig) -> int:
-    report = run_all_checks(cfg.q, cfg.r, cfg.t)
-    if cfg.fmt == "csv":
-        _write(_dump_csv(report["checks"], ["name", "status", "detail"]), cfg.out)
+def cmd_paper_verify(args: argparse.Namespace) -> int:
+    report = run_all_checks(args.q, args.r, args.t)
+    if args.fmt == "csv":
+        _write(_dump_csv(report["checks"], ["name", "status", "detail"]), args.out)
     else:
-        _write(_dump_json(report), cfg.out)
+        _write(_dump_json(report), args.out)
     failing = first_failing_check(report)
     if failing:
         raised = any(c["name"] == failing and c["status"] == "error" for c in report["checks"])
@@ -186,21 +174,21 @@ def cmd_paper_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_search_params(cfg: RunConfig) -> int:
+def cmd_search_params(args: argparse.Namespace) -> int:
     triples = [
-        {"q": p.q, "r": p.r, "t": p.t} for p in find_params(cfg.q_max)
+        {"q": p.q, "r": p.r, "t": p.t} for p in find_params(args.q_max)
     ]
-    if cfg.fmt == "csv":
-        _write(_dump_csv(triples, ["q", "r", "t"]), cfg.out)
+    if args.fmt == "csv":
+        _write(_dump_csv(triples, ["q", "r", "t"]), args.out)
     else:
-        _write(_dump_json({"q_max": cfg.q_max, "triples": triples}), cfg.out)
+        _write(_dump_json({"q_max": args.q_max, "triples": triples}), args.out)
     return EXIT_OK
 
 
-def cmd_graph_export(cfg: RunConfig) -> int:
-    path = cfg.paths[0]
+def cmd_graph_export(args: argparse.Namespace) -> int:
+    path = args.files[0]
     try:
-        handle = load_group_file(path, cap=cfg.cap)
+        handle = load_group_file(path, cap=args.cap)
         handle.materialize()
     except CapExceeded as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
@@ -213,39 +201,25 @@ def cmd_graph_export(cfg: RunConfig) -> int:
     except EmptyGraph as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _write(_dump_json(graph.to_json()), cfg.out)
+    _write(_dump_json(graph.to_json()), args.out)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cap = args.cap if args.cap is not None else default_cap()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    if getattr(args, "jobs", 1) < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_PARSE
-    cfg = RunConfig(
-        command=args.command,
-        paths=list(getattr(args, "files", [])),
-        q=getattr(args, "q", 11),
-        r=getattr(args, "r", 5),
-        t=getattr(args, "t", 3221),
-        q_max=getattr(args, "q_max", 11),
-        cap=cap,
-        out=args.out,
-        fmt=args.fmt,
-        jobs=getattr(args, "jobs", 1),
-    )
+    if args.cap is None:
+        try:
+            args.cap = default_cap()
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
     handler = {
         "analyze": cmd_analyze,
         "paper-verify": cmd_paper_verify,
         "search-params": cmd_search_params,
         "graph-export": cmd_graph_export,
-    }[cfg.command]
-    return handler(cfg)
+    }[args.command]
+    return handler(args)
 
 
 if __name__ == "__main__":

@@ -149,14 +149,13 @@ def _has_root(poly, p) -> bool:
 def least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree k over GF(p).
 
-    For k >= 2 a candidate with constant term 0 or another root in GF(p) has
-    a linear factor, so it is skipped before the full irreducibility test.
+    For k >= 2 the constant term runs from 1, since 0 would make 0 a root,
+    and a candidate with another root in GF(p) has a linear factor, so it is
+    skipped before the full irreducibility test.
     """
     if k == 1:
         return (0, 1)
-    for coeffs in itertools.product(range(p), repeat=k):
-        if coeffs[0] == 0:
-            continue
+    for coeffs in itertools.product(range(1, p), *[range(p)] * (k - 1)):
         cand = list(coeffs) + [1]
         if not _has_root(cand, p) and _is_irreducible(cand, p):
             return tuple(cand)
@@ -174,7 +173,7 @@ class FieldSpec:
     can bypass element objects.
     """
 
-    __slots__ = ("p", "k", "modulus", "size", "_hash", "_primitive", "_logs")
+    __slots__ = ("p", "k", "modulus", "size", "_hash", "_primitive")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         self.p = p
@@ -185,7 +184,6 @@ class FieldSpec:
         self.size = p ** k
         self._hash = hash((p, k, self.modulus))
         self._primitive = None
-        self._logs = None
 
     def __eq__(self, other):
         return (
@@ -237,22 +235,11 @@ class FieldSpec:
         return tuple((-x) % p for x in a)
 
     def mul_t(self, a, b):
-        if self._logs is not None:
-            la = self._logs.log.get(a)
-            if la is None:
-                return (0,) * self.k
-            lb = self._logs.log.get(b)
-            if lb is None:
-                return (0,) * self.k
-            return self._logs.exp[(la + lb) % (self.size - 1)]
         return tuple(_polmulmod(a, b, self.modulus, self.p))
 
     def inv_t(self, a):
         if not any(a):
             raise DivisionByZero("inverse of zero")
-        if self._logs is not None:
-            la = self._logs.log[a]
-            return self._logs.exp[(-la) % (self.size - 1)]
         # extended Euclid on polynomials
         p = self.p
         r0, r1 = list(self.modulus), list(a) + [0]
@@ -281,9 +268,6 @@ class FieldSpec:
                 raise DivisionByZero("negative power of zero")
             return a
         e %= n
-        if self._logs is not None:
-            la = self._logs.log[a]
-            return self._logs.exp[la * e % n]
         return tuple(_polpowmod(a, e, self.modulus, self.p))
 
     def frob_t(self, a, i: int = 1):
@@ -316,24 +300,19 @@ class FieldSpec:
                     break
         return self._primitive
 
-    def log_table(self) -> _LogTable:
-        """Discrete-log tables w.r.t. the canonical primitive element."""
-        if self._logs is None:
-            if self.size > LOG_TABLE_CAP:
-                raise CapExceeded(
-                    f"field of size {self.size} exceeds log-table cap {LOG_TABLE_CAP}"
-                )
-            g = self.primitive_element().coeffs
-            n = self.size - 1
-            exp = [None] * n
-            log = {}
-            acc = self.one().coeffs
-            for i in range(n):
-                exp[i] = acc
-                log[acc] = i
-                acc = tuple(_polmulmod(acc, g, self.modulus, self.p))
-            self._logs = _LogTable(exp, log)
-        return self._logs
+    def log_table(self) -> tuple[list, dict]:
+        """(exp, log): discrete-log tables w.r.t. the canonical primitive element."""
+        if self.size > LOG_TABLE_CAP:
+            raise CapExceeded(f"field of size {self.size} exceeds log-table cap {LOG_TABLE_CAP}")
+        g = self.primitive_element().coeffs
+        exp = []
+        log = {}
+        acc = self.one().coeffs
+        for i in range(self.size - 1):
+            exp.append(acc)
+            log[acc] = i
+            acc = tuple(_polmulmod(acc, g, self.modulus, self.p))
+        return exp, log
 
     def to_json(self) -> dict:
         return {"p": self.p, "k": self.k, "modulus": list(self.modulus)}
@@ -347,14 +326,6 @@ class FieldSpec:
         if modulus[-1] % p != 1 or not _is_irreducible([c % p for c in modulus], p):
             raise SpecMismatch("modulus is not monic irreducible over GF(p)")
         return cls(p, k, modulus)
-
-
-class _LogTable:
-    __slots__ = ("exp", "log")
-
-    def __init__(self, exp, log):
-        self.exp = exp
-        self.log = log
 
 
 class FieldElement:
@@ -454,23 +425,6 @@ def field_create(p: int, k: int, cap: int = DEFAULT_FIELD_CAP) -> FieldSpec:
     if p ** k > cap:
         raise CapExceeded(f"{p}^{k} exceeds field cap {cap}")
     return FieldSpec(p, k, least_irreducible(p, k))
-
-
-def field_arith(op: str, *operands: FieldElement) -> FieldElement:
-    """Dispatch {add|mul|inv|pow} on field elements; pow takes (a, e)."""
-    if op == "add":
-        a, b = operands
-        return a + b
-    if op == "mul":
-        a, b = operands
-        return a * b
-    if op == "inv":
-        (a,) = operands
-        return a.inverse()
-    if op == "pow":
-        a, e = operands
-        return a ** e
-    raise ValueError(f"unknown field operation {op!r}")
 
 
 def element_order(a: FieldElement) -> int:
@@ -665,14 +619,3 @@ class Poly:
             )
             parts.append(f"{coeff!r}*{mono}" if mono else repr(coeff))
         return "Poly(" + " + ".join(parts) + ")"
-
-
-def bipoly_arith(op: str, f: Poly, g: Poly) -> Poly:
-    """Dispatch {add|mul|sub} on polynomials."""
-    if op == "add":
-        return f + g
-    if op == "mul":
-        return f * g
-    if op == "sub":
-        return f - g
-    raise ValueError(f"unknown polynomial operation {op!r}")

@@ -6,9 +6,10 @@ are materialized by breadth-first closure before any structural query runs.
 The derived and lower central series, normal closures and p-cores work from
 generators (normal closure by a worklist of conjugates by the generators),
 and so do conjugacy classes (orbits under conjugation by the generators,
-with a transversal); centralizers, Sylow subgroups, quotients and the
-remaining predicates scan the element list.  Everything is meant for
-desk-scale groups.
+with a transversal), of G or of a normal subgroup.  Quotients act on coset
+labels, which name the coset of every element.  Centralizers, Sylow
+subgroups and the remaining predicates scan the element list.  Everything
+is meant for desk-scale groups.
 """
 
 from __future__ import annotations
@@ -442,19 +443,21 @@ def centralizer(G: GroupHandle, x) -> SubgroupHandle:
     return SubgroupHandle(G, [g for g in G.elements if g * x == x * g])
 
 
-def conjugacy_classes(G: GroupHandle) -> list[tuple[object, dict]]:
+def conjugacy_classes(G: GroupHandle, members: Iterable | None = None) -> list[tuple[object, dict]]:
     """Conjugacy classes of G as (rep, transversal) pairs.
 
     The transversal maps every member w of the class to an element t with
     rep^t = w.  Each class is the orbit of its representative under
     conjugation by G's generators: if rep^t = w then rep^(t g) = w^g.
     Representatives are the first element of each class in G's element
-    order.
+    order, or in the order of `members` when given; `members` must be a
+    union of classes (a normal subgroup, say), and only its classes are
+    walked.
     """
     pairs = [(g, g.inverse()) for g in G.generators]
     classes = []
     seen: set = set()
-    for rep in G.elements:
+    for rep in G.elements if members is None else members:
         if rep in seen:
             continue
         transversal = {rep: G.identity}
@@ -547,10 +550,6 @@ def is_nilpotent(G: GroupHandle | SubgroupHandle) -> bool:
 def is_normal(G: GroupHandle, H: SubgroupHandle) -> bool:
     gens = H.small_generating_set()
     return all(conjugate(h, g) in H.member_set for g in G.generators for h in gens)
-
-
-def conjugate_subgroup(G: GroupHandle, H: SubgroupHandle, g) -> SubgroupHandle:
-    return SubgroupHandle(G, [conjugate(h, g) for h in H.members])
 
 
 def normal_closure(G: GroupHandle, x) -> SubgroupHandle:
@@ -654,38 +653,26 @@ def quotient_group(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     """G/N as the permutation action of G's generators on left cosets of N.
 
     Coset labels are deterministic: cosets are sorted by their least
-    canonical member.  The returned handle carries `coset_index_of` (element
-    key -> coset label) and `project` (element -> PermutationElement image).
+    canonical member.  The returned handle carries `coset_index_of`
+    (element -> coset label).  The image of g sends the label of N to the
+    label of gN, so q.images[coset_index_of[identity]] names the coset that
+    an element q of G/N stands for.
     """
     if not is_normal(G, N):
         raise NotNormal("quotient by a non-normal subgroup")
-    elems = G.elements
-    coset_of: dict = {}
+    seen: set = set()
     cosets: list[list] = []
-    for g in elems:
-        if g in coset_of:
-            continue
-        coset = [g * n for n in N.members]
-        cid = len(cosets)
-        cosets.append(coset)
-        for m in coset:
-            coset_of[m] = cid
-    # relabel by least canonical member
-    order_keys = sorted(range(len(cosets)), key=lambda c: min(m.key() for m in cosets[c]))
-    relabel = {old: new for new, old in enumerate(order_keys)}
-    coset_of = {m: relabel[c] for m, c in coset_of.items()}
-    reps = [None] * len(cosets)
-    for old, new in relabel.items():
-        reps[new] = min(cosets[old], key=lambda m: m.key())
-
-    def project(g) -> PermutationElement:
-        return _trusted_perm(tuple(coset_of[g * rep] for rep in reps))
-
-    Q = GroupHandle([project(g) for g in G.generators], cap=G.cap, name=f"{G.name}/N")
+    for g in G.elements:
+        if g not in seen:
+            coset = [g * n for n in N.members]
+            seen.update(coset)
+            cosets.append(coset)
+    cosets.sort(key=lambda c: min(m.key() for m in c))
+    coset_of = {m: label for label, coset in enumerate(cosets) for m in coset}
+    gens = [_trusted_perm(tuple(coset_of[g * c[0]] for c in cosets)) for g in G.generators]
+    Q = GroupHandle(gens, cap=G.cap, name=f"{G.name}/N")
     Q.materialize()
     Q.coset_index_of = coset_of
-    Q.coset_reps = reps
-    Q.project = project
     return Q
 
 

@@ -5,14 +5,18 @@ worklist over products, and distances come from an element-level BFS over an
 explicitly built adjacency structure.  The centralizer classes of the
 commuting graph come from scanning every element against every element.  The
 series and cores run over every element or every pair of elements of the
-group.  The diameter-8 references work in log space: D = <x, c> by closure,
-and fixed-point equations on F by scanning every field element.
+group.  The Frobenius tests check every kernel element against every element
+of the pool, and project every element of G onto G/K.  The diameter-8
+references work in log space: D = <x, c> by closure, and fixed-point
+equations on F by scanning every field element.
 """
 
 import itertools
 from collections import deque
+from types import SimpleNamespace
 
 from commgraph.errors import EmptyGraph
+from commgraph.groups import PermutationElement
 
 
 def naive_closure(generators):
@@ -163,6 +167,78 @@ def exhaustive_p_core(group, p):
         and _is_p_power(len(exhaustive_normal_closure(group, x)), p)
     }
     return _closure_with_identity(group, seed)
+
+
+def _is_prime_power(n):
+    p = next((d for d in range(2, n + 1) if n % d == 0), None)
+    return p is None or _is_p_power(n, p)
+
+
+def exhaustive_fitting(group):
+    """F(G), generated by the x whose normal closure is a p-group for some p:
+    those x make up the p-cores, and F(G) is their product.  The normal
+    closure is the closure of x's class, taken once per class."""
+    seed, seen = set(), set()
+    for x in group.elements:
+        if x in seen:
+            continue
+        cls = {g.inverse() * x * g for g in group.elements}
+        seen |= cls
+        if _is_prime_power(len(_closure_with_identity(group, cls))):
+            seed |= cls
+    return _closure_with_identity(group, seed)
+
+
+# --- Frobenius and 2-Frobenius: every kernel element, every coset -----------
+
+
+def _exhaustive_kernel_condition(kernel, pool):
+    """C(j) <= kernel for every nonidentity j of the kernel, inside the pool."""
+    for j in kernel:
+        if j.is_identity():
+            continue
+        for g in pool:
+            if g * j == j * g and g not in kernel:
+                return False
+    return True
+
+
+def exhaustive_is_frobenius(group):
+    """The set F(G) if G is Frobenius with kernel F(G), else None."""
+    J = exhaustive_fitting(group)
+    if len(J) in (1, len(group.elements)):
+        return None
+    return J if _exhaustive_kernel_condition(J, group.elements) else None
+
+
+def exhaustive_is_two_frobenius(group):
+    """(K, L) as sets, K = F(G) and L the preimage of F(G/K), if G is
+    2-Frobenius, else None.
+
+    G/K is the permutation action on the cosets of K, and every element of G
+    is projected onto it by multiplying it with every coset representative.
+    """
+    elems = group.elements
+    K = exhaustive_fitting(group)
+    if len(K) in (1, len(elems)):
+        return None
+    label, reps = {}, []
+    for g in elems:
+        if g not in label:
+            label.update((g * k, len(reps)) for k in K)
+            reps.append(g)
+    project = {g: PermutationElement([label[g * r] for r in reps]) for g in elems}
+    quotient = SimpleNamespace(elements=list(set(project.values())), identity=project[group.identity])
+    FQ = exhaustive_fitting(quotient)
+    L = {g for g in elems if project[g] in FQ}
+    if not len(K) < len(L) < len(elems):
+        return None
+    # L Frobenius with kernel K, and G/K Frobenius with kernel L/K
+    if not _exhaustive_kernel_condition(K, L):
+        return None
+    if not _exhaustive_kernel_condition(FQ, quotient.elements):
+        return None
+    return K, L
 
 
 def unfiltered_least_irreducible(p, k, is_irreducible):

@@ -1,5 +1,11 @@
 import math
 
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
+
+from extra_groups import EXTRA_GROUPS, oracle_group
+from oracles import exhaustive_is_frobenius, exhaustive_is_two_frobenius
+
 from commgraph.classify import (
     KIND_CONNECTED,
     KIND_FROBENIUS,
@@ -10,10 +16,14 @@ from commgraph.classify import (
     is_frobenius,
     is_two_frobenius,
 )
+from commgraph.corpus import list_corpus
 from commgraph.graph import build_graph, diameter_and_components
 from commgraph.groups import (
+    GroupHandle,
     PermutationElement,
     center,
+    conjugacy_classes,
+    element_order,
     find_frobenius_complement,
     fitting_subgroup,
     is_nilpotent,
@@ -145,3 +155,123 @@ def test_verdict_json_fields(corpus):
     assert payload == {"kind": "Frobenius", "order": 12, "kernel_order": 4}
     payload = classify_group(corpus["d08"]).to_json()
     assert payload == {"kind": "HasCentre", "order": 8}
+
+
+# --- class-driven Frobenius tests against the element-by-element oracles ----
+
+
+# AGammaL(1, 8) as [[a, b], [0, 1]] over GF(8) = GF(2)[X] / (X^3 + X + 1), an
+# entry a0 + a1 X + a2 X^2 written [a0, a1, a2]: multiplication by X,
+# translation by 1, and the Frobenius twist
+AGAML1_8 = {
+    "type": "matrix",
+    "field": {"p": 2, "k": 3, "modulus": [1, 1, 0, 1]},
+    "dim": 2,
+    "aut_order": 3,
+    "generators": [
+        {"twist": 0, "matrix": [[[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]},
+        {"twist": 0, "matrix": [[[1, 0, 0], [1, 0, 0]], [[0, 0, 0], [1, 0, 0]]]},
+        {"twist": 1, "matrix": [[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]},
+    ],
+}
+
+# S4 as the rotations of the cube, signed permutation matrices over GF(3).
+# Its least element in key order is odd, so the coset of K = V4 does not get
+# label 0 in G/K.
+CUBE_GF3 = {
+    "type": "matrix",
+    "field": {"p": 3, "k": 1, "modulus": [0, 1]},
+    "dim": 3,
+    "aut_order": 1,
+    "generators": [
+        {"twist": 0, "matrix": [[0, 0, 1], [1, 0, 0], [0, 1, 0]]},
+        {"twist": 0, "matrix": [[0, 2, 0], [1, 0, 0], [0, 0, 1]]},
+    ],
+}
+
+
+def _affine_gf3(f):
+    """The permutation of GF(3)^2 induced by f, the point (x, y) numbered x + 3y."""
+    points = [f(i % 3, i // 3) for i in range(9)]
+    return PermutationElement([x % 3 + 3 * (y % 3) for x, y in points])
+
+
+# (C3 x C5) : C4 of order 60: a 3-cycle, a 5-cycle, and an element of order 4
+# that inverts the 3-cycle and acts fixed-point-freely on the 5-cycle
+C15C4 = [[1, 2, 0, 3, 4, 5, 6, 7], [0, 1, 2, 4, 5, 6, 7, 3], [0, 2, 1, 3, 5, 7, 4, 6]]
+
+# name -> (group, |G|, is_frobenius kernel order, is_two_frobenius (|K|, |L|))
+FROBENIUS_CASES = {
+    "agaml1_8": (lambda: GroupHandle.from_json(AGAML1_8), 168, None, (8, 56)),
+    "cube_gf3": (lambda: GroupHandle.from_json(CUBE_GF3), 24, None, (4, 12)),
+    # {(s, t) in S4 x S3 : sign s = sign t}: G/K = S3 is Frobenius, but the
+    # 3-cycles of S4 centralize the C3 in K = V4 x C3, so L is not
+    "s4s3_even": (
+        lambda: GroupHandle([
+            PermutationElement(g) for g in
+            ([1, 0, 2, 3, 5, 4, 6], [0, 2, 3, 1, 4, 5, 6], [0, 1, 2, 3, 5, 6, 4])
+        ]),
+        72, None, None,
+    ),
+    # ASL(2, 3): L = K : Q8 is Frobenius, but G/K = SL(2, 3) has a centre
+    "asl2_3": (
+        lambda: GroupHandle([
+            _affine_gf3(lambda x, y: (x + 1, y)),
+            _affine_gf3(lambda x, y: (x + y, y)),
+            _affine_gf3(lambda x, y: (-y, x)),
+        ]),
+        216, None, None,
+    ),
+}
+
+
+def _assert_frobenius_tests_match_oracles(G):
+    kernel = is_frobenius(G)
+    assert (None if kernel is None else kernel.member_set) == exhaustive_is_frobenius(G)
+    two = is_two_frobenius(G)
+    got = None if two is None else (two[0].member_set, two[1].member_set)
+    assert got == exhaustive_is_two_frobenius(G)
+    return kernel, two
+
+
+@pytest.mark.parametrize("name", list_corpus() + sorted(EXTRA_GROUPS))
+def test_frobenius_tests_match_oracles(corpus, name):
+    _assert_frobenius_tests_match_oracles(oracle_group(corpus, name))
+
+
+@pytest.mark.parametrize("name", sorted(FROBENIUS_CASES))
+def test_frobenius_tests_match_oracles_on_built_groups(name):
+    build, order, kernel_order, two_orders = FROBENIUS_CASES[name]
+    G = build().materialize()
+    assert G.order() == order
+    kernel, two = _assert_frobenius_tests_match_oracles(G)
+    assert (None if kernel is None else kernel.order()) == kernel_order
+    assert (None if two is None else (two[0].order(), two[1].order())) == two_orders
+
+
+def test_every_kernel_class_is_tested():
+    # the first nontrivial class of F(G) = C15 (order 5) passes the kernel
+    # test and the second (order 3) fails it, so G is not Frobenius
+    G = GroupHandle([PermutationElement(g) for g in C15C4], name="c15c4").materialize()
+    F = fitting_subgroup(G)
+    assert G.order() == 60 and F.order() == 15
+    reps = [rep for rep, _ in conjugacy_classes(G, F.members) if not rep.is_identity()]
+    commutes_outside = [
+        any(g * rep == rep * g for g in G.elements if g not in F) for rep in reps[:2]
+    ]
+    assert [element_order(rep) for rep in reps[:2]] == [5, 3]
+    assert commutes_outside == [False, True]
+    _assert_frobenius_tests_match_oracles(G)
+    v = classify_group(G)
+    assert (v.kind, v.diameter) == (KIND_CONNECTED, 4)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(6)), st.permutations(range(6)))
+@example([1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5])  # S4, 2-Frobenius
+@example([1, 2, 3, 4, 0, 5], [0, 2, 4, 1, 3, 5])  # AGL(1, 5), Frobenius
+def test_frobenius_tests_match_oracles_on_s6_subgroups(a, b):
+    G = GroupHandle([PermutationElement(a), PermutationElement(b)]).materialize()
+    # the oracles take a normal closure of every element; keep |G| small
+    assume(G.order() <= 120)
+    _assert_frobenius_tests_match_oracles(G)
