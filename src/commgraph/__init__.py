@@ -37,7 +37,6 @@ from .groups import (
     generate_elements,
     is_nilpotent,
     is_soluble,
-    minimal_normal_subgroups,
     p_core,
     quotient_group,
     sylow_profile_cyclic_or_quaternion,

@@ -77,19 +77,21 @@ def _kernel_condition(G: GroupHandle, kernel: SubgroupHandle, pool) -> bool:
     return True
 
 
-def is_frobenius(G: GroupHandle) -> SubgroupHandle | None:
-    """The Frobenius kernel F(G) if G is Frobenius, else None."""
-    G.materialize()
-    J = fitting_subgroup(G)
+def _frobenius_kernel(G: GroupHandle, J: SubgroupHandle) -> SubgroupHandle | None:
+    """J = F(G) if G is Frobenius with kernel J, else None."""
     if J.is_trivial() or J.order() == G.order():
         return None
     return J if _kernel_condition(G, J, G.elements) else None
 
 
-def is_two_frobenius(G: GroupHandle):
-    """(K, L) with K = F(G), L the preimage of F(G/K), when G is 2-Frobenius."""
+def is_frobenius(G: GroupHandle) -> SubgroupHandle | None:
+    """The Frobenius kernel F(G) if G is Frobenius, else None."""
     G.materialize()
-    K = fitting_subgroup(G)
+    return _frobenius_kernel(G, fitting_subgroup(G))
+
+
+def _two_frobenius(G: GroupHandle, K: SubgroupHandle):
+    """(K, L, G/K) for K = F(G) when G is 2-Frobenius, else None."""
     if K.is_trivial() or K.order() == G.order():
         return None
     # G/K Frobenius with kernel F(G/K) = L/K
@@ -104,7 +106,14 @@ def is_two_frobenius(G: GroupHandle):
     # L Frobenius with kernel K
     if not _kernel_condition(G, K, L.members):
         return None
-    return K, L
+    return K, L, Q
+
+
+def is_two_frobenius(G: GroupHandle):
+    """(K, L) with K = F(G), L the preimage of F(G/K), when G is 2-Frobenius."""
+    G.materialize()
+    two = _two_frobenius(G, fitting_subgroup(G))
+    return None if two is None else two[:2]
 
 
 def classify_group(G: GroupHandle) -> ClassificationVerdict:
@@ -120,13 +129,14 @@ def classify_group(G: GroupHandle) -> ClassificationVerdict:
         return ClassificationVerdict(KIND_HAS_CENTRE, order)
     if not is_soluble(G):
         return ClassificationVerdict(KIND_NOT_SOLUBLE, order)
-    kernel = is_frobenius(G)
+    F = fitting_subgroup(G)
+    kernel = _frobenius_kernel(G, F)
     if kernel is not None:
         return ClassificationVerdict(KIND_FROBENIUS, order, kernel=kernel)
-    two = is_two_frobenius(G)
+    two = _two_frobenius(G, F)
     if two is not None:
-        K, L = two
-        meta = is_metacyclic(quotient_group(G, K))
+        K, L, Q = two
+        meta = is_metacyclic(Q)
         return ClassificationVerdict(KIND_TWO_FROBENIUS, order, K=K, L=L, gk_metacyclic=meta)
     graph = build_graph(G)
     res = diameter_and_components(graph)

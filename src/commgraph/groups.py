@@ -629,22 +629,6 @@ def fitting_subgroup(G: GroupHandle) -> SubgroupHandle:
     return SubgroupHandle(G, generate_elements(sorted(members, key=lambda e: e.key()), cap=G.cap))
 
 
-def minimal_normal_subgroups(G: GroupHandle) -> list[SubgroupHandle]:
-    """Minimal members of {normal closure of <x>: x != 1} under containment."""
-    closures: dict = {}
-    for x in G.elements:
-        if x.is_identity():
-            continue
-        nc = normal_closure(G, x)
-        closures[nc.member_set] = nc
-    minimal = []
-    for key, sub in closures.items():
-        if not any(other < key for other in closures if other != key):
-            minimal.append(sub)
-    minimal.sort(key=lambda s: (s.order(), s.members[0].key() if s.members else ()))
-    return minimal
-
-
 # ---------------------------------------------------------------------------
 # quotients
 

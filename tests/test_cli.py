@@ -3,6 +3,7 @@ import io
 import json
 import os
 import tempfile
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -137,6 +138,13 @@ def test_paper_verify_default(capsys):
     jsonschema.validate(report, schema("paper_verify_report.schema.json"))
     assert report["group_order"] == "54173193341944394740910525"
     assert all(c["status"] == "pass" for c in report["checks"])
+
+
+def test_paper_verify_matches_expected_report(capsys):
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected" / "paper_verify.json"
+    code, out, _ = run(["paper-verify"], capsys)
+    assert code == EXIT_OK
+    assert out.encode() == expected.read_bytes()
 
 
 def test_paper_verify_rejects_r3(capsys):

@@ -3,12 +3,16 @@ import random
 import pytest
 from oracles import LogSpaceD, LogTables, enumerated_fixed_set
 
+from commgraph import diameter8
 from commgraph.diameter8 import (
     ALL,
     FCoords,
     ParamTriple,
     _F_POSITIONS,
     _fixed_set,
+    _p_commutator,
+    _p_identity,
+    _separation_families,
     build_example,
     centralizer_in_G,
     center_of_F,
@@ -16,6 +20,7 @@ from commgraph.diameter8 import (
     find_params,
     first_failing_check,
     fixed_points_in_F,
+    generic_f_matrix,
     run_all_checks,
     validate_params,
     verify_d_structure,
@@ -25,8 +30,8 @@ from commgraph.diameter8 import (
     verify_symplectic,
     witness_path8,
 )
-from commgraph.errors import NoSuchParams, NotInD, NotNormalizing
-from commgraph.fields import element_order, factorize, field_create, frobenius_map
+from commgraph.errors import NoSuchParams, NotInD, NotNormalizing, SymbolicFailure
+from commgraph.fields import Poly, element_order, factorize, field_create, frobenius_map
 from commgraph.groups import MatrixAutElement, generate_elements
 
 
@@ -179,9 +184,27 @@ def test_fcoords_relation(example_group):
     coords = FCoords.from_free(a=one, x=one, d=zero, c=zero)
     assert coords.b == one
     mat = coords.to_matrix(spec)
-    from commgraph.diameter8 import _is_symplectic
+    from commgraph.diameter8 import _form_matrix, _is_symplectic
 
-    assert _is_symplectic(spec, mat.mat)
+    assert _is_symplectic(spec.zero(), _form_matrix(spec), mat.mat)
+
+
+def _random_element(spec, rng):
+    return spec.element([rng.randrange(spec.p) for _ in range(spec.k)])
+
+
+def _evaluate(rows, point):
+    return tuple(tuple(e.evaluate(point) for e in row) for row in rows)
+
+
+def test_generic_f_matrix_evaluates_to_fcoords(example_group):
+    spec = example_group.spec
+    rng = random.Random(5)
+    generic = generic_f_matrix(spec, 4, 0)
+    for _ in range(4):
+        a, x, d, c = (_random_element(spec, rng) for _ in range(4))
+        expected = FCoords.from_free(a=a, x=x, d=d, c=c).to_matrix(spec).mat
+        assert _evaluate(generic, [a, x, d, c]) == expected
 
 
 # --- structure of D --------------------------------------------------------
@@ -398,6 +421,43 @@ def test_family_separation_certificate(example_group):
     assert report.ok and report.mode == "symbolic"
     assert report.entry == (3, 0)
     assert report.monomial == "2*a^1*b^1"
+
+
+def test_first_separation_family_is_c_f_of_c(example_group):
+    spec = example_group.spec
+    rng = random.Random(3)
+    zero = spec.zero()
+    fam_a, _ = _separation_families(spec, example_group.g)
+    for _ in range(4):
+        a, b = _random_element(spec, rng), _random_element(spec, rng)
+        expected = FCoords(a=a, b=zero, c=zero, d=zero, x=zero).to_matrix(spec).mat
+        assert _evaluate(fam_a, [a, b]) == expected
+
+
+@pytest.mark.parametrize("q", [11, 29, 31, 41, 43])
+def test_family_commutator_is_2ab_at_one_entry(q):
+    # g and both families have integer entries, so GF(q) gives the same
+    # commutator as GF(q^r)
+    spec = field_create(q, 1)
+    zero, one = spec.zero(), spec.one()
+    g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
+    comm = _p_commutator(spec, *_separation_families(spec, g))
+    ident = _p_identity(spec, 2)
+    two_ab = Poly.variable(spec, 0, 2) * Poly.variable(spec, 1, 2) * 2
+    for i in range(4):
+        for j in range(4):
+            assert comm[i][j] - ident[i][j] == (two_ab if (i, j) == (3, 0) else 0)
+
+
+def test_family_separation_without_certificate_fails(monkeypatch, example_group):
+    monkeypatch.setattr(Poly, "monomial_certificate", lambda self: None)
+    with pytest.raises(SymbolicFailure):
+        verify_family_separation(example_group)
+    monkeypatch.setattr(diameter8, "build_example", lambda params: example_group)
+    report = run_all_checks()
+    statuses = {c["name"]: c["status"] for c in report["checks"]}
+    assert statuses.pop("family_separation") == "fail"
+    assert set(statuses.values()) == {"pass"}
 
 
 def test_family_separation_numeric_spot_checks(example_group):

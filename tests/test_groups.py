@@ -30,7 +30,6 @@ from commgraph.groups import (
     is_nilpotent,
     is_normal,
     is_soluble,
-    minimal_normal_subgroups,
     normal_closure,
     p_core,
     quotient_group,
@@ -170,23 +169,6 @@ def test_fitting_is_nilpotent_normal(sym3, sym4):
         F = fitting_subgroup(G)
         assert is_nilpotent(F)
         assert is_normal(G, F)
-
-
-def test_minimal_normal_subgroups(sym4, c6):
-    a5 = GroupHandle([P(1, 2, 3, 4, 0), P(1, 2, 0, 3, 4)]).materialize()
-    assert [m.order() for m in minimal_normal_subgroups(a5)] == [60]  # simple
-    mins = minimal_normal_subgroups(sym4)
-    assert len(mins) == 1 and mins[0].member_set == V4
-    assert sorted(m.order() for m in minimal_normal_subgroups(c6)) == [2, 3]
-
-
-def test_minimal_normal_is_minimal(sym4, c6):
-    # no nontrivial proper subgroup of N is normal in G
-    for G in (sym4, c6):
-        for N in minimal_normal_subgroups(G):
-            for x in N:
-                if not x.is_identity():
-                    assert normal_closure(G, x).member_set == N.member_set
 
 
 def test_quotient_group(sym4):
