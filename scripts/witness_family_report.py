@@ -3,11 +3,14 @@
 
 Usage: python scripts/witness_family_report.py [--q-max N] [--verify-all]
 
---verify-all attempts the full check suite on every triple found; a triple
-whose field GF(q^r) exceeds the field cap fails at the `build` check.
+--verify-all runs the full check suite on every triple found.  Every triple
+with q <= 43 builds; a triple whose field GF(q^r) exceeds the field cap
+(2^50; (10061, 5, 41) is one) fails at the `build` check.  Exits 4 if
+any verified triple does not pass every check, so it can serve as a check.
 """
 
 import argparse
+import sys
 
 from commgraph.diameter8 import (
     example_group_order,
@@ -32,6 +35,7 @@ def main():
         print(f"{p.q:4d} {p.r:3d} {p.t:15d}  {example_group_order(p)}")
 
     targets = triples if args.verify_all else triples[:1]
+    all_passed = True
     for p in targets:
         print(f"\nverifying (q, r, t) = ({p.q}, {p.r}, {p.t}) ...")
         report = run_all_checks(p.q, p.r, p.t)
@@ -39,7 +43,9 @@ def main():
             print(f"  {check['status']:4s} {check['name']:14s} {check['detail']}")
         failing = first_failing_check(report)
         print("  =>", "all checks passed" if failing is None else f"failed at {failing}")
+        all_passed = all_passed and failing is None
+    return 0 if all_passed else 4
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -5,8 +5,8 @@ is deterministic (sorted JSON keys, fixed CSV columns) so reruns are
 byte-identical for the same inputs.
 
 Exit codes: 0 success, 1 parse error (also --jobs below 1, a non-integer
-COMMGRAPH_CAP, or a group with no non-central element: the trivial group for
-analyze, any abelian group for graph-export),
+COMMGRAPH_CAP for analyze or graph-export, or a group with no non-central
+element: the trivial group for analyze, any abelian group for graph-export),
 2 cap exceeded, 3 the classifier produced the sentinel verdict
 DisconnectedOther, 4 a verification check failed or raised (paper-verify).
 """
@@ -57,15 +57,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="commgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats=("json", "csv")):
-        p.add_argument("--cap", type=int, default=None, help="element cap for materialization")
+    def common(p, formats=("json", "csv"), capped=False):
+        if capped:  # only the subcommands that materialize a group
+            p.add_argument("--cap", type=int, default=None, help="element cap for materialization")
         p.add_argument("--out", default=None, help="output path (default stdout)")
         p.add_argument("--format", dest="fmt", choices=list(formats), default="json")
 
     p = sub.add_parser("analyze", help="classify group files")
     p.add_argument("files", nargs="+")
     p.add_argument("--jobs", type=int, default=1, help="files analyzed concurrently")
-    common(p)
+    common(p, capped=True)
 
     p = sub.add_parser("paper-verify", help="run the diameter-8 family verification suite")
     p.add_argument("--q", type=int, default=11)
@@ -79,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graph-export", help="export the commuting graph of a group file")
     p.add_argument("files", nargs=1)
-    common(p, formats=("json",))
+    common(p, formats=("json",), capped=True)
     return parser
 
 
@@ -207,7 +208,7 @@ def cmd_graph_export(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.cap is None:
+    if hasattr(args, "cap") and args.cap is None:
         try:
             args.cap = default_cap()
         except ValueError as exc:

@@ -35,7 +35,6 @@ from .fields import (
     FieldElement,
     FieldSpec,
     Poly,
-    discrete_log,
     element_of_order,
     element_order,
     factorize,
@@ -46,7 +45,7 @@ from .fields import (
 from .groups import MatrixAutElement, _mat_mul, conjugate
 from .groups import element_order as group_element_order
 
-ALL = "all"  # marker for a solution set equal to the whole field
+ALL = "all"  # marker for a solution set equal to the whole field, or to all of <f>
 
 
 # ---------------------------------------------------------------------------
@@ -182,18 +181,18 @@ def _is_symplectic(zero, J, mat) -> bool:
 
 
 class _NormalForm:
-    """D = <x, c> as pairs (i, j) standing for x^i * c^j.
+    """D = <x, c> as pairs (i, h) standing for x^i * c_h, where h lies in <f>
+    and c_h = diag(h, h, h^-1, h^-1), so that c^j = c_(f^j).
 
-    The relation x^{-1} c x = c^q gives c^j x^k = x^k c^(j q^k), hence the
-    product (i, j)(k, l) = (i + k, j q^k + l), with i taken mod ord(x) and j
-    mod ord(c).  The constructor verifies the relation and that the two orders
-    are coprime, so <c> is normal, <x> meets it trivially and every element of
-    D has exactly one normal form: |D| = ord(x) * ord(c).
+    The relation x^{-1} c x = c^q gives c_h x^k = x^k c_(h^(q^k)), hence the
+    product (i, h)(k, h') = (i + k, h^(q^k) h'), with i taken mod ord(x).
+    The constructor verifies the relation and that the two orders are
+    coprime, so <c> is normal, <x> meets it trivially and every element of D
+    has exactly one normal form: |D| = ord(x) * ord(c).
     """
 
     def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement, f: FieldElement):
         self.spec = spec
-        self.f = f
         self.x_powers = [x.identity()]  # the matrices x^i, i < ord(x)
         acc = x
         while not acc.is_identity():
@@ -205,32 +204,33 @@ class _NormalForm:
         if math.gcd(self.order_x, self.order_c) != 1:
             raise NoSuchParams(f"ord(x) = {self.order_x} and ord(c) = {self.order_c} not coprime")
         q = spec.p
-        if x.inverse() * c * x != self._c_power(q):
+        if x.inverse() * c * x != self.c_matrix(f ** q):
             raise NoSuchParams("x^{-1} c x != c^q: D has no metacyclic normal form")
+        # h has order dividing ord(c), so h^(q^k) = h^(q^k mod ord(c))
         self.qpow = [pow(q, k, self.order_c) for k in range(self.order_x)]
-        self.x, self.c = (1, 0), (0, 1)
+        self.one = spec.one()
+        self.x, self.c = (1, self.one), (0, f)
 
-    def _c_power(self, j: int) -> MatrixAutElement:
-        fj = self.f ** j
-        return MatrixAutElement(self.spec, _diag(self.spec, [fj, fj, fj.inverse(), fj.inverse()]), 0)
+    def c_matrix(self, h: FieldElement) -> MatrixAutElement:
+        return MatrixAutElement(self.spec, _diag(self.spec, [h, h, h.inverse(), h.inverse()]), 0)
 
     def identity(self):
-        return (0, 0)
+        return (0, self.one)
 
     def mul(self, a, b):
-        return ((a[0] + b[0]) % self.order_x, (a[1] * self.qpow[b[0]] + b[1]) % self.order_c)
+        return ((a[0] + b[0]) % self.order_x, a[1] ** self.qpow[b[0]] * b[1])
 
     def to_matrix(self, e) -> MatrixAutElement:
-        return self.x_powers[e[0]] * self._c_power(e[1])
+        return self.x_powers[e[0]] * self.c_matrix(e[1])
 
     def from_matrix(self, elem: MatrixAutElement):
         """The normal form of elem, or None if elem is not in D."""
-        # x^i carries twist i mod k; if elem = x^i c^j then x^{-i} elem = c^j
+        # x^i carries twist i mod k; if elem = x^i c_h then x^{-i} elem = c_h
         for i in range(elem.twist, self.order_x, self.spec.k):
             rest = self.x_powers[-i % self.order_x] * elem
-            j = discrete_log(rest.mat[0][0], self.f, self.order_c)
-            if j is not None and rest == self._c_power(j):
-                return (i, j)
+            h = rest.mat[0][0]
+            if h ** self.order_c == self.one and rest == self.c_matrix(h):
+                return (i, h)
         return None
 
     def powers(self, e):
@@ -242,22 +242,30 @@ class _NormalForm:
         return out
 
     def centralizer(self, w) -> list:
-        """C_D(w), solved by congruence for each i < ord(x).
+        """C_D(w) as a description: for each i < ord(x) at which some x^i c_h
+        commutes with w, the pair (i, h), or (i, ALL) when every h in <f> does.
 
-        x^i c^j commutes with w = x^a c^b iff j(q^a - 1) = b(q^i - 1) mod
-        ord(c); ord(c) = t is prime, so j is unique unless q^a = 1.
+        x^i c_h commutes with w = x^a c_g iff h^(q^a - 1) = g^(q^i - 1).
+        ord(c) = t is prime, so unless q^a = 1 mod t, h -> h^(q^a - 1)
+        permutes <f> and h is the one (q^a - 1)-th root of the right side;
+        if q^a = 1, every h commutes when the right side is 1, and none else.
         """
-        a, b = w
+        a, g = w
         n = self.order_c
         lhs = (self.qpow[a] - 1) % n
+        root = pow(lhs, -1, n) if lhs else 0
         out = []
         for i in range(self.order_x):
-            rhs = b * (self.qpow[i] - 1) % n
+            rhs = g ** (self.qpow[i] - 1)
             if lhs:
-                out.append((i, rhs * pow(lhs, -1, n) % n))
-            elif not rhs:
-                out.extend((i, j) for j in range(n))
+                out.append((i, rhs ** root))
+            elif rhs == self.one:
+                out.append((i, ALL))
         return out
+
+    def count(self, description) -> int:
+        """The number of elements of D a description stands for."""
+        return sum(self.order_c if h is ALL else 1 for _, h in description)
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +289,26 @@ class ExampleGroup:
     @cached_property
     def d_elements(self) -> list:
         """Every element of D in normal form; built only when asked for."""
-        return [(i, j) for i in range(self.ctx.order_x) for j in range(self.ctx.order_c)]
+        c_powers = self.ctx.powers(self.ctx.c)
+        return [(i, h) for i in range(self.ctx.order_x) for _, h in c_powers]
 
     @cached_property
     def d_centre(self) -> list:
-        """Z(D) = C_D(x) & C_D(c), in normal form."""
+        """Z(D) = C_D(x) & C_D(c), as a description.
+
+        c = x^0 c_f, so every entry of C_D(c) is (i, ALL), and the
+        intersection keeps the entries of C_D(x) at those i.
+        """
         ctx = self.ctx
-        return sorted(set(ctx.centralizer(ctx.x)) & set(ctx.centralizer(ctx.c)))
+        with_c = {i for i, _ in ctx.centralizer(ctx.c)}
+        return [(i, h) for i, h in ctx.centralizer(ctx.x) if i in with_c]
 
     def f_order(self) -> int:
         # |F| = q^{4r}: four free coordinates over GF(q^r); formula only
         return self.params.q ** (4 * self.params.r)
 
 
-def build_example(params: ParamTriple, cap: int | None = None) -> ExampleGroup:
+def build_example(params: ParamTriple) -> ExampleGroup:
     """Construct the witness group data for one parameter triple.
 
     Deterministic choices: u is the first element of order r^2 in canonical
@@ -302,13 +316,13 @@ def build_example(params: ParamTriple, cap: int | None = None) -> ExampleGroup:
     4-set, f the canonical element of order t.  The elements of order r^2
     are h^k with gcd(k, r) = 1 for h the canonical element of order r^2, so
     only those r(r-1) candidates are sorted.  D is kept in its metacyclic
-    normal form x^i c^j; nothing is enumerated.
+    normal form x^i c_h; nothing is enumerated.
     """
     problems = validate_params(params.q, params.r, params.t)
     if problems:
         raise NoSuchParams("; ".join(problems))
     q, r, t = params.q, params.r, params.t
-    spec = field_create(q, r) if cap is None else field_create(q, r, cap=cap)
+    spec = field_create(q, r)
 
     h = element_of_order(spec, r * r)
     order_r2 = sorted((h ** k for k in range(1, r * r) if k % r), key=lambda e: e.coeffs)
@@ -451,7 +465,7 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
         raise CheckFailed("xr-commutes-c")
 
     # (iii) x^{-1} c x = c^q != c
-    c_to_q = ctx._c_power(q)
+    c_to_q = ctx.c_matrix(eg.f ** q)
     if eg.x.inverse() * eg.c * eg.x != c_to_q:
         raise CheckFailed("conj-c-by-x", "x^{-1} c x != c^q")
     if c_to_q == eg.c:
@@ -462,7 +476,7 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
     if ctx.order != r * r * t:
         raise CheckFailed("d-order", f"|D| = {ctx.order}")
     xr_powers = set(ctx.powers(ctx.from_matrix(eg.xr)))
-    report["centre_order"] = len(eg.d_centre)
+    report["centre_order"] = ctx.count(eg.d_centre)
     if set(eg.d_centre) != xr_powers:
         raise CheckFailed("centre-of-D", "Z(D) != <x^r>")
     return report
@@ -606,7 +620,7 @@ class CentralizerReport:
     d_part_order: int
     f_part: FixedPointReport
     order: int
-    d_part: list  # normal forms (i, j) of x^i c^j
+    d_part: list  # C_D(w) as described by _NormalForm.centralizer
 
 
 def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport:
@@ -624,12 +638,13 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
     if wc == ctx.identity():
         raise NotInD("w must be a nonidentity element of D")
     c_d = ctx.centralizer(wc)
+    d_order = ctx.count(c_d)
     fp = fixed_points_in_F(eg, w)
     return CentralizerReport(
         w_description=fp.w_description,
-        d_part_order=len(c_d),
+        d_part_order=d_order,
         f_part=fp,
-        order=len(c_d) * fp.count,
+        order=d_order * fp.count,
         d_part=c_d,
     )
 
@@ -640,10 +655,8 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
 
 @dataclass
 class SeparationReport:
-    ok: bool
-    mode: str
-    entry: tuple | None = None
-    monomial: str | None = None
+    entry: tuple
+    monomial: str
 
 
 def _separation_families(spec, g):
@@ -679,8 +692,6 @@ def verify_family_separation(eg: ExampleGroup) -> SeparationReport:
             coeff, exps = cert
             if not coeff.is_zero() and exps[0] >= 1 and exps[1] >= 1:
                 return SeparationReport(
-                    ok=True,
-                    mode="symbolic",
                     entry=(i, j),
                     monomial=f"{coeff.coeffs[0]}*a^{exps[0]}*b^{exps[1]}",
                 )
@@ -827,7 +838,7 @@ def verify_not_frobenius_structure(eg: ExampleGroup) -> bool:
     fp = fixed_points_in_F(eg, eg.c)
     if fp.count <= 1:
         return False
-    return len(eg.d_centre) > 1
+    return eg.ctx.count(eg.d_centre) > 1
 
 
 # ---------------------------------------------------------------------------
@@ -904,8 +915,8 @@ def run_all_checks(q: int = 11, r: int = 5, t: int = 3221) -> dict:
             raise CheckFailed("centralizers", f"C_G(x^r) order {cxr.order}")
         cc = centralizer_in_G(eg, eg.c)
         # <c, x^r> = {x^i c^j : r divides i}, as x^r normalizes <c>
-        sub = {(i, j) for i in range(0, eg.ctx.order_x, r) for j in range(eg.ctx.order_c)}
-        if set(cc.d_part) != sub or cc.d_part_order != r * t:
+        sub = [(i, ALL) for i in range(0, eg.ctx.order_x, r)]
+        if cc.d_part != sub or cc.d_part_order != r * t:
             raise CheckFailed("centralizers", f"C_D(c) order {cc.d_part_order}")
         return (
             f"|C_G(x)| = {cx.order}, C_G(x^r) = D (order {cxr.order}), "

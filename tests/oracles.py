@@ -8,7 +8,8 @@ series and cores run over every element or every pair of elements of the
 group.  The Frobenius tests check every kernel element against every element
 of the pool, and project every element of G onto G/K.  The diameter-8
 references work in log space: D = <x, c> by closure, and fixed-point
-equations on F by scanning every field element.
+equations on F by scanning every field element; centralizers in D are also
+listed element by element in exponent form.
 """
 
 import itertools
@@ -326,3 +327,21 @@ class LogSpaceD:
                         nxt.append(h)
             frontier = nxt
         return seen
+
+
+def listed_centralizer_in_D(q, order_x, t, w):
+    """C_D(w) for w = x^a c^b, listed as the pairs (i, j) of x^i c^j.
+
+    x^i c^j commutes with w iff j(q^a - 1) = b(q^i - 1) mod t, solved for
+    each i < ord(x); t = ord(c) is prime, so j is unique unless q^a = 1.
+    """
+    a, b = w
+    lhs = (pow(q, a, t) - 1) % t
+    out = []
+    for i in range(order_x):
+        rhs = b * (pow(q, i, t) - 1) % t
+        if lhs:
+            out.append((i, rhs * pow(lhs, -1, t) % t))
+        elif not rhs:
+            out.extend((i, j) for j in range(t))
+    return out

@@ -98,6 +98,18 @@ def test_cap_env_var_rejects_non_integer(capsys, monkeypatch):
     assert err == "error: COMMGRAPH_CAP must be an integer, got 'lots'\n"
 
 
+def test_cap_env_var_ignored_without_a_group(capsys, monkeypatch):
+    # only analyze and graph-export materialize a group, so only they read it
+    monkeypatch.setenv("COMMGRAPH_CAP", "lots")
+    code, out, err = run(["paper-verify"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    assert json.loads(out)["group_order"] == "54173193341944394740910525"
+    code, out, err = run(["search-params", "--q-max", "11"], capsys)
+    assert (code, err) == (EXIT_OK, "")
+    with pytest.raises(SystemExit):
+        main(["paper-verify", "--cap", "10"])
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_analyze_rejects_jobs_below_one(capsys, jobs):
     code, out, err = run(["analyze", data_path("sym4"), "--jobs", jobs], capsys)

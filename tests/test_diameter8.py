@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import LogSpaceD, LogTables, enumerated_fixed_set
+from oracles import LogSpaceD, LogTables, enumerated_fixed_set, listed_centralizer_in_D
 
 from commgraph import diameter8
 from commgraph.diameter8 import (
@@ -30,7 +30,7 @@ from commgraph.diameter8 import (
     verify_symplectic,
     witness_path8,
 )
-from commgraph.errors import NoSuchParams, NotInD, NotNormalizing, SymbolicFailure
+from commgraph.errors import CapExceeded, NoSuchParams, NotInD, NotNormalizing, SymbolicFailure
 from commgraph.fields import Poly, element_order, factorize, field_create, frobenius_map
 from commgraph.groups import MatrixAutElement, generate_elements
 
@@ -40,6 +40,18 @@ def log_d_powers(log_d, e, n):
     for _ in range(n - 1):
         out.append(log_d.mul(out[-1], e))
     return out
+
+
+def expanded(ctx, description):
+    """The normal forms (i, h) that a description of a subset of D stands for."""
+    c_part = [h for _, h in ctx.powers(ctx.c)]
+    return [(i, g) for i, h in description for g in (c_part if h is ALL else [h])]
+
+
+def as_exponents(ctx, elements):
+    """Normal forms (i, h) as exponent pairs (i, j) with h = f^j."""
+    exponent = {h: j for j, (_, h) in enumerate(ctx.powers(ctx.c))}
+    return [(i, exponent[h]) for i, h in elements]
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +65,16 @@ def log_d(log_tables):
 
 
 @pytest.fixture(scope="module")
-def log_image(example_group, log_d):
-    """Map from the normal form (i, j) of x^i c^j to its log form."""
-    ctx = example_group.ctx
-    xs = log_d_powers(log_d, log_d.from_matrix(example_group.x), ctx.order_x)
-    cs = log_d_powers(log_d, log_d.from_matrix(example_group.c), ctx.order_c)
-    return lambda e: log_d.mul(xs[e[0]], cs[e[1]])
+def log_image(example_group, log_d, log_tables):
+    """Map from the normal form (i, h) of x^i c_h to its log form."""
+    xs = log_d_powers(log_d, log_d.from_matrix(example_group.x), example_group.ctx.order_x)
+    n = log_d.n
+
+    def image(e):
+        lh = log_tables.log[e[1].coeffs]  # c_h = diag(h, h, h^-1, h^-1)
+        return log_d.mul(xs[e[0]], (0, lh, lh, -lh % n, -lh % n))
+
+    return image
 
 
 @pytest.fixture(scope="module")
@@ -117,12 +133,19 @@ def test_build_rejects_invalid_params():
 
 
 def test_build_enforces_field_cap():
-    # (31, 5, 11) is arithmetically valid but GF(31^5) exceeds the field cap,
-    # so (11, 5, 3221) is the only triple buildable at desk scale
-    from commgraph.errors import CapExceeded
-
+    # (10061, 5, 41) is arithmetically valid but GF(10061^5) exceeds the
+    # 2^50 field cap, beyond which the primitive-element scan runs away
+    assert not validate_params(10061, 5, 41)
     with pytest.raises(CapExceeded):
-        build_example(ParamTriple(31, 5, 11))
+        build_example(ParamTriple(10061, 5, 41))
+
+
+def test_over_cap_triple_fails_at_build():
+    report = run_all_checks(10061, 5, 41)
+    assert first_failing_check(report) == "build"
+    build = report["checks"][1]
+    assert build["status"] == "fail"
+    assert build["detail"] == "10061^5 exceeds field cap 1125899906842624"
 
 
 def test_build_example_basics(example_group):
@@ -252,8 +275,9 @@ def test_normal_form_product_matches_matrices(example_group, log_d, log_image):
     eg = example_group
     ctx = eg.ctx
     rng = random.Random(3221)
-    sample = [(1, 0), (0, 1), (5, 0)] + [
-        (rng.randrange(ctx.order_x), rng.randrange(ctx.order_c)) for _ in range(9)
+    one, f = eg.spec.one(), eg.f
+    sample = [(1, one), (0, f), (5, one)] + [
+        (rng.randrange(ctx.order_x), f ** rng.randrange(ctx.order_c)) for _ in range(9)
     ]
     for a, b in zip(sample, sample[1:] + sample[:1]):
         assert ctx.to_matrix(ctx.mul(a, b)) == ctx.to_matrix(a) * ctx.to_matrix(b)
@@ -261,7 +285,7 @@ def test_normal_form_product_matches_matrices(example_group, log_d, log_image):
         mat = ctx.to_matrix(a)
         assert ctx.from_matrix(mat) == a
         assert log_d.from_matrix(mat) == log_image(a)
-    assert ctx.to_matrix((1, 0)) == eg.x and ctx.to_matrix((0, 1)) == eg.c
+    assert ctx.to_matrix(ctx.x) == eg.x and ctx.to_matrix(ctx.c) == eg.c
 
 
 def test_normal_form_is_a_bijection_onto_log_space_closure(example_group, log_image, log_closure):
@@ -277,11 +301,35 @@ def test_centralizers_in_D_match_log_space_scan(example_group, log_d, log_image,
     for name in ("x", "xr", "c"):
         w = log_d.from_matrix(getattr(eg, name))
         brute[name] = {d for d in log_closure if log_d.mul(d, w) == log_d.mul(w, d)}
-        got = ctx.centralizer(ctx.from_matrix(getattr(eg, name)))
-        assert len(got) == len(brute[name])
+        described = ctx.centralizer(ctx.from_matrix(getattr(eg, name)))
+        got = expanded(ctx, described)
+        assert ctx.count(described) == len(got) == len(brute[name])
         assert {log_image(e) for e in got} == brute[name]
     assert [len(brute[n]) for n in ("x", "xr", "c")] == [25, 80525, 16105]
-    assert {log_image(e) for e in eg.d_centre} == brute["x"] & brute["c"]
+    assert {log_image(e) for e in expanded(ctx, eg.d_centre)} == brute["x"] & brute["c"]
+
+
+@pytest.fixture(scope="module")
+def example_31():
+    return build_example(ParamTriple(31, 5, 11))
+
+
+@pytest.mark.parametrize("triple", ["example_group", "example_31"])
+def test_centralizer_description_matches_listed_oracle(request, triple):
+    eg = request.getfixturevalue(triple)
+    ctx = eg.ctx
+    q, t = eg.params.q, eg.params.t
+    rng = random.Random(q * t)
+    ws = [ctx.from_matrix(m) for m in (eg.x, eg.xr, eg.c)] + [
+        (rng.randrange(ctx.order_x), eg.f ** rng.randrange(t)) for _ in range(8)
+    ]
+    for w in ws:
+        described = ctx.centralizer(w)
+        got = as_exponents(ctx, expanded(ctx, described))
+        (w_exp,) = as_exponents(ctx, [w])
+        listed = listed_centralizer_in_D(q, ctx.order_x, t, w_exp)
+        assert sorted(got) == sorted(listed)
+        assert ctx.count(described) == len(listed)
 
 
 # --- fixed points and centralizers ----------------------------------------
@@ -382,7 +430,7 @@ def test_centralizer_of_c(example_group, log_d, log_image):
     assert rep.f_part.count == 161051
     assert rep.order == 5 * 3221 * 161051 == 2593726355
     sub = log_d.closure([log_d.from_matrix(eg.c), log_d.from_matrix(eg.xr)])
-    assert {log_image(e) for e in rep.d_part} == sub
+    assert {log_image(e) for e in expanded(eg.ctx, rep.d_part)} == sub
 
 
 def test_centralizer_requires_membership(example_group):
@@ -391,6 +439,11 @@ def test_centralizer_requires_membership(example_group):
         centralizer_in_G(eg, eg.g)
     with pytest.raises(NotInD):
         centralizer_in_G(eg, eg.x.identity())
+    # diag(h, h, h^-1, h^-1) lies in D only for h in <f>
+    outside = eg.ctx.c_matrix(eg.spec.primitive_element())
+    assert eg.ctx.from_matrix(outside) is None
+    with pytest.raises(NotInD):
+        centralizer_in_G(eg, outside)
 
 
 def test_centralizer_consistency_sampled(example_group):
@@ -418,7 +471,6 @@ def test_centralizer_consistency_sampled(example_group):
 
 def test_family_separation_certificate(example_group):
     report = verify_family_separation(example_group)
-    assert report.ok and report.mode == "symbolic"
     assert report.entry == (3, 0)
     assert report.monomial == "2*a^1*b^1"
 
@@ -554,6 +606,14 @@ def test_run_all_checks_passes():
         "centralizers", "family_separation", "path8", "f_class3", "group_order",
         "not_frobenius",
     ]
+
+
+@pytest.mark.parametrize("params", find_params(43), ids=str)
+def test_run_all_checks_passes_on_every_listed_triple(params):
+    report = run_all_checks(params.q, params.r, params.t)
+    assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == []
+    assert len(report["checks"]) == 11
+    assert report["group_order"] == str(example_group_order(params))
 
 
 def test_run_all_checks_rejects_bad_params():
