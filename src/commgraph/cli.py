@@ -19,7 +19,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .classify import KIND_DISCONNECTED_OTHER, classify_group
 from .corpus import load_group_file
@@ -130,6 +129,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_PARSE
     if args.jobs > 1:
+        # imported here: the pool module is a tenth of the CLI's import time
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(lambda p: _analyze_one(p, args.cap), args.files))
     else:

@@ -42,7 +42,7 @@ from .fields import (
     frobenius_map,
     is_prime,
 )
-from .groups import MatrixAutElement, _mat_mul, conjugate
+from .groups import MatrixAutElement, _diag, _mat_mul, conjugate
 from .groups import element_order as group_element_order
 
 ALL = "all"  # marker for a solution set equal to the whole field, or to all of <f>
@@ -150,12 +150,6 @@ def _f_rows(one, zero, a, b, c, d, x):
 # numeric matrix helpers (entries are FieldElements)
 
 
-def _diag(spec, entries):
-    zero = spec.zero()
-    n = len(entries)
-    return tuple(tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n))
-
-
 def _form_matrix(spec):
     one, zero = spec.one(), spec.zero()
     return (
@@ -212,7 +206,8 @@ class _NormalForm:
         self.x, self.c = (1, self.one), (0, f)
 
     def c_matrix(self, h: FieldElement) -> MatrixAutElement:
-        return MatrixAutElement(self.spec, _diag(self.spec, [h, h, h.inverse(), h.inverse()]), 0)
+        hinv = h.inverse()
+        return MatrixAutElement(self.spec, _diag(self.spec.zero(), [h, h, hinv, hinv]), 0)
 
     def identity(self):
         return (0, self.one)
@@ -342,12 +337,13 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     except Exception as exc:  # pragma: no cover - contradicts validated params
         raise NoSuchParams(f"no element of order {t}: {exc}") from exc
 
-    z = MatrixAutElement(spec, _diag(spec, [u, v, v.inverse(), u.inverse()]), 0)
-    c = MatrixAutElement(spec, _diag(spec, [f, f, f.inverse(), f.inverse()]), 0)
+    zero = spec.zero()
+    z = MatrixAutElement(spec, _diag(zero, [u, v, v.inverse(), u.inverse()]), 0)
+    c = MatrixAutElement(spec, _diag(zero, [f, f, f.inverse(), f.inverse()]), 0)
     x = MatrixAutElement(spec, z.mat, 1)
     ctx = _NormalForm(spec, x, c, f)
     xr = ctx.x_powers[r % ctx.order_x]
-    one, zero = spec.one(), spec.zero()
+    one = spec.one()
     g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
     y = g.inverse() * x * g
 
@@ -362,9 +358,7 @@ def build_example(params: ParamTriple) -> ExampleGroup:
 
 
 def _p_identity(spec, nvars):
-    one = Poly.constant(spec, 1, nvars)
-    zero = Poly.zero(spec, nvars)
-    return tuple(tuple(one if i == j else zero for j in range(4)) for i in range(4))
+    return _diag(Poly.zero(spec, nvars), [Poly.constant(spec, 1, nvars)] * 4)
 
 
 def _p_mat_mul(a, b):
@@ -373,15 +367,6 @@ def _p_mat_mul(a, b):
 
 def _p_mat_sub(a, b):
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _p_mat_is_identity(spec, m):
-    ident = _p_identity(spec, m[0][0].nvars)
-    return all(m[i][j] == ident[i][j] for i in range(4) for j in range(4))
-
-
-def _p_from_numeric(spec, mat, nvars):
-    return tuple(tuple(Poly.constant(spec, e, nvars) for e in row) for row in mat)
 
 
 def _p_unitriangular_inverse(spec, m):
@@ -425,12 +410,12 @@ def verify_symplectic(eg: ExampleGroup) -> bool:
     """z, c and a generic F element all satisfy A J A^T = J."""
     spec = eg.spec
     J = _form_matrix(spec)
-    ident = _diag(spec, [spec.one()] * 4)
+    ident = _diag(spec.zero(), [spec.one()] * 4)
     if not all(_is_symplectic(spec.zero(), J, m) for m in (ident, eg.z.mat, eg.c.mat, eg.g.mat)):
         return False
-    # symbolic generic member of F
+    # symbolic generic member of F; a numeric factor times a Poly is a Poly
     generic = generic_f_matrix(spec, 4, 0)
-    return _is_symplectic(Poly.zero(spec, 4), _p_from_numeric(spec, J, 4), generic)
+    return _is_symplectic(Poly.zero(spec, 4), J, generic)
 
 
 def verify_d_structure(eg: ExampleGroup) -> dict:
@@ -450,10 +435,10 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
     zero = spec.zero()
     if any(eg.xr.mat[i][j] != zero for i in range(4) for j in range(4) if i != j):
         raise CheckFailed("xr-diagonal", "x^r is not diagonal")
-    expected = _diag(spec, [eg.u ** nsum, eg.v ** nsum, eg.v ** -nsum, eg.u ** -nsum])
+    expected = _diag(zero, [eg.u ** nsum, eg.v ** nsum, eg.v ** -nsum, eg.u ** -nsum])
     if eg.xr.mat != expected:
         raise CheckFailed("xr-exponent", "x^r != z^(1+q+...+q^(r-1))")
-    if any(spec.frob_t(eg.xr.mat[i][i].coeffs) != eg.xr.mat[i][i].coeffs for i in range(4)):
+    if any(frobenius_map(eg.xr.mat[i][i]) != eg.xr.mat[i][i] for i in range(4)):
         raise CheckFailed("xr-ground-field", "x^r entries not Frobenius-fixed")
     xr_order = group_element_order(eg.xr)
     report["xr_order"] = xr_order
@@ -666,8 +651,7 @@ def _separation_families(spec, g):
     fam_a, fam_b = (
         _f_rows(one, zero, Poly.variable(spec, i, 2), zero, zero, zero, zero) for i in range(2)
     )
-    g_sym, g_inv_sym = (_p_from_numeric(spec, m.mat, 2) for m in (g, g.inverse()))
-    return fam_a, _p_mat_mul(_p_mat_mul(g_inv_sym, fam_b), g_sym)
+    return fam_a, _mat_mul(zero, _mat_mul(zero, g.inverse().mat, fam_b), g.mat)
 
 
 def verify_family_separation(eg: ExampleGroup) -> SeparationReport:
@@ -821,10 +805,11 @@ def verify_f_class3(eg: ExampleGroup) -> Class3Report:
     comm2 = _p_commutator(spec, ms[0], ms[1])
     comm3 = _p_commutator(spec, comm2, ms[2])
     comm4 = _p_commutator(spec, comm3, ms[3])
+    ident = _p_identity(spec, nvars)
     return Class3Report(
-        derived_nontrivial=not _p_mat_is_identity(spec, comm2),
-        triple_nontrivial=not _p_mat_is_identity(spec, comm3),
-        quadruple_trivial=_p_mat_is_identity(spec, comm4),
+        derived_nontrivial=comm2 != ident,
+        triple_nontrivial=comm3 != ident,
+        quadruple_trivial=comm4 == ident,
     )
 
 

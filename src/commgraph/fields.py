@@ -3,6 +3,8 @@
 Extension fields are represented as GF(p)[X] modulo a fixed monic irreducible
 polynomial.  The modulus is always the lexicographically least monic
 irreducible of the requested degree, so serialized fields are reproducible.
+An element is a :class:`FieldElement` holding its reduced coefficient tuple,
+and its operators are the one interface to field arithmetic.
 """
 
 from __future__ import annotations
@@ -101,6 +103,27 @@ def _polpowmod(a, e, modulus, p):
     return result
 
 
+def _polinvmod(a, modulus, p):
+    """Inverse of a nonzero residue a modulo the irreducible modulus, by the
+    extended Euclidean algorithm."""
+    k = len(modulus) - 1
+    r0, r1 = list(modulus), list(a) + [0]
+    s0, s1 = [0] * (k + 1), [1] + [0] * k
+    while _poldeg(r1) > 0:
+        d0, d1 = _poldeg(r0), _poldeg(r1)
+        while d0 >= d1:
+            c = r0[d0] * pow(r1[d1], p - 2, p) % p
+            for j in range(d1 + 1):
+                r0[d0 - d1 + j] = (r0[d0 - d1 + j] - c * r1[j]) % p
+            for j in range(len(s1) - (d0 - d1)):
+                s0[d0 - d1 + j] = (s0[d0 - d1 + j] - c * s1[j]) % p
+            d0 = _poldeg(r0)
+        r0, r1 = r1, r0
+        s0, s1 = s1, s0
+    c = pow(r1[0], p - 2, p)
+    return [x * c % p for x in s1[:k]]
+
+
 def _polgcd(a, b, p):
     a, b = list(a), list(b)
     while _poldeg(b) >= 0:
@@ -172,12 +195,13 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """A concrete GF(p^k): prime p, degree k and the reducing polynomial.
 
-    Instances are immutable; element arithmetic lives on :class:`FieldElement`
-    with the heavy lifting done by tuple-level methods here so that hot loops
-    can bypass element objects.
+    Instances are immutable.  A spec builds elements, lists the field and
+    finds the canonical primitive element; all element arithmetic is on
+    :class:`FieldElement`.  The canonical primitive element and the primes
+    dividing p^k - 1 are computed on first use and kept.
     """
 
-    __slots__ = ("p", "k", "modulus", "size", "_hash", "_primitive")
+    __slots__ = ("p", "k", "modulus", "size", "_hash", "_primitive", "_primes")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         self.p = p
@@ -188,6 +212,7 @@ class FieldSpec:
         self.size = p ** k
         self._hash = hash((p, k, self.modulus))
         self._primitive = None
+        self._primes = None
 
     def __eq__(self, other):
         return (
@@ -206,10 +231,10 @@ class FieldSpec:
     # -- element construction
 
     def zero(self) -> FieldElement:
-        return FieldElement(self, (0,) * self.k)
+        return _element(self, (0,) * self.k)
 
     def one(self) -> FieldElement:
-        return FieldElement(self, (1,) + (0,) * (self.k - 1))
+        return _element(self, (1,) + (0,) * (self.k - 1))
 
     def element(self, coeffs: int | Iterable[int]) -> FieldElement:
         if isinstance(coeffs, int):
@@ -217,90 +242,33 @@ class FieldSpec:
         t = tuple(int(c) % self.p for c in coeffs)
         if len(t) != self.k:
             raise SpecMismatch(f"expected {self.k} coefficients, got {len(t)}")
-        return FieldElement(self, t)
+        return _element(self, t)
 
     def elements(self):
         """All field elements in canonical (coefficient-lexicographic) order."""
         for coeffs in itertools.product(range(self.p), repeat=self.k):
-            yield FieldElement(self, coeffs)
-
-    # -- tuple-level arithmetic
-
-    def add_t(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub_t(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg_t(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul_t(self, a, b):
-        return tuple(_polmulmod(a, b, self.modulus, self.p))
-
-    def inv_t(self, a):
-        if not any(a):
-            raise DivisionByZero("inverse of zero")
-        # extended Euclid on polynomials
-        p = self.p
-        r0, r1 = list(self.modulus), list(a) + [0]
-        s0, s1 = [0] * (self.k + 1), [1] + [0] * self.k
-        while _poldeg(r1) > 0:
-            d0, d1 = _poldeg(r0), _poldeg(r1)
-            while d0 >= d1:
-                c = r0[d0] * pow(r1[d1], p - 2, p) % p
-                for j in range(d1 + 1):
-                    r0[d0 - d1 + j] = (r0[d0 - d1 + j] - c * r1[j]) % p
-                for j in range(len(s1) - (d0 - d1)):
-                    s0[d0 - d1 + j] = (s0[d0 - d1 + j] - c * s1[j]) % p
-                d0 = _poldeg(r0)
-            r0, r1 = r1, r0
-            s0, s1 = s1, s0
-        c = pow(r1[0], p - 2, p)
-        out = [x * c % p for x in s1[: self.k]]
-        return tuple(out + [0] * (self.k - len(out)))
-
-    def pow_t(self, a, e: int):
-        n = self.size - 1
-        if not any(a):
-            if e == 0:
-                return (1,) + (0,) * (self.k - 1)
-            if e < 0:
-                raise DivisionByZero("negative power of zero")
-            return a
-        e %= n
-        return tuple(_polpowmod(a, e, self.modulus, self.p))
-
-    def frob_t(self, a, i: int = 1):
-        """Apply the Frobenius x -> x^p, i times (i may be negative)."""
-        return self.pow_t(a, self.p ** (i % self.k))
+            yield _element(self, coeffs)
 
     # -- multiplicative structure
 
-    def order_t(self, a) -> int:
-        if not any(a):
-            raise ZeroElement("order of zero is undefined")
-        n = self.size - 1
-        o = n
-        for ell in factorize(n):
-            while o % ell == 0 and self.pow_t(a, o // ell) == self.one().coeffs:
-                o //= ell
-        return o
+    def _unit_primes(self) -> list[int]:
+        """The primes dividing p^k - 1, factored once per field."""
+        if self._primes is None:
+            self._primes = list(factorize(self.size - 1))
+        return self._primes
 
     def primitive_element(self) -> FieldElement:
         """Least primitive element under coefficient-vector lexicographic order."""
         if self._primitive is None:
             n = self.size - 1
             one = self.one().coeffs
-            primes = list(factorize(n)) if n > 1 else []
+            primes = self._unit_primes()
             for coeffs in itertools.product(range(self.p), repeat=self.k):
-                if not any(coeffs):
-                    continue
-                if all(self.pow_t(coeffs, n // ell) != one for ell in primes):
-                    self._primitive = FieldElement(self, coeffs)
+                if any(coeffs) and all(
+                    tuple(_polpowmod(coeffs, n // ell, self.modulus, self.p)) != one
+                    for ell in primes
+                ):
+                    self._primitive = _element(self, coeffs)
                     break
         return self._primitive
 
@@ -355,7 +323,8 @@ class FieldElement:
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.add_t(self.coeffs, c))
+        p = self.spec.p
+        return _element(self.spec, tuple((x + y) % p for x, y in zip(self.coeffs, c)))
 
     __radd__ = __add__
 
@@ -363,39 +332,47 @@ class FieldElement:
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_t(self.coeffs, c))
+        p = self.spec.p
+        return _element(self.spec, tuple((x - y) % p for x, y in zip(self.coeffs, c)))
 
     def __rsub__(self, other):
-        c = self._coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub_t(c, self.coeffs))
+        return -self + other
 
     def __mul__(self, other):
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_t(self.coeffs, c))
+        spec = self.spec
+        return _element(spec, tuple(_polmulmod(self.coeffs, c, spec.modulus, spec.p)))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg_t(self.coeffs))
+        p = self.spec.p
+        return _element(self.spec, tuple(-x % p for x in self.coeffs))
 
     def __truediv__(self, other):
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        return FieldElement(self.spec, self.spec.mul_t(self.coeffs, self.spec.inv_t(c)))
+        return self * _element(self.spec, c).inverse()
 
     def __pow__(self, e: int):
-        if e < 0:
-            base = self.spec.inv_t(self.coeffs)
-            return FieldElement(self.spec, self.spec.pow_t(base, -e))
-        return FieldElement(self.spec, self.spec.pow_t(self.coeffs, e))
+        """a^e for any integer e; 0^0 = 1 and a negative power of 0 raises."""
+        spec = self.spec
+        if self.is_zero():
+            if e < 0:
+                raise DivisionByZero("negative power of zero")
+            return spec.one() if e == 0 else self
+        # the units form a group of order p^k - 1
+        e %= spec.size - 1
+        return _element(spec, tuple(_polpowmod(self.coeffs, e, spec.modulus, spec.p)))
 
     def inverse(self) -> FieldElement:
-        return FieldElement(self.spec, self.spec.inv_t(self.coeffs))
+        if self.is_zero():
+            raise DivisionByZero("inverse of zero")
+        spec = self.spec
+        return _element(spec, tuple(_polinvmod(self.coeffs, spec.modulus, spec.p)))
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
@@ -416,6 +393,15 @@ class FieldElement:
         return f"GF({self.spec.p}^{self.spec.k}){list(self.coeffs)}"
 
 
+def _element(spec: FieldSpec, coeffs: tuple) -> FieldElement:
+    """Wrap a coefficient tuple already reduced mod p, skipping the reduction."""
+    out = FieldElement.__new__(FieldElement)
+    out.spec = spec
+    out.coeffs = coeffs
+    out._hash = hash(coeffs)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # spec-level operations
 
@@ -432,8 +418,16 @@ def field_create(p: int, k: int) -> FieldSpec:
 
 
 def element_order(a: FieldElement) -> int:
-    """Least n >= 1 with a^n = 1."""
-    return a.spec.order_t(a.coeffs)
+    """Least n >= 1 with a^n = 1: divide p^k - 1 by each prime while the
+    power stays 1."""
+    if a.is_zero():
+        raise ZeroElement("order of zero is undefined")
+    one = a.spec.one()
+    o = a.spec.size - 1
+    for ell in a.spec._unit_primes():
+        while o % ell == 0 and a ** (o // ell) == one:
+            o //= ell
+    return o
 
 
 def element_of_order(spec: FieldSpec, n: int) -> FieldElement:
@@ -449,8 +443,9 @@ def element_of_order(spec: FieldSpec, n: int) -> FieldElement:
 
 
 def frobenius_map(a: FieldElement, i: int = 1) -> FieldElement:
-    """Apply the Frobenius automorphism x -> x^p of GF(p^k), i times."""
-    return FieldElement(a.spec, a.spec.frob_t(a.coeffs, i))
+    """Apply the Frobenius automorphism x -> x^p of GF(p^k), i times (i may
+    be negative, as Frob^k is the identity)."""
+    return a ** (a.spec.p ** (i % a.spec.k))
 
 
 # ---------------------------------------------------------------------------

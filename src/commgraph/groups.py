@@ -24,7 +24,7 @@ from .errors import (
     NotMember,
     NotNormal,
 )
-from .fields import FieldElement, FieldSpec, is_prime, factorize
+from .fields import FieldSpec, frobenius_map, is_prime, factorize
 
 DEFAULT_GROUP_CAP = 200000
 
@@ -120,17 +120,10 @@ class MatrixAutElement:
         return MatrixAutElement(self.spec, _mat_frob(self.spec, inv, self.twist), -self.twist)
 
     def identity(self) -> "MatrixAutElement":
-        return MatrixAutElement(self.spec, _mat_identity(self.spec, self.dim), 0)
+        return MatrixAutElement(self.spec, _diag(self.spec.zero(), [self.spec.one()] * self.dim), 0)
 
     def is_identity(self) -> bool:
-        if self.twist:
-            return False
-        one, zero = self.spec.one(), self.spec.zero()
-        return all(
-            self.mat[i][j] == (one if i == j else zero)
-            for i in range(self.dim)
-            for j in range(self.dim)
-        )
+        return not self.twist and self.mat == self.identity().mat
 
     def key(self):
         return (self.twist,) + tuple(e.coeffs for row in self.mat for e in row)
@@ -158,9 +151,11 @@ class MatrixAutElement:
         return f"MatAut(twist={self.twist}, {self.mat})"
 
 
-def _mat_identity(spec, dim):
-    one, zero = spec.one(), spec.zero()
-    return tuple(tuple(one if i == j else zero for j in range(dim)) for i in range(dim))
+def _diag(zero, entries):
+    """The square diagonal matrix with the given entries, over the ring whose
+    zero is given."""
+    n = len(entries)
+    return tuple(tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n))
 
 
 def _mat_mul(zero, a, b):
@@ -190,16 +185,14 @@ def _mat_frob(spec, a, i):
     i %= spec.k
     if i == 0:
         return a
-    return tuple(
-        tuple(FieldElement(spec, spec.frob_t(e.coeffs, i)) for e in row) for row in a
-    )
+    return tuple(tuple(frobenius_map(e, i) for e in row) for row in a)
 
 
 def _mat_inv(spec, a):
     """Gaussian elimination; raises on singular input."""
     dim = len(a)
-    one, zero = spec.one(), spec.zero()
-    aug = [list(a[i]) + [one if i == j else zero for j in range(dim)] for i in range(dim)]
+    ident = _diag(spec.zero(), [spec.one()] * dim)
+    aug = [list(a[i]) + list(ident[i]) for i in range(dim)]
     for col in range(dim):
         piv = next((r for r in range(col, dim) if not aug[r][col].is_zero()), None)
         if piv is None:

@@ -9,7 +9,9 @@ group.  The Frobenius tests check every kernel element against every element
 of the pool, and project every element of G onto G/K.  The diameter-8
 references work in log space: D = <x, c> by closure, and fixed-point
 equations on F by scanning every field element; centralizers in D are also
-listed element by element in exponent form.
+listed element by element in exponent form.  Powers, inverses, orders and
+the Frobenius map of field elements come from repeated multiplication or a
+scan of the field.
 """
 
 import itertools
@@ -252,6 +254,42 @@ def unfiltered_least_irreducible(p, k, is_irreducible):
         if is_irreducible(cand, p):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")
+
+
+# --- GF(p^k): references by repeated multiplication -------------------------
+
+
+def scanned_inverse(a):
+    """The b with a*b = 1, found by scanning the field."""
+    one = a.spec.one()
+    return next(b for b in a.spec.elements() if a * b == one)
+
+
+def repeated_power(a, e):
+    """a^e by |e| multiplications, by a or, for e < 0, by its inverse."""
+    base = a if e >= 0 else scanned_inverse(a)
+    acc = a.spec.one()
+    for _ in range(abs(e)):
+        acc = acc * base
+    return acc
+
+
+def repeated_order(a):
+    """Least n >= 1 with a^n = 1, by multiplying until 1 comes back."""
+    one = a.spec.one()
+    n, acc = 1, a
+    while acc != one:
+        acc = acc * a
+        n += 1
+    return n
+
+
+def repeated_frobenius(a, i):
+    """Frob^i(a) as the p-th power taken i mod k times, each by p
+    multiplications (Frob^k is the identity)."""
+    for _ in range(i % a.spec.k):
+        a = repeated_power(a, a.spec.p)
+    return a
 
 
 # --- the diameter-8 witness: log-space references ---------------------------

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -124,6 +126,17 @@ def test_analyze_multiple_files_jobs_preserve_order(capsys):
     assert code == EXIT_OK
     rows = json.loads(out)
     assert [r["file"] for r in rows] == files
+
+
+def test_cli_import_leaves_thread_pool_unloaded():
+    # the pool module is imported only when --jobs > 1
+    src = str(Path(diameter8.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, commgraph.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_analyze_csv(capsys):

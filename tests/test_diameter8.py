@@ -212,6 +212,21 @@ def test_fcoords_relation(example_group):
     assert _is_symplectic(spec.zero(), _form_matrix(spec), mat.mat)
 
 
+def test_numeric_times_symbolic_matches_lifted_product(example_group):
+    # verify_symplectic and the separation families multiply numeric
+    # matrices into symbolic ones without lifting them to constant Polys
+    from commgraph.diameter8 import _form_matrix
+    from commgraph.groups import _mat_mul
+
+    spec = example_group.spec
+    zero = Poly.zero(spec, 4)
+    generic = generic_f_matrix(spec, 4, 0)
+    for numeric in (example_group.g.mat, example_group.g.inverse().mat, _form_matrix(spec)):
+        lifted = tuple(tuple(Poly.constant(spec, e, 4) for e in row) for row in numeric)
+        assert _mat_mul(zero, numeric, generic) == _mat_mul(zero, lifted, generic)
+        assert _mat_mul(zero, generic, numeric) == _mat_mul(zero, generic, lifted)
+
+
 def _random_element(spec, rng):
     return spec.element([rng.randrange(spec.p) for _ in range(spec.k)])
 

@@ -103,6 +103,18 @@ def test_generator_order_is_maximal(gf115):
     assert element_order(g) == n
 
 
+def test_unit_group_factored_once_per_field(monkeypatch):
+    from commgraph import fields
+
+    factored = []
+    real = fields.factorize
+    monkeypatch.setattr(fields, "factorize", lambda n: factored.append(n) or real(n))
+    spec = field_create(11, 5)
+    f = spec.primitive_element()
+    assert element_order(f) == 11 ** 5 - 1
+    assert factored.count(11 ** 5 - 1) == 1
+
+
 def test_element_of_order(gf115, gf11):
     e25 = element_of_order(gf115, 25)
     assert e25 ** 25 == gf115.one() and e25 ** 5 != gf115.one()

@@ -4,8 +4,11 @@ The acceptance suite re-runs the same properties with explicit seeded loops
 of 1000 instances; here hypothesis explores the space more adaptively.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from oracles import repeated_frobenius, repeated_order, repeated_power, scanned_inverse
 
+from commgraph.errors import DivisionByZero
 from commgraph.fields import element_of_order, element_order, field_create, frobenius_map
 from commgraph.graph import build_graph, distance
 from commgraph.groups import (
@@ -75,6 +78,29 @@ def test_frobenius_is_ring_homomorphism(data):
     spec, (a, b) = data
     assert frobenius_map(a + b) == frobenius_map(a) + frobenius_map(b)
     assert frobenius_map(a * b) == frobenius_map(a) * frobenius_map(b)
+
+
+@DEFAULT
+@given(field_and_elements(count=2), st.data())
+def test_field_layer_matches_slow_oracles(data, draw):
+    spec, (a, b) = data
+    zero, one = spec.zero(), spec.one()
+    e = draw.draw(st.integers(-2 * spec.size, 2 * spec.size))
+    i = draw.draw(st.integers(-spec.k, 2 * spec.k - 1))
+    assert zero ** 0 == one
+    assert zero ** draw.draw(st.integers(1, 2 * spec.size)) == zero
+    with pytest.raises(DivisionByZero):
+        zero ** -1
+    results = [a + b, a - b, -a, a * b, 1 - a, frobenius_map(a, i)]
+    assert results[-1] == repeated_frobenius(a, i)
+    if not a.is_zero():
+        results += [a ** e, a.inverse(), b / a]
+        assert a ** e == repeated_power(a, e)
+        assert a.inverse() == scanned_inverse(a)
+        assert element_order(a) == repeated_order(a)
+    for r in results:
+        # operators build results without a second reduction mod p
+        assert len(r.coeffs) == spec.k and all(c in range(spec.p) for c in r.coeffs)
 
 
 @DEFAULT
