@@ -249,14 +249,16 @@ class _NormalForm:
         n = self.order_c
         lhs = (self.qpow[a] - 1) % n
         root = pow(lhs, -1, n) if lhs else 0
-        out = []
-        for i in range(self.order_x):
-            rhs = g ** (self.qpow[i] - 1)
+        # q^i mod t takes only ord_t(q) values (r of them for a witness
+        # triple), so the right side is computed once per value
+        solution = {}
+        for e in set(self.qpow):
+            rhs = g ** (e - 1)
             if lhs:
-                out.append((i, rhs ** root))
+                solution[e] = rhs ** root
             elif rhs == self.one:
-                out.append((i, ALL))
-        return out
+                solution[e] = ALL
+        return [(i, solution[e]) for i, e in enumerate(self.qpow) if e in solution]
 
     def count(self, description) -> int:
         """The number of elements of D a description stands for."""

@@ -7,9 +7,12 @@ quotient by centralizer-equality classes: BFS runs on the class graph and
 distances lift back losslessly, with the one special case that two distinct
 elements of the same class are at distance 1.
 
-Centralizers are computed once per conjugacy class: C(rep) by a scan of the
-group, and C(w) = C(rep)^t for every other member w = rep^t, so the build
-costs about 4k|G| products for k non-central classes rather than 2|V||G|.
+Centralizers are sets of element indices.  C(rep) is read once per
+conjugacy class off the group's conjugation tables, and every other member
+of the class gets C(w^g) = C(w)^g by table lookups, so after the
+|gens|·|G| products of the tables the build makes no element product.  It
+costs about 3|G| lookups per non-central class, plus the sorting and the
+adjacency test over pairs of classes.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .errors import EmptyGraph, NotAVertex
-from .groups import GroupHandle, centralizer, conjugacy_classes
+from .groups import GroupHandle
 
 
 @dataclass
@@ -33,11 +36,12 @@ class DistanceReport:
 class CommutingGraph:
     """Quotient-compressed commuting graph of a materialized group."""
 
-    def __init__(self, group: GroupHandle, classes, class_of, adjacency):
+    def __init__(self, group: GroupHandle, classes, class_of, adjacency, sources):
         self.group = group
         self.classes = classes          # list of element lists
         self.class_of = class_of        # element -> class index
         self.adjacency = adjacency     # class index -> sorted list of class indices
+        self.sources = sources          # one class index per conjugation orbit of classes
         self.reps = [cls[0] for cls in classes]
 
     @property
@@ -74,26 +78,40 @@ class CommutingGraph:
 def build_graph(G: GroupHandle) -> CommutingGraph:
     """Group the non-central elements by centralizer equality and link classes.
 
-    Centralizers come one conjugacy class at a time: C(rep) is scanned once
-    for the class representative, and every other member w = rep^t gets
-    C(w) = C(rep)^t without a scan.
+    Centralizers are sets of element indices and come one conjugacy class at
+    a time: C(rep) is a fibre of `GroupHandle.conjugation_images`, and the
+    class is walked under the generators' conjugation tables with
+    C(w^g) = C(w)^g, so no element product is made after the tables.  The
+    centralizer class of each class representative is a BFS source, one per
+    orbit of the conjugation action on centralizer classes.
     """
-    G.materialize()
-    index = G.index_of
-    cent_of = {}
-    for rep, transversal in conjugacy_classes(G):
-        if len(transversal) == 1:
-            continue  # a central element is alone in its class
-        cent = centralizer(G, rep).members
-        for w, t in transversal.items():
-            ti = t.inverse()
-            cent_of[w] = frozenset(index(ti * c * t) for c in cent)
+    elements = G.elements
+    conj = G.conjugation_tables()
+    cent_of: dict[int, frozenset] = {}
+    class_reps = []
+    for r in range(len(elements)):
+        if r in cent_of:
+            continue  # r's class has been walked
+        img = G.conjugation_images(r)
+        cent = frozenset(i for i, j in enumerate(img) if j == r)
+        if len(cent) == len(elements):
+            continue  # r is central
+        class_reps.append(r)
+        cent_of[r] = cent
+        queue = deque([r])
+        while queue:
+            w = queue.popleft()
+            for table in conj:
+                v = table[w]
+                if v not in cent_of:
+                    cent_of[v] = frozenset(table[c] for c in cent_of[w])
+                    queue.append(v)
     if not cent_of:
         raise EmptyGraph("every element is central")
 
     buckets: dict[frozenset, list] = {}
     for v, cent in cent_of.items():
-        buckets.setdefault(cent, []).append(v)
+        buckets.setdefault(cent, []).append(elements[v])
 
     classes = sorted(
         (sorted(members, key=lambda e: e.key()) for members in buckets.values()),
@@ -101,12 +119,12 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     )
     class_of = {v: i for i, cls in enumerate(classes) for v in cls}
     adjacency = []
-    reps = [cls[0] for cls in classes]
-    rep_idx = [index(r) for r in reps]
-    for i, r in enumerate(reps):
+    rep_idx = [G.index_of(cls[0]) for cls in classes]
+    for i, r in enumerate(rep_idx):
         cent = cent_of[r]
         adjacency.append(sorted(j for j in range(len(classes)) if j != i and rep_idx[j] in cent))
-    return CommutingGraph(G, classes, class_of, adjacency)
+    sources = sorted({class_of[elements[r]] for r in class_reps})
+    return CommutingGraph(G, classes, class_of, adjacency, sources)
 
 
 def _class_bfs(graph: CommutingGraph, start: int):
@@ -150,7 +168,9 @@ def diameter_and_components(graph: CommutingGraph) -> dict:
 
     The diameter is the maximum finite class eccentricity when the graph is
     connected and Infinity otherwise; a lone class of size >= 2 still has
-    internal diameter 1.
+    internal diameter 1.  Conjugation is a graph automorphism, so the
+    eccentricity is constant on each orbit of classes, and the BFS runs only
+    from the graph's sources, one class per orbit.
     """
     n = len(graph.classes)
     unseen = set(range(n))
@@ -164,7 +184,7 @@ def diameter_and_components(graph: CommutingGraph) -> dict:
     if len(components) > 1:
         return {"components": components, "diameter": math.inf}
     diam = 0
-    for c in range(n):
+    for c in graph.sources:
         dist, _ = _class_bfs(graph, c)
         ecc = max(dist.values())
         diam = max(diam, ecc)

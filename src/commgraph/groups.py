@@ -2,14 +2,18 @@
 
 Two element backends: permutations (image arrays) and matrices over GF(p^k)
 carrying a Frobenius twist.  Groups are handles around a generating set and
-are materialized by breadth-first closure before any structural query runs.
-The derived and lower central series, normal closures and p-cores work from
-generators (normal closure by a worklist of conjugates by the generators),
-and so do conjugacy classes (orbits under conjugation by the generators,
-with a transversal), of G or of a normal subgroup.  Quotients act on coset
-labels, which name the coset of every element.  Centralizers, Sylow
-subgroups and the remaining predicates scan the element list.  Everything
-is meant for desk-scale groups.
+are materialized by breadth-first closure before any structural query runs;
+the handle keeps the closure's Schreier tree (each element is its parent
+times one generator).  Along the tree, one conjugation table per generator
+costs one product per element, and the conjugates of one element by every
+element of G cost one table lookup each.  Conjugacy classes (with a
+transversal), of G or of a normal subgroup, and centralizers are read off
+those conjugates without a product.  The derived and lower central series,
+normal closures and p-cores work from generators (normal closure by a
+worklist of conjugates by the generators).  Quotients act on coset labels,
+which name the coset of every element.  Sylow subgroups and the remaining
+predicates scan the element list.  Everything is meant for desk-scale
+groups.
 """
 
 from __future__ import annotations
@@ -182,10 +186,13 @@ def _mat_mul(zero, a, b):
 
 
 def _mat_frob(spec, a, i):
+    """Frobenius^i on every entry; zero and GF(p) entries are fixed and kept."""
     i %= spec.k
     if i == 0:
         return a
-    return tuple(tuple(frobenius_map(e, i) for e in row) for row in a)
+    return tuple(
+        tuple(frobenius_map(e, i) if any(e.coeffs[1:]) else e for e in row) for row in a
+    )
 
 
 def _mat_inv(spec, a):
@@ -229,12 +236,15 @@ def element_order(x) -> int:
 # ---------------------------------------------------------------------------
 
 
-def generate_elements(generators: Sequence, cap: int = DEFAULT_GROUP_CAP) -> list:
-    """Close a generating set under multiplication, breadth-first.
+def _schreier_tree(generators: Sequence, cap: int) -> tuple[list, dict, list, list]:
+    """Breadth-first closure of a generating set, with its Schreier tree.
 
-    Order is deterministic: identity first, then discovery order (BFS level,
-    frontier position, generator position).  Raises CapExceeded as soon as
-    more than `cap` elements are seen.
+    Returns (elements, index, parent, via): elements[0] is the identity, and
+    elements[i] = elements[parent[i]] * generators[via[i]] for i > 0; index
+    maps every element to its position and is the walk's seen set.  Order is
+    deterministic: identity first, then discovery order (BFS level, frontier
+    position, generator position).  Raises CapExceeded as soon as more than
+    `cap` elements are seen.
     """
     if not generators:
         raise ValueError("empty generating set")
@@ -242,27 +252,32 @@ def generate_elements(generators: Sequence, cap: int = DEFAULT_GROUP_CAP) -> lis
     for g in generators[1:]:
         if g.ambient() != ambient:
             raise BackendMismatch("generators live in different ambient groups")
-    ident = generators[0].identity()
-    seen = {ident}
-    ordered = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for g in generators:
-                h = e * g
-                if h not in seen:
-                    seen.add(h)
-                    if len(seen) > cap:
-                        raise CapExceeded(f"closure exceeds cap {cap}")
-                    ordered.append(h)
-                    nxt.append(h)
-        frontier = nxt
-    return ordered
+    ordered = [generators[0].identity()]
+    index = {ordered[0]: 0}
+    parent, via = [-1], [-1]
+    # the list grows while it is walked, so it is the BFS queue
+    for p, e in enumerate(ordered):
+        for v, g in enumerate(generators):
+            h = e * g
+            if h not in index:
+                if len(ordered) >= cap:
+                    raise CapExceeded(f"closure exceeds cap {cap}")
+                index[h] = len(ordered)
+                ordered.append(h)
+                parent.append(p)
+                via.append(v)
+    return ordered, index, parent, via
+
+
+def generate_elements(generators: Sequence, cap: int = DEFAULT_GROUP_CAP) -> list:
+    """Close a generating set under multiplication, breadth-first, in the
+    deterministic order of `_schreier_tree`."""
+    return _schreier_tree(generators, cap)[0]
 
 
 class GroupHandle:
-    """A finite group given by generators, with a lazily materialized element list."""
+    """A finite group given by generators, with a lazily materialized element
+    list, its Schreier tree, and lazily built conjugation tables."""
 
     def __init__(self, generators: Sequence, cap: int = DEFAULT_GROUP_CAP, name: str = ""):
         if not generators:
@@ -272,12 +287,56 @@ class GroupHandle:
         self.name = name
         self._elements: list | None = None
         self._index: dict | None = None
+        self._parent: list | None = None
+        self._via: list | None = None
+        self._conj: list | None = None
 
     def materialize(self) -> "GroupHandle":
         if self._elements is None:
-            self._elements = generate_elements(self.generators, self.cap)
-            self._index = {e: i for i, e in enumerate(self._elements)}
+            self._elements, self._index, self._parent, self._via = _schreier_tree(
+                self.generators, self.cap
+            )
         return self
+
+    def schreier_tree(self) -> tuple[list, list]:
+        """(parent, via) with elements[i] = elements[parent[i]] *
+        generators[via[i]] for every i > 0."""
+        self.materialize()
+        return self._parent, self._via
+
+    def conjugation_tables(self) -> list[list]:
+        """conj[g][i] = the index of e_i^g = g^-1 e_i g, one table per generator.
+
+        Built once, along the Schreier tree: e_i^g = e_parent^g * (g_via)^g,
+        one product per element per generator.
+        """
+        if self._conj is None:
+            elements, index = self.elements, self._index
+            parent, via = self.schreier_tree()
+            self._conj = []
+            for g in self.generators:
+                gi = g.inverse()
+                gens_g = [gi * s * g for s in self.generators]
+                table = [0] * len(elements)
+                for i in range(1, len(elements)):
+                    table[i] = index[elements[table[parent[i]]] * gens_g[via[i]]]
+                self._conj.append(table)
+        return self._conj
+
+    def conjugation_images(self, r: int) -> list:
+        """img[i] = the index of x^(e_i) for x = elements[r], over all of G.
+
+        x^(e_parent g) = (x^e_parent)^g, so each entry is one lookup in the
+        conjugation tables.  The fibres give x's class (the distinct values),
+        a transversal (the first i with each value) and C(x) (the i with
+        img[i] = r).
+        """
+        conj = self.conjugation_tables()
+        parent, via = self.schreier_tree()
+        img = [r] * len(parent)
+        for i in range(1, len(img)):
+            img[i] = conj[via[i]][img[parent[i]]]
+        return img
 
     @property
     def elements(self) -> list:
@@ -431,38 +490,31 @@ def subgroup_closure(G: GroupHandle, seed: Iterable) -> SubgroupHandle:
 
 
 def centralizer(G: GroupHandle, x) -> SubgroupHandle:
-    if x not in G:
-        raise NotMember("centralizer of a non-member")
-    return SubgroupHandle(G, [g for g in G.elements if g * x == x * g])
+    r = G.index_of(x)
+    img = G.conjugation_images(r)
+    return SubgroupHandle(G, [g for g, j in zip(G.elements, img) if j == r])
 
 
 def conjugacy_classes(G: GroupHandle, members: Iterable | None = None) -> list[tuple[object, dict]]:
     """Conjugacy classes of G as (rep, transversal) pairs.
 
     The transversal maps every member w of the class to an element t with
-    rep^t = w.  Each class is the orbit of its representative under
-    conjugation by G's generators: if rep^t = w then rep^(t g) = w^g.
-    Representatives are the first element of each class in G's element
-    order, or in the order of `members` when given; `members` must be a
-    union of classes (a normal subgroup, say), and only its classes are
-    walked.
+    rep^t = w: the first element of G, in G's order, that conjugates rep to
+    w, read off `GroupHandle.conjugation_images`.  Representatives are the
+    first element of each class in G's element order, or in the order of
+    `members` when given; `members` must be a union of classes (a normal
+    subgroup, say), and only its classes are walked.
     """
-    pairs = [(g, g.inverse()) for g in G.generators]
+    elements = G.elements
     classes = []
     seen: set = set()
-    for rep in G.elements if members is None else members:
+    for rep in elements if members is None else members:
         if rep in seen:
             continue
-        transversal = {rep: G.identity}
-        queue = deque([rep])
-        while queue:
-            w = queue.popleft()
-            t = transversal[w]
-            for g, gi in pairs:
-                v = gi * w * g
-                if v not in transversal:
-                    transversal[v] = t * g
-                    queue.append(v)
+        first: dict = {}
+        for i, j in enumerate(G.conjugation_images(G.index_of(rep))):
+            first.setdefault(j, i)
+        transversal = {elements[j]: elements[i] for j, i in first.items()}
         seen.update(transversal)
         classes.append((rep, transversal))
     return classes

@@ -23,6 +23,25 @@ EXTRA_GROUPS = {
         for offset, n in ((0, 4), (4, 3))
         for perm in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0])
     ],
+    # S3 x S3 x S3 on {0..2}, {3..5} and {6..8}, order 216, six generators
+    "s3cubed": lambda: [
+        _shifted(perm, offset, 9) for offset in (0, 3, 6) for perm in ([1, 0, 2], [1, 2, 0])
+    ],
+}
+
+# AGammaL(1, 9) as [[a, b], [0, 1]] over GF(9) = GF(3)[X] / (X^2 + 1), an
+# entry a0 + a1 X written [a0, a1]: multiplication by the primitive element
+# 1 + X, translation by 1, and the Frobenius twist; order 144
+AGAML1_9 = {
+    "type": "matrix",
+    "field": {"p": 3, "k": 2, "modulus": [1, 0, 1]},
+    "dim": 2,
+    "aut_order": 2,
+    "generators": [
+        {"twist": 0, "matrix": [[[1, 1], [0, 0]], [[0, 0], [1, 0]]]},
+        {"twist": 0, "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},
+        {"twist": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
+    ],
 }
 
 

@@ -11,10 +11,11 @@ references work in log space: D = <x, c> by closure, and fixed-point
 equations on F by scanning every field element; centralizers in D are also
 listed element by element in exponent form.  Powers, inverses, orders and
 the Frobenius map of field elements come from repeated multiplication or a
-scan of the field.
+scan of the field, and primality from trial division.
 """
 
 import itertools
+import math
 from collections import deque
 from types import SimpleNamespace
 
@@ -66,6 +67,14 @@ def naive_all_distances(vertices, adj):
                     queue.append(w)
         dist[src] = d
     return dist
+
+
+def naive_diameter(group):
+    """Diameter of the commuting graph: the largest element-level distance
+    over every pair of vertices, Infinity when some pair is unreachable."""
+    vertices, adj = naive_vertex_adjacency(group)
+    dist = naive_all_distances(vertices, adj)
+    return max(dist[x].get(y, math.inf) for x in vertices for y in vertices)
 
 
 def brute_centralizer(group, x):
@@ -257,6 +266,22 @@ def unfiltered_least_irreducible(p, k, is_irreducible):
 
 
 # --- GF(p^k): references by repeated multiplication -------------------------
+
+
+def trial_division_is_prime(n):
+    """Primality by trial division up to the square root."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    i = 3
+    while i * i <= n:
+        if n % i == 0:
+            return False
+        i += 2
+    return True
 
 
 def scanned_inverse(a):

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
-from oracles import unfiltered_least_irreducible
+from oracles import trial_division_is_prime, unfiltered_least_irreducible
 
+from commgraph.corpus import load_group_file
 from commgraph.errors import (
     CapExceeded,
     DivisionByZero,
@@ -41,6 +44,35 @@ def test_least_irreducible_matches_unfiltered_search():
     assert len(cases) == 711
     for p, k in cases:
         assert least_irreducible(p, k) == unfiltered_least_irreducible(p, k, _is_irreducible), (p, k)
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(10 ** 5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to the primes up to 23
+    assert 3215031751 == 151 * 751 * 28351
+    assert 3825123056546413051 == 149491 * 747451 * 34233211
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+    assert is_prime(2 ** 61 - 1) and is_prime(10000000000000061)
+
+
+def test_matrix_file_with_large_p_parses(tmp_path):
+    # 10^16 + 61 is prime, and trial division to its square root takes seconds
+    p = 10000000000000061
+    path = tmp_path / "big_p.json"
+    path.write_text(json.dumps({
+        "type": "matrix",
+        "field": {"p": p, "k": 1, "modulus": [0, 1]},
+        "dim": 2,
+        "aut_order": 1,
+        "generators": [{"twist": 0, "matrix": [[1, 1], [0, 1]]}],
+    }))
+    G = load_group_file(path, cap=50)
+    assert G.generators[0].spec.p == p
+    with pytest.raises(CapExceeded):
+        G.materialize()  # the unipotent generator has order p
 
 
 def test_field_create_rejects_composite_p():

@@ -3,10 +3,11 @@ import math
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from extra_groups import EXTRA_GROUPS, oracle_group
+from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
     brute_centralizer,
     naive_all_distances,
+    naive_diameter,
     naive_vertex_adjacency,
     scan_centralizer_classes,
 )
@@ -140,22 +141,6 @@ def test_graph_export_shape(sym3_graph):
 # --- class-driven centralizers against the per-element scan -----------------
 
 
-# AGammaL(1, 9) as [[a, b], [0, 1]] over GF(9) = GF(3)[X] / (X^2 + 1), an
-# entry a0 + a1 X written [a0, a1]: multiplication by the primitive element
-# 1 + X, translation by 1, and the Frobenius twist
-AGAML1_9 = {
-    "type": "matrix",
-    "field": {"p": 3, "k": 2, "modulus": [1, 0, 1]},
-    "dim": 2,
-    "aut_order": 2,
-    "generators": [
-        {"twist": 0, "matrix": [[[1, 1], [0, 0]], [[0, 0], [1, 0]]]},
-        {"twist": 0, "matrix": [[[1, 0], [1, 0]], [[0, 0], [1, 0]]]},
-        {"twist": 1, "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
-    ],
-}
-
-
 def _assert_graph_matches_scan(G):
     try:
         want = scan_centralizer_classes(G)
@@ -167,6 +152,9 @@ def _assert_graph_matches_scan(G):
     assert graph.classes == want[0]
     assert graph.class_of == want[1]
     assert graph.adjacency == want[2]
+    # the BFS from one class per conjugation orbit against every pair
+    assert len(graph.sources) <= len(graph.classes)
+    assert diameter_and_components(graph)["diameter"] == naive_diameter(G)
 
 
 @pytest.mark.parametrize("name", list_corpus() + sorted(EXTRA_GROUPS) + ["agaml1_9"])
@@ -195,3 +183,22 @@ def test_conjugacy_classes_and_graph_on_s6_subgroups(a, b):
         for w, t in transversal.items():
             assert t in G and t.inverse() * rep * t == w
     _assert_graph_matches_scan(G)
+
+
+# --- no element products after the conjugation tables -----------------------
+
+
+@pytest.mark.parametrize("name", ["agl1_13", "s3cubed"])
+def test_build_graph_product_budget(monkeypatch, name):
+    G = GroupHandle(EXTRA_GROUPS[name](), name=name).materialize()
+    products = []
+    real = PermutationElement.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(PermutationElement, "__mul__", counted)
+    build_graph(G)
+    # the conjugation tables make (|G| - 1 + 2|gens|) products per generator
+    assert 0 < len(products) <= 2 * len(G.generators) * G.order()

@@ -1,7 +1,9 @@
+import random
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from extra_groups import EXTRA_GROUPS, oracle_group
+from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
     brute_centralizer,
     exhaustive_derived,
@@ -14,9 +16,10 @@ from oracles import (
 
 from commgraph.corpus import list_corpus
 from commgraph.errors import BackendMismatch, CapExceeded, NotMember, NotNormal
-from commgraph.fields import factorize
+from commgraph.fields import factorize, field_create, frobenius_map
 from commgraph.groups import (
     GroupHandle,
+    MatrixAutElement,
     PermutationElement,
     center,
     centralizer,
@@ -37,6 +40,7 @@ from commgraph.groups import (
     sylow_profile_cyclic_or_quaternion,
     sylow_subgroup,
 )
+from commgraph.groups import _mat_frob, _mat_mul
 
 
 def P(*images):
@@ -275,3 +279,65 @@ def test_series_and_cores_match_oracles_on_s6_subgroups(a, b):
     # the oracles cost |G|^2 products; A6 and S6 would take minutes each
     assume(G.order() <= 120)
     _assert_matches_oracles(G, [a, b, a * b])
+
+
+# --- the Schreier tree and the conjugation tables ---------------------------
+
+
+def _assert_tree_and_tables(G):
+    elements, gens = G.elements, G.generators
+    parent, via = G.schreier_tree()
+    assert elements[0].is_identity() and len(parent) == len(via) == len(elements)
+    for i in range(1, len(elements)):
+        assert elements[parent[i]] * gens[via[i]] == elements[i]
+    tables = G.conjugation_tables()
+    assert len(tables) == len(gens)
+    for g, table in zip(gens, tables):
+        gi = g.inverse()
+        assert table == [G.index_of(gi * e * g) for e in elements]
+    for x in elements:
+        assert centralizer(G, x).member_set == brute_centralizer(G, x)
+
+
+@pytest.mark.parametrize("name", list_corpus() + sorted(EXTRA_GROUPS) + ["agaml1_9"])
+def test_schreier_tree_and_conjugation_tables(corpus, name):
+    if name == "agaml1_9":
+        G = GroupHandle.from_json(AGAML1_9, name=name).materialize()
+    else:
+        G = oracle_group(corpus, name)
+    _assert_tree_and_tables(G)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(6)), st.permutations(range(6)))
+@example([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5])  # trivial: one element
+def test_schreier_tree_and_conjugation_tables_on_s6_subgroups(a, b):
+    G = GroupHandle([PermutationElement(a), PermutationElement(b)]).materialize()
+    # the brute centralizers cost 2|G|^2 products; A6 and S6 would take seconds
+    assume(G.order() <= 120)
+    _assert_tree_and_tables(G)
+
+
+# --- the Frobenius twist on matrix entries ----------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 5])
+def test_mat_frob_matches_entrywise_frobenius(k):
+    spec = field_create(3, k)
+    rng = random.Random(k)
+
+    def entry():
+        # zero, a GF(3) entry or any entry, each a third of the time
+        keep = rng.choice([0, 1, k])
+        return spec.element([rng.randrange(3) for _ in range(keep)] + [0] * (k - keep))
+
+    def entrywise(mat, i):
+        return tuple(tuple(frobenius_map(e, i) for e in row) for row in mat)
+
+    for _ in range(20):
+        a, b = (MatrixAutElement(spec, [[entry() for _ in range(4)] for _ in range(4)], rng.randrange(k))
+                for _ in range(2))
+        for i in range(-k, 2 * k):
+            assert _mat_frob(spec, a.mat, i) == entrywise(a.mat, i)
+        assert (a * b).mat == _mat_mul(spec.zero(), a.mat, entrywise(b.mat, -a.twist))
+        assert (a * b).twist == (a.twist + b.twist) % k
