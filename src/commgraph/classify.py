@@ -6,9 +6,11 @@ with the Fitting subgroup, so only J = F(X) needs testing; likewise the
 2-Frobenius candidates are K = F(G) and the preimage L of F(G/K).
 
 X normalizes J, so C_X(j^g) = C_X(j)^g and the condition is checked for one
-j per X-class of J.  G is 2-Frobenius iff G/K is Frobenius (with kernel
-L/K) and L is Frobenius with kernel K; L is read off the coset labels of
-G/K, without a product.
+j per X-class of J.  C_X(j) and j's class are the fibre over j and the
+values of j's conjugation images, so the test is index lookups with no
+element product.  G is 2-Frobenius iff G/K is Frobenius (with kernel L/K)
+and L is Frobenius with kernel K; L is read off the coset labels of G/K,
+without a product.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .groups import (
     GroupHandle,
     SubgroupHandle,
     center,
-    conjugacy_classes,
     fitting_subgroup,
     is_metacyclic,
     is_soluble,
@@ -65,15 +66,23 @@ class ClassificationVerdict:
 
 
 def _kernel_condition(G: GroupHandle, kernel: SubgroupHandle, pool) -> bool:
-    """C_pool(j) <= kernel for every nonidentity j of the kernel.
+    """C_pool(j) <= kernel for every nonidentity j of the kernel; the pool
+    is given by its element indices.
 
     G normalizes the kernel and the pool, so C_pool(j^g) = C_pool(j)^g and
-    one j per G-class of the kernel is enough.
+    one j per G-class of the kernel is enough.  C(j) is the fibre over j of
+    `GroupHandle.conjugation_images(j)`, and the values are j's class.
     """
-    outside = [g for g in pool if g not in kernel.member_set]
-    for j, _ in conjugacy_classes(G, kernel.members):
-        if not j.is_identity() and any(g * j == j * g for g in outside):
+    inside = kernel.indices()
+    outside = [i for i in pool if i not in inside]
+    seen = {0}
+    for j in inside:
+        if j in seen:
+            continue
+        img = G.conjugation_images(j)
+        if any(img[i] == j for i in outside):
             return False
+        seen.update(img)
     return True
 
 
@@ -81,7 +90,7 @@ def _frobenius_kernel(G: GroupHandle, J: SubgroupHandle) -> SubgroupHandle | Non
     """J = F(G) if G is Frobenius with kernel J, else None."""
     if J.is_trivial() or J.order() == G.order():
         return None
-    return J if _kernel_condition(G, J, G.elements) else None
+    return J if _kernel_condition(G, J, range(G.order())) else None
 
 
 def is_frobenius(G: GroupHandle) -> SubgroupHandle | None:
@@ -102,9 +111,11 @@ def _two_frobenius(G: GroupHandle, K: SubgroupHandle):
     # the image of g sends the label of K to the label of gK
     home = Q.coset_index_of[G.identity]
     labels = {q.images[home] for q in FQ.members}
-    L = SubgroupHandle(G, [g for g in G.elements if Q.coset_index_of[g] in labels])
+    L = SubgroupHandle.from_indices(
+        G, [i for i, g in enumerate(G.elements) if Q.coset_index_of[g] in labels]
+    )
     # L Frobenius with kernel K
-    if not _kernel_condition(G, K, L.members):
+    if not _kernel_condition(G, K, L.indices()):
         return None
     return K, L, Q
 

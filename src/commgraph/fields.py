@@ -580,19 +580,6 @@ class Poly:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def evaluate(self, values: Sequence[FieldElement]) -> FieldElement:
-        """Evaluation homomorphism at a point."""
-        if len(values) != self.nvars:
-            raise SpecMismatch("wrong number of evaluation points")
-        acc = self.spec.zero()
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exps):
-                if e:
-                    term = term * v ** e
-            acc = acc + term
-        return acc
-
     def monomial_certificate(self):
         """If this is a single term c * prod(x_i^e_i), return (coeff, exps)."""
         if len(self.terms) != 1:

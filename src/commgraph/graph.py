@@ -10,9 +10,9 @@ elements of the same class are at distance 1.
 Centralizers are sets of element indices.  C(rep) is read once per
 conjugacy class off the group's conjugation tables, and every other member
 of the class gets C(w^g) = C(w)^g by table lookups, so after the
-|gens|·|G| products of the tables the build makes no element product.  It
-costs about 3|G| lookups per non-central class, plus the sorting and the
-adjacency test over pairs of classes.
+materialization walk the build makes no element product.  It costs about
+3|G| lookups per non-central class, plus the sorting and the adjacency
+test over pairs of classes.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     Centralizers are sets of element indices and come one conjugacy class at
     a time: C(rep) is a fibre of `GroupHandle.conjugation_images`, and the
     class is walked under the generators' conjugation tables with
-    C(w^g) = C(w)^g, so no element product is made after the tables.  The
+    C(w^g) = C(w)^g, so no element product is made.  The
     centralizer class of each class representative is a BFS source, one per
     orbit of the conjugation action on centralizer classes.
     """

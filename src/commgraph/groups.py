@@ -4,16 +4,20 @@ Two element backends: permutations (image arrays) and matrices over GF(p^k)
 carrying a Frobenius twist.  Groups are handles around a generating set and
 are materialized by breadth-first closure before any structural query runs;
 the handle keeps the closure's Schreier tree (each element is its parent
-times one generator).  Along the tree, one conjugation table per generator
-costs one product per element, and the conjugates of one element by every
-element of G cost one table lookup each.  Conjugacy classes (with a
-transversal), of G or of a normal subgroup, and centralizers are read off
-those conjugates without a product.  The derived and lower central series,
-normal closures and p-cores work from generators (normal closure by a
-worklist of conjugates by the generators).  Quotients act on coset labels,
-which name the coset of every element.  Sylow subgroups and the remaining
-predicates scan the element list.  Everything is meant for desk-scale
-groups.
+times one generator) and the products the walk makes, as one
+right-multiplication table per generator.  Right multiplication by any
+element is its Schreier word looked up in those tables, so subgroup
+closures and element orders cost lookups, not products.  Along the tree,
+one conjugation table per generator costs two lookups per element, and the
+conjugates of one element by every element of G cost one lookup each.  Conjugacy classes (with a transversal), centralizers, the centre,
+normality, normalizers, Sylow subgroups and p-cores are read off the
+tables as sets of element indices, in G's key order where a choice is
+made.  Products remain in the derived and lower central series and normal
+closures (worklists of conjugates by the generators, each closure
+regenerated), in the |F| products that multiply the p-cores into F(G), and
+in quotients, which form the cosets of the normal subgroup and name the
+coset of every element, and in `element_order`, which `is_metacyclic`
+applies to its quotients.  Everything is meant for desk-scale groups.
 """
 
 from __future__ import annotations
@@ -236,15 +240,16 @@ def element_order(x) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _schreier_tree(generators: Sequence, cap: int) -> tuple[list, dict, list, list]:
+def _schreier_tree(generators: Sequence, cap: int) -> tuple[list, dict, list, list, list]:
     """Breadth-first closure of a generating set, with its Schreier tree.
 
-    Returns (elements, index, parent, via): elements[0] is the identity, and
-    elements[i] = elements[parent[i]] * generators[via[i]] for i > 0; index
-    maps every element to its position and is the walk's seen set.  Order is
-    deterministic: identity first, then discovery order (BFS level, frontier
-    position, generator position).  Raises CapExceeded as soon as more than
-    `cap` elements are seen.
+    Returns (elements, index, parent, via, right): elements[0] is the
+    identity, and elements[i] = elements[parent[i]] * generators[via[i]] for
+    i > 0; index maps every element to its position and is the walk's seen
+    set; right[v][i] is the index of elements[i] * generators[v], the product
+    the walk makes anyway.  Order is deterministic: identity first, then
+    discovery order (BFS level, frontier position, generator position).
+    Raises CapExceeded as soon as more than `cap` elements are seen.
     """
     if not generators:
         raise ValueError("empty generating set")
@@ -255,18 +260,21 @@ def _schreier_tree(generators: Sequence, cap: int) -> tuple[list, dict, list, li
     ordered = [generators[0].identity()]
     index = {ordered[0]: 0}
     parent, via = [-1], [-1]
+    right: list[list] = [[] for _ in generators]
     # the list grows while it is walked, so it is the BFS queue
     for p, e in enumerate(ordered):
         for v, g in enumerate(generators):
             h = e * g
-            if h not in index:
+            i = index.get(h)
+            if i is None:
                 if len(ordered) >= cap:
                     raise CapExceeded(f"closure exceeds cap {cap}")
-                index[h] = len(ordered)
+                i = index[h] = len(ordered)
                 ordered.append(h)
                 parent.append(p)
                 via.append(v)
-    return ordered, index, parent, via
+            right[v].append(i)
+    return ordered, index, parent, via, right
 
 
 def generate_elements(generators: Sequence, cap: int = DEFAULT_GROUP_CAP) -> list:
@@ -275,9 +283,17 @@ def generate_elements(generators: Sequence, cap: int = DEFAULT_GROUP_CAP) -> lis
     return _schreier_tree(generators, cap)[0]
 
 
+def _compose(i: int, tables: Sequence) -> int:
+    """i looked up in each table in turn."""
+    for t in tables:
+        i = t[i]
+    return i
+
+
 class GroupHandle:
     """A finite group given by generators, with a lazily materialized element
-    list, its Schreier tree, and lazily built conjugation tables."""
+    list, its Schreier tree and right-multiplication tables, and lazily built
+    conjugation tables, key order and element orders."""
 
     def __init__(self, generators: Sequence, cap: int = DEFAULT_GROUP_CAP, name: str = ""):
         if not generators:
@@ -289,13 +305,15 @@ class GroupHandle:
         self._index: dict | None = None
         self._parent: list | None = None
         self._via: list | None = None
+        self._right: list | None = None
         self._conj: list | None = None
+        self._key_order: list | None = None
+        self._orders: dict = {}
 
     def materialize(self) -> "GroupHandle":
         if self._elements is None:
-            self._elements, self._index, self._parent, self._via = _schreier_tree(
-                self.generators, self.cap
-            )
+            (self._elements, self._index, self._parent, self._via,
+             self._right) = _schreier_tree(self.generators, self.cap)
         return self
 
     def schreier_tree(self) -> tuple[list, list]:
@@ -307,20 +325,18 @@ class GroupHandle:
     def conjugation_tables(self) -> list[list]:
         """conj[g][i] = the index of e_i^g = g^-1 e_i g, one table per generator.
 
-        Built once, along the Schreier tree: e_i^g = e_parent^g * (g_via)^g,
-        one product per element per generator.
+        Built once, along the Schreier tree, with no product: g^-1 e_i =
+        (g^-1 e_parent) * g_via is a lookup in the right-multiplication
+        tables, and e_i^g = (g^-1 e_i) * g is one more.
         """
         if self._conj is None:
-            elements, index = self.elements, self._index
             parent, via = self.schreier_tree()
             self._conj = []
-            for g in self.generators:
-                gi = g.inverse()
-                gens_g = [gi * s * g for s in self.generators]
-                table = [0] * len(elements)
-                for i in range(1, len(elements)):
-                    table[i] = index[elements[table[parent[i]]] * gens_g[via[i]]]
-                self._conj.append(table)
+            for g, right_g in zip(self.generators, self._right):
+                left = [self._index[g.inverse()]] * len(parent)
+                for i in range(1, len(left)):
+                    left[i] = self._right[via[i]][left[parent[i]]]
+                self._conj.append([right_g[j] for j in left])
         return self._conj
 
     def conjugation_images(self, r: int) -> list:
@@ -337,6 +353,39 @@ class GroupHandle:
         for i in range(1, len(img)):
             img[i] = conj[via[i]][img[parent[i]]]
         return img
+
+    def right_tables(self, r: int) -> list[list]:
+        """The right-multiplication tables along the Schreier word of e_r.
+
+        e_r = e_parent * g_via, so e_i * e_r is i looked up in each returned
+        table in turn (`_compose`): one lookup per letter, no product.
+        """
+        parent, via = self.schreier_tree()
+        word = []
+        while r:
+            word.append(self._right[via[r]])
+            r = parent[r]
+        word.reverse()
+        return word
+
+    def key_order(self) -> list[int]:
+        """Element indices sorted by element key: the canonical scan order."""
+        if self._key_order is None:
+            elements = self.elements
+            self._key_order = sorted(range(len(elements)), key=lambda i: elements[i].key())
+        return self._key_order
+
+    def element_order_at(self, r: int) -> int:
+        """The order of e_r, by right multiplication over the tables; cached."""
+        n = self._orders.get(r)
+        if n is None:
+            tables = self.right_tables(r)
+            n, i = 1, r
+            while i:
+                i = _compose(i, tables)
+                n += 1
+            self._orders[r] = n
+        return n
 
     @property
     def elements(self) -> list:
@@ -430,12 +479,29 @@ class GroupHandle:
 
 
 class SubgroupHandle:
-    """A subgroup of a materialized parent, stored as an explicit member set."""
+    """A subgroup of a materialized parent, stored as an explicit member set
+    in key order, with the set of its members' indices in the parent."""
 
     def __init__(self, parent: GroupHandle, members: Iterable):
         self.parent = parent
         self.members = tuple(sorted(set(members), key=lambda e: e.key()))
         self.member_set = frozenset(self.members)
+        self._indices: frozenset | None = None
+
+    @classmethod
+    def from_indices(cls, parent: GroupHandle, indices: Iterable[int]) -> "SubgroupHandle":
+        """The subgroup whose members are the parent's elements at `indices`."""
+        indices = frozenset(indices)
+        elements = parent.elements
+        out = cls(parent, [elements[i] for i in indices])
+        out._indices = indices
+        return out
+
+    def indices(self) -> frozenset:
+        """The indices of the members in the parent's element list."""
+        if self._indices is None:
+            self._indices = frozenset(self.parent.index_of(m) for m in self.members)
+        return self._indices
 
     def order(self) -> int:
         return len(self.members)
@@ -455,16 +521,24 @@ class SubgroupHandle:
     def is_trivial(self) -> bool:
         return len(self.members) == 1
 
-    def small_generating_set(self) -> list:
+    def generator_indices(self) -> list[int]:
+        """Indices of a greedy generating set: each member, in key order,
+        that falls outside the closure of those before it."""
+        G = self.parent
         gens: list = []
-        current = {self.parent.identity}
+        current = {0}
         for m in self.members:
-            if m not in current:
-                gens.append(m)
-                current = set(generate_elements(gens, cap=len(self.members)))
+            i = G.index_of(m)
+            if i not in current:
+                gens.append(i)
+                current = set(_index_closure(G, gens))
                 if len(current) == len(self.members):
                     break
-        return gens or [self.parent.identity]
+        return gens
+
+    def small_generating_set(self) -> list:
+        elements = self.parent.elements
+        return [elements[i] for i in self.generator_indices()] or [self.parent.identity]
 
     def as_group(self) -> GroupHandle:
         """View this subgroup as a standalone materialized handle."""
@@ -477,12 +551,23 @@ class SubgroupHandle:
         return f"Subgroup(order={len(self.members)})"
 
 
+def _index_closure(G: GroupHandle, gens: Sequence[int]) -> list[int]:
+    """Indices of the subgroup of G generated by the elements at `gens`,
+    closed breadth-first by right multiplication over G's tables."""
+    words = [G.right_tables(g) for g in gens]
+    members, seen = [0], {0}
+    for i in members:
+        for tables in words:
+            j = _compose(i, tables)
+            if j not in seen:
+                seen.add(j)
+                members.append(j)
+    return members
+
+
 def subgroup_closure(G: GroupHandle, seed: Iterable) -> SubgroupHandle:
-    """Subgroup of G generated by `seed` (closure under multiplication)."""
-    seed = list(seed)
-    if not seed:
-        return G.trivial_subgroup()
-    return SubgroupHandle(G, generate_elements(seed, cap=G.cap))
+    """Subgroup of G generated by `seed`, a set of members of G."""
+    return SubgroupHandle.from_indices(G, _index_closure(G, [G.index_of(x) for x in seed]))
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +577,7 @@ def subgroup_closure(G: GroupHandle, seed: Iterable) -> SubgroupHandle:
 def centralizer(G: GroupHandle, x) -> SubgroupHandle:
     r = G.index_of(x)
     img = G.conjugation_images(r)
-    return SubgroupHandle(G, [g for g, j in zip(G.elements, img) if j == r])
+    return SubgroupHandle.from_indices(G, [i for i, j in enumerate(img) if j == r])
 
 
 def conjugacy_classes(G: GroupHandle, members: Iterable | None = None) -> list[tuple[object, dict]]:
@@ -521,10 +606,10 @@ def conjugacy_classes(G: GroupHandle, members: Iterable | None = None) -> list[t
 
 
 def center(G: GroupHandle) -> SubgroupHandle:
-    # commuting with every generator is commuting with the whole group
-    gens = G.generators
-    return SubgroupHandle(
-        G, [g for g in G.elements if all(g * h == h * g for h in gens)]
+    # fixed by conjugation with every generator is central
+    conj = G.conjugation_tables()
+    return SubgroupHandle.from_indices(
+        G, [i for i in range(G.order()) if all(t[i] == i for t in conj)]
     )
 
 
@@ -559,11 +644,6 @@ def _derived_closure(gens: Sequence, cap: int) -> tuple[list, list]:
     return _normal_closure(comms, gens, cap)
 
 
-def derived_subgroup(G: GroupHandle, H: SubgroupHandle | None = None) -> SubgroupHandle:
-    gens = H.small_generating_set() if H is not None else G.generators
-    return SubgroupHandle(G, _derived_closure(gens, G.cap)[1])
-
-
 def is_soluble(G: GroupHandle) -> bool:
     gens, order = G.generators, G.order()
     while order > 1:
@@ -593,22 +673,26 @@ def is_nilpotent(G: GroupHandle | SubgroupHandle) -> bool:
 
 
 def is_normal(G: GroupHandle, H: SubgroupHandle) -> bool:
-    gens = H.small_generating_set()
-    return all(conjugate(h, g) in H.member_set for g in G.generators for h in gens)
+    inside = H.indices()
+    return all(t[i] in inside for t in G.conjugation_tables() for i in inside)
 
 
 def normal_closure(G: GroupHandle, x) -> SubgroupHandle:
     return SubgroupHandle(G, _normal_closure([x], G.generators, G.cap)[1])
 
 
+def _normalizes(images: Sequence[list], inside, i: int) -> bool:
+    """e_i conjugates into `inside` every element whose conjugation images
+    are listed."""
+    return all(img[i] in inside for img in images)
+
+
 def normalizer(G: GroupHandle, H: SubgroupHandle) -> SubgroupHandle:
-    gens = H.small_generating_set()
-    members = []
-    for g in G.elements:
-        gi = g.inverse()
-        if all(gi * h * g in H.member_set for h in gens):
-            members.append(g)
-    return SubgroupHandle(G, members)
+    inside = H.indices()
+    images = [G.conjugation_images(h) for h in H.generator_indices()]
+    return SubgroupHandle.from_indices(
+        G, [i for i in range(G.order()) if _normalizes(images, inside, i)]
+    )
 
 
 def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
@@ -616,8 +700,10 @@ def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
 
     Start from a p-element; while the current p-subgroup P is smaller than
     the full p-part of |G|, some p-element of N_G(P) lies outside P and
-    extends P.  Scans run in canonical element order, so the result is
-    deterministic.
+    extends P.  Scans run in G's key order, so the result is deterministic.
+    P's generators are the elements chosen, N_G(P) is read off their
+    conjugation images, element orders come from the right-multiplication
+    tables, and P is closed over them: no element product.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -628,50 +714,59 @@ def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
     if p_part == 1:
         return G.trivial_subgroup()
 
-    def p_elements(pool):
-        for g in sorted(pool, key=lambda e: e.key()):
-            if g.is_identity():
-                continue
-            o = element_order(g)
-            while o % p == 0:
-                o //= p
-            if o == 1:
-                yield g
+    def is_p_element(i):
+        o = G.element_order_at(i)
+        while o % p == 0:
+            o //= p
+        return o == 1
 
-    seed = next(p_elements(G.elements))
-    P = subgroup_closure(G, [seed])
-    while P.order() < p_part:
-        ngp = normalizer(G, P)
-        ext = next(g for g in p_elements(ngp.members) if g not in P.member_set)
-        P = subgroup_closure(G, list(P.small_generating_set()) + [ext])
-    return P
+    order = G.key_order()
+    gens = [next(i for i in order if i and is_p_element(i))]
+    images = []
+    members = _index_closure(G, gens)
+    while len(members) < p_part:
+        inside = set(members)
+        images.append(G.conjugation_images(gens[-1]))
+        gens.append(next(
+            i for i in order
+            if i not in inside and _normalizes(images, inside, i) and is_p_element(i)
+        ))
+        members = _index_closure(G, gens)
+    return SubgroupHandle.from_indices(G, members)
 
 
 def p_core(G: GroupHandle, p: int) -> SubgroupHandle:
     """O_p(G) for a Sylow p-subgroup P.
 
     C <- C cap C^g over G's generators g, starting from C = P, until C stops
-    shrinking.  The fixed point lies in P, is normalized by every generator,
-    and contains core_G(P) = O_p(G) at every step, so it is O_p(G).
+    shrinking; C^g is C mapped through g's conjugation table.  The fixed
+    point lies in P, is normalized by every generator, and contains
+    core_G(P) = O_p(G) at every step, so it is O_p(G).
     """
-    core = set(sylow_subgroup(G, p).member_set)
-    pairs = [(g.inverse(), g) for g in G.generators]
+    conj = G.conjugation_tables()
+    core = set(sylow_subgroup(G, p).indices())
     while len(core) > 1:
         shrunk = set(core)
-        for gi, g in pairs:
-            shrunk &= {gi * h * g for h in core}
+        for t in conj:
+            shrunk &= {t[h] for h in core}
         if len(shrunk) == len(core):
             break
         core = shrunk
-    return SubgroupHandle(G, core)
+    return SubgroupHandle.from_indices(G, core)
 
 
 def fitting_subgroup(G: GroupHandle) -> SubgroupHandle:
-    """F(G) as the product of the p-cores over primes dividing |G|."""
-    members = {G.identity}
+    """F(G) as the product of the p-cores over primes dividing |G|.
+
+    The p-cores are normal with pairwise coprime orders, so their product is
+    the set of products a*c, all distinct: |F| products in all.
+    """
+    members = [G.identity]
     for p in sorted(factorize(G.order())):
-        members |= p_core(G, p).member_set
-    return SubgroupHandle(G, generate_elements(sorted(members, key=lambda e: e.key()), cap=G.cap))
+        core = p_core(G, p).members
+        if len(core) > 1:
+            members = [a * c for a in members for c in core] if len(members) > 1 else list(core)
+    return SubgroupHandle(G, members)
 
 
 # ---------------------------------------------------------------------------
@@ -769,10 +864,7 @@ def find_frobenius_complement(G: GroupHandle, K: SubgroupHandle, max_order: int 
         if H.order() == m and len(H.member_set & K.member_set) == 1:
             return H
     for g, h in itertools.combinations(singles, 2):
-        try:
-            H = subgroup_closure(G, [g, h])
-        except CapExceeded:
-            continue
+        H = subgroup_closure(G, [g, h])
         if H.order() == m and len(H.member_set & K.member_set) == 1:
             return H
     return None

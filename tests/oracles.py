@@ -2,16 +2,19 @@
 
 These deliberately avoid the library's own algorithms: closure is a plain
 worklist over products, and distances come from an element-level BFS over an
-explicitly built adjacency structure.  The centralizer classes of the
-commuting graph come from scanning every element against every element.  The
-series and cores run over every element or every pair of elements of the
-group.  The Frobenius tests check every kernel element against every element
-of the pool, and project every element of G onto G/K.  The diameter-8
-references work in log space: D = <x, c> by closure, and fixed-point
-equations on F by scanning every field element; centralizers in D are also
-listed element by element in exponent form.  Powers, inverses, orders and
-the Frobenius map of field elements come from repeated multiplication or a
-scan of the field, and primality from trial division.
+explicitly built adjacency structure.  Centralizers, the centre, normalizers
+and normality come from scanning products over every element, and the
+centralizer classes of the commuting graph from scanning every element
+against every element.  The series and cores run over every element or every
+pair of elements of the group.  The Frobenius tests check every kernel
+element against every element of the pool, and project every element of G
+onto G/K.  The diameter-8 references work in log space: D = <x, c> by
+closure, and fixed-point equations on F by scanning every field element;
+centralizers in D are also listed element by element in exponent form.
+Powers, inverses, orders and the Frobenius map of field elements come from
+repeated multiplication or a scan of the field, and primality from trial
+division.  Two library helpers that only the tests call, the derived subgroup
+and polynomial evaluation, live here too.
 """
 
 import itertools
@@ -19,8 +22,8 @@ import math
 from collections import deque
 from types import SimpleNamespace
 
-from commgraph.errors import EmptyGraph
-from commgraph.groups import PermutationElement
+from commgraph.errors import EmptyGraph, SpecMismatch
+from commgraph.groups import PermutationElement, _derived_closure
 
 
 def naive_closure(generators):
@@ -81,6 +84,28 @@ def brute_centralizer(group, x):
     return {g for g in group.elements if g * x == x * g}
 
 
+def brute_center(group):
+    """Z(G): the elements that commute with every element."""
+    elems = group.elements
+    return {g for g in elems if all(g * h == h * g for h in elems)}
+
+
+def brute_normalizer(group, members):
+    """N_G(H): the g with g^-1 h g in H for every member h of H."""
+    members = set(members)
+    out = set()
+    for g in group.elements:
+        gi = g.inverse()
+        if all(gi * h * g in members for h in members):
+            out.add(g)
+    return out
+
+
+def brute_is_normal(group, members):
+    """H is normal iff its normalizer is all of G."""
+    return len(brute_normalizer(group, members)) == len(group.elements)
+
+
 def scan_centralizer_classes(group):
     """(classes, class_of, adjacency) of the commuting graph, as build_graph
     orders them, from one centralizer scan per element.
@@ -109,6 +134,30 @@ def scan_centralizer_classes(group):
         for i, cls in enumerate(classes)
     ]
     return classes, class_of, adjacency
+
+
+# --- library helpers that only the tests call -------------------------------
+
+
+def derived_subgroup(G, H=None):
+    """G' (or H' for a subgroup H) through the library's generator-driven
+    derived closure, as a subgroup of G."""
+    gens = H.small_generating_set() if H is not None else G.generators
+    return G.subgroup(_derived_closure(gens, G.cap)[1])
+
+
+def evaluate(poly, values):
+    """The evaluation homomorphism of a fields.Poly at a point."""
+    if len(values) != poly.nvars:
+        raise SpecMismatch("wrong number of evaluation points")
+    acc = poly.spec.zero()
+    for exps, coeff in poly.terms.items():
+        term = coeff
+        for v, e in zip(values, exps):
+            if e:
+                term = term * v ** e
+        acc = acc + term
+    return acc
 
 
 # --- series and cores: every element, every pair ----------------------------
@@ -171,13 +220,17 @@ def exhaustive_p_core(group, p):
     """O_p(G), the largest normal p-subgroup, without any Sylow subgroup.
 
     x lies in O_p(G) iff its normal closure is a p-group, so O_p(G) is
-    generated by those x.
+    generated by those x.  The normal closure is the same for every member
+    of x's class, so it is taken once per class.
     """
-    seed = {
-        x for x in group.elements
-        if _is_p_power(_order(x), p)
-        and _is_p_power(len(exhaustive_normal_closure(group, x)), p)
-    }
+    seed, seen = set(), set()
+    for x in group.elements:
+        if x in seen or not _is_p_power(_order(x), p):
+            continue
+        seen |= {g.inverse() * x * g for g in group.elements}
+        closure = exhaustive_normal_closure(group, x)
+        if _is_p_power(len(closure), p):
+            seed |= closure
     return _closure_with_identity(group, seed)
 
 

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from importlib import resources
 
 from commgraph import diameter8
+from commgraph.corpus import list_corpus
 from commgraph.cli import (
     EXIT_CAP,
     EXIT_CHECK_FAILED,
@@ -170,6 +171,18 @@ def test_paper_verify_matches_expected_report(capsys):
     code, out, _ = run(["paper-verify"], capsys)
     assert code == EXIT_OK
     assert out.encode() == expected.read_bytes()
+
+
+def test_analyze_corpus_matches_expected_verdicts(capsys):
+    expected = Path(__file__).resolve().parents[1] / "bench" / "expected" / "corpus_analyze.json"
+    verdicts = json.loads(expected.read_text())
+    names = sorted(verdicts)
+    code, out, _ = run(["analyze"] + [data_path(n) for n in names], capsys)
+    assert code == EXIT_OK
+    rows = json.loads(out)
+    assert [row.pop("file") for row in rows] == [data_path(n) for n in names]
+    assert rows == [verdicts[n] for n in names]
+    assert sorted(list_corpus()) == names
 
 
 def test_paper_verify_rejects_r3(capsys):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from oracles import LogSpaceD, LogTables, enumerated_fixed_set, listed_centralizer_in_D
+from oracles import LogSpaceD, LogTables, enumerated_fixed_set, evaluate, listed_centralizer_in_D
 
 from commgraph import diameter8
 from commgraph.diameter8 import (
@@ -232,7 +232,7 @@ def _random_element(spec, rng):
 
 
 def _evaluate(rows, point):
-    return tuple(tuple(e.evaluate(point) for e in row) for row in rows)
+    return tuple(tuple(evaluate(e, point) for e in row) for row in rows)
 
 
 def test_generic_f_matrix_evaluates_to_fcoords(example_group):

@@ -5,8 +5,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
+    brute_center,
     brute_centralizer,
+    brute_is_normal,
+    brute_normalizer,
+    derived_subgroup,
     exhaustive_derived,
+    exhaustive_fitting,
     exhaustive_is_nilpotent,
     exhaustive_is_soluble,
     exhaustive_normal_closure,
@@ -24,7 +29,6 @@ from commgraph.groups import (
     center,
     centralizer,
     conjugate,
-    derived_subgroup,
     element_order,
     find_frobenius_complement,
     fitting_subgroup,
@@ -34,6 +38,7 @@ from commgraph.groups import (
     is_normal,
     is_soluble,
     normal_closure,
+    normalizer,
     p_core,
     quotient_group,
     subgroup_closure,
@@ -299,13 +304,18 @@ def _assert_tree_and_tables(G):
         assert centralizer(G, x).member_set == brute_centralizer(G, x)
 
 
-@pytest.mark.parametrize("name", list_corpus() + sorted(EXTRA_GROUPS) + ["agaml1_9"])
-def test_schreier_tree_and_conjugation_tables(corpus, name):
+def _table_group(corpus, name):
     if name == "agaml1_9":
-        G = GroupHandle.from_json(AGAML1_9, name=name).materialize()
-    else:
-        G = oracle_group(corpus, name)
-    _assert_tree_and_tables(G)
+        return GroupHandle.from_json(AGAML1_9, name=name).materialize()
+    return oracle_group(corpus, name)
+
+
+TABLE_GROUPS = list_corpus() + sorted(EXTRA_GROUPS) + ["agaml1_9"]
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_schreier_tree_and_conjugation_tables(corpus, name):
+    _assert_tree_and_tables(_table_group(corpus, name))
 
 
 @settings(max_examples=20, deadline=None)
@@ -341,3 +351,43 @@ def test_mat_frob_matches_entrywise_frobenius(k):
             assert _mat_frob(spec, a.mat, i) == entrywise(a.mat, i)
         assert (a * b).mat == _mat_mul(spec.zero(), a.mat, entrywise(b.mat, -a.twist))
         assert (a * b).twist == (a.twist + b.twist) % k
+
+
+# --- centre, normalizers, Sylow subgroups, p-cores and F(G) by table reads --
+
+
+def _assert_table_reads_match_oracles(G):
+    Z = center(G)
+    assert Z.member_set == brute_center(G)
+    F = fitting_subgroup(G)
+    assert F.member_set == exhaustive_fitting(G)
+    subgroups = [Z, F] + [subgroup_closure(G, [g]) for g in G.generators]
+    for p in factorize(G.order()):
+        P = sylow_subgroup(G, p)
+        p_part = p
+        while G.order() % (p_part * p) == 0:
+            p_part *= p
+        assert P.order() == p_part
+        assert P.member_set == subgroup_closure(G, P.members).member_set
+        core = p_core(G, p)
+        assert core.member_set == exhaustive_p_core(G, p), p
+        subgroups += [P, core]
+    for H in subgroups:
+        assert normalizer(G, H).member_set == brute_normalizer(G, H.members)
+        assert is_normal(G, H) == brute_is_normal(G, H.members)
+
+
+@pytest.mark.parametrize("name", TABLE_GROUPS)
+def test_table_reads_match_oracles(corpus, name):
+    _assert_table_reads_match_oracles(_table_group(corpus, name))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(6)), st.permutations(range(6)))
+@example([0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5])  # trivial: one element
+@example([1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5])  # S4
+def test_table_reads_match_oracles_on_s6_subgroups(a, b):
+    G = GroupHandle([PermutationElement(a), PermutationElement(b)]).materialize()
+    # the oracles cost |G|^2 products and more; A6 and S6 would take minutes
+    assume(G.order() <= 120)
+    _assert_table_reads_match_oracles(G)

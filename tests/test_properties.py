@@ -6,7 +6,7 @@ of 1000 instances; here hypothesis explores the space more adaptively.
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
-from oracles import repeated_frobenius, repeated_order, repeated_power, scanned_inverse
+from oracles import evaluate, repeated_frobenius, repeated_order, repeated_power, scanned_inverse
 
 from commgraph.errors import DivisionByZero
 from commgraph.fields import element_of_order, element_order, field_create, frobenius_map
@@ -122,8 +122,8 @@ def test_poly_evaluation_homomorphism(data):
     f = Poly.variable(spec, 0) * Poly.constant(spec, a) + Poly.variable(spec, 1) ** 2
     g = Poly.variable(spec, 1) * Poly.constant(spec, b) + 1
     pt = [pa, pb]
-    assert (f * g).evaluate(pt) == f.evaluate(pt) * g.evaluate(pt)
-    assert (f + g).evaluate(pt) == f.evaluate(pt) + g.evaluate(pt)
+    assert evaluate(f * g, pt) == evaluate(f, pt) * evaluate(g, pt)
+    assert evaluate(f + g, pt) == evaluate(f, pt) + evaluate(g, pt)
 
 
 # --- group-level properties over the corpus pool ---------------------------
