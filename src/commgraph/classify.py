@@ -109,11 +109,9 @@ def _two_frobenius(G: GroupHandle, K: SubgroupHandle):
     if FQ is None:
         return None
     # the image of g sends the label of K to the label of gK
-    home = Q.coset_index_of[G.identity]
-    labels = {q.images[home] for q in FQ.members}
-    L = SubgroupHandle.from_indices(
-        G, [i for i, g in enumerate(G.elements) if Q.coset_index_of[g] in labels]
-    )
+    home = Q.coset_index_of[0]
+    labels = {Q.elements[q].images[home] for q in FQ.indices()}
+    L = SubgroupHandle(G, [i for i, c in enumerate(Q.coset_index_of) if c in labels])
     # L Frobenius with kernel K
     if not _kernel_condition(G, K, L.indices()):
         return None

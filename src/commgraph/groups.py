@@ -2,28 +2,27 @@
 
 Two element backends: permutations (image arrays) and matrices over GF(p^k)
 carrying a Frobenius twist.  Groups are handles around a generating set and
-are materialized by breadth-first closure before any structural query runs;
-the handle keeps the closure's Schreier tree (each element is its parent
-times one generator) and the products the walk makes, as one
-right-multiplication table per generator.  Right multiplication by any
-element is its Schreier word looked up in those tables, so subgroup
-closures and element orders cost lookups, not products.  Along the tree,
-one conjugation table per generator costs two lookups per element, and the
-conjugates of one element by every element of G cost one lookup each.  Conjugacy classes (with a transversal), centralizers, the centre,
-normality, normalizers, Sylow subgroups and p-cores are read off the
-tables as sets of element indices, in G's key order where a choice is
-made.  Products remain in the derived and lower central series and normal
-closures (worklists of conjugates by the generators, each closure
-regenerated), in the |F| products that multiply the p-cores into F(G), and
-in quotients, which form the cosets of the normal subgroup and name the
-coset of every element, and in `element_order`, which `is_metacyclic`
-applies to its quotients.  Everything is meant for desk-scale groups.
+are materialized by breadth-first closure before any structural query runs.
+
+Only materialization walks multiply elements.  A walk keeps its Schreier
+tree (each element is its parent times one generator) and its products, as
+one right-multiplication table per generator; everything after it is set
+operations on element indices.  Right multiplication by e_r is e_r's
+Schreier word looked up in those tables, and a table built along the tree
+gives left multiplication by one element, or the conjugates of one element
+by all of G, at one lookup per entry.  Subgroups are index sets: closures,
+normal closures, the series, centralizers, normalizers, Sylow subgroups,
+p-cores and F(G) are read off the tables, in G's key order where a choice
+is made.  A quotient G/N labels its cosets by lookups and is materialized
+by its own walk.  `element_order` and `conjugate` multiply, for callers
+that hold bare elements.  Everything is meant for desk-scale groups.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -223,11 +222,6 @@ def conjugate(x, g):
     return g.inverse() * x * g
 
 
-def commutator(a, b):
-    """[a, b] = a^{-1} b^{-1} a b."""
-    return a.inverse() * b.inverse() * a * b
-
-
 def element_order(x) -> int:
     n = 1
     acc = x
@@ -322,37 +316,45 @@ class GroupHandle:
         self.materialize()
         return self._parent, self._via
 
+    def _along_tree(self, start: int, tables: Sequence[list]) -> list:
+        """out[0] = start and out[i] = tables[via[i]][out[parent[i]]]: a map
+        that follows the Schreier tree, at one lookup per element."""
+        parent, via = self.schreier_tree()
+        out = [start] * len(parent)
+        for i in range(1, len(out)):
+            out[i] = tables[via[i]][out[parent[i]]]
+        return out
+
+    def left_table(self, a: int) -> list:
+        """left[i] = the index of e_a * e_i, over all of G.
+
+        e_a e_i = (e_a e_parent) * g_via, so each entry is one lookup in the
+        right-multiplication tables.
+        """
+        return self._along_tree(a, self.materialize()._right)
+
     def conjugation_tables(self) -> list[list]:
         """conj[g][i] = the index of e_i^g = g^-1 e_i g, one table per generator.
 
-        Built once, along the Schreier tree, with no product: g^-1 e_i =
-        (g^-1 e_parent) * g_via is a lookup in the right-multiplication
-        tables, and e_i^g = (g^-1 e_i) * g is one more.
+        Built once with no product: g^-1 e_i is g^-1's left table, and
+        e_i^g = (g^-1 e_i) * g is one more lookup.
         """
         if self._conj is None:
-            parent, via = self.schreier_tree()
-            self._conj = []
-            for g, right_g in zip(self.generators, self._right):
-                left = [self._index[g.inverse()]] * len(parent)
-                for i in range(1, len(left)):
-                    left[i] = self._right[via[i]][left[parent[i]]]
-                self._conj.append([right_g[j] for j in left])
+            self.materialize()
+            self._conj = [
+                [right_g[j] for j in self.left_table(self._index[g.inverse()])]
+                for g, right_g in zip(self.generators, self._right)
+            ]
         return self._conj
 
     def conjugation_images(self, r: int) -> list:
         """img[i] = the index of x^(e_i) for x = elements[r], over all of G.
 
         x^(e_parent g) = (x^e_parent)^g, so each entry is one lookup in the
-        conjugation tables.  The fibres give x's class (the distinct values),
-        a transversal (the first i with each value) and C(x) (the i with
-        img[i] = r).
+        conjugation tables.  The fibres give x's class (the distinct values)
+        and C(x) (the i with img[i] = r).
         """
-        conj = self.conjugation_tables()
-        parent, via = self.schreier_tree()
-        img = [r] * len(parent)
-        for i in range(1, len(img)):
-            img[i] = conj[via[i]][img[parent[i]]]
-        return img
+        return self._along_tree(r, self.conjugation_tables())
 
     def right_tables(self, r: int) -> list[list]:
         """The right-multiplication tables along the Schreier word of e_r.
@@ -411,13 +413,15 @@ class GroupHandle:
             raise NotMember(f"{x!r} is not an element of this group") from None
 
     def subgroup(self, members: Iterable) -> "SubgroupHandle":
-        return SubgroupHandle(self, members)
+        """The subgroup whose members are given as elements of G; raises
+        NotMember for an element outside G."""
+        return SubgroupHandle(self, [self.index_of(x) for x in members])
 
     def whole(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, self.elements)
+        return SubgroupHandle(self, range(self.order()))
 
     def trivial_subgroup(self) -> "SubgroupHandle":
-        return SubgroupHandle(self, [self.identity])
+        return SubgroupHandle(self, [0])
 
     # -- group file format
 
@@ -479,47 +483,45 @@ class GroupHandle:
 
 
 class SubgroupHandle:
-    """A subgroup of a materialized parent, stored as an explicit member set
-    in key order, with the set of its members' indices in the parent."""
+    """A subgroup of a materialized parent, stored as the set of its
+    members' indices in the parent.  The members themselves, in key order,
+    are built only when read."""
 
-    def __init__(self, parent: GroupHandle, members: Iterable):
-        self.parent = parent
-        self.members = tuple(sorted(set(members), key=lambda e: e.key()))
-        self.member_set = frozenset(self.members)
-        self._indices: frozenset | None = None
-
-    @classmethod
-    def from_indices(cls, parent: GroupHandle, indices: Iterable[int]) -> "SubgroupHandle":
-        """The subgroup whose members are the parent's elements at `indices`."""
-        indices = frozenset(indices)
-        elements = parent.elements
-        out = cls(parent, [elements[i] for i in indices])
-        out._indices = indices
-        return out
+    def __init__(self, parent: GroupHandle, indices: Iterable[int]):
+        self.parent = parent.materialize()
+        self._indices = frozenset(indices)
 
     def indices(self) -> frozenset:
         """The indices of the members in the parent's element list."""
-        if self._indices is None:
-            self._indices = frozenset(self.parent.index_of(m) for m in self.members)
         return self._indices
 
+    @cached_property
+    def members(self) -> tuple:
+        elements = self.parent.elements
+        return tuple(sorted((elements[i] for i in self._indices), key=lambda e: e.key()))
+
+    @cached_property
+    def member_set(self) -> frozenset:
+        return frozenset(self.members)
+
     def order(self) -> int:
-        return len(self.members)
+        return len(self._indices)
 
     def __iter__(self):
         return iter(self.members)
 
     def __contains__(self, x) -> bool:
-        return x in self.member_set
+        return self.parent._index.get(x) in self._indices
 
     def __eq__(self, other):
-        return isinstance(other, SubgroupHandle) and self.member_set == other.member_set
+        return isinstance(other, SubgroupHandle) and (self.parent, self._indices) == (
+            other.parent, other._indices)
 
     def __hash__(self):
-        return hash(self.member_set)
+        return hash(self._indices)
 
     def is_trivial(self) -> bool:
-        return len(self.members) == 1
+        return len(self._indices) == 1
 
     def generator_indices(self) -> list[int]:
         """Indices of a greedy generating set: each member, in key order,
@@ -532,7 +534,7 @@ class SubgroupHandle:
             if i not in current:
                 gens.append(i)
                 current = set(_index_closure(G, gens))
-                if len(current) == len(self.members):
+                if len(current) == len(self._indices):
                     break
         return gens
 
@@ -544,11 +546,11 @@ class SubgroupHandle:
         """View this subgroup as a standalone materialized handle."""
         g = GroupHandle(self.small_generating_set(), cap=self.parent.cap)
         g.materialize()
-        assert g.order() == len(self.members)
+        assert g.order() == len(self._indices)
         return g
 
     def __repr__(self):
-        return f"Subgroup(order={len(self.members)})"
+        return f"Subgroup(order={len(self._indices)})"
 
 
 def _index_closure(G: GroupHandle, gens: Sequence[int]) -> list[int]:
@@ -567,7 +569,7 @@ def _index_closure(G: GroupHandle, gens: Sequence[int]) -> list[int]:
 
 def subgroup_closure(G: GroupHandle, seed: Iterable) -> SubgroupHandle:
     """Subgroup of G generated by `seed`, a set of members of G."""
-    return SubgroupHandle.from_indices(G, _index_closure(G, [G.index_of(x) for x in seed]))
+    return SubgroupHandle(G, _index_closure(G, [G.index_of(x) for x in seed]))
 
 
 # ---------------------------------------------------------------------------
@@ -577,95 +579,73 @@ def subgroup_closure(G: GroupHandle, seed: Iterable) -> SubgroupHandle:
 def centralizer(G: GroupHandle, x) -> SubgroupHandle:
     r = G.index_of(x)
     img = G.conjugation_images(r)
-    return SubgroupHandle.from_indices(G, [i for i, j in enumerate(img) if j == r])
-
-
-def conjugacy_classes(G: GroupHandle, members: Iterable | None = None) -> list[tuple[object, dict]]:
-    """Conjugacy classes of G as (rep, transversal) pairs.
-
-    The transversal maps every member w of the class to an element t with
-    rep^t = w: the first element of G, in G's order, that conjugates rep to
-    w, read off `GroupHandle.conjugation_images`.  Representatives are the
-    first element of each class in G's element order, or in the order of
-    `members` when given; `members` must be a union of classes (a normal
-    subgroup, say), and only its classes are walked.
-    """
-    elements = G.elements
-    classes = []
-    seen: set = set()
-    for rep in elements if members is None else members:
-        if rep in seen:
-            continue
-        first: dict = {}
-        for i, j in enumerate(G.conjugation_images(G.index_of(rep))):
-            first.setdefault(j, i)
-        transversal = {elements[j]: elements[i] for j, i in first.items()}
-        seen.update(transversal)
-        classes.append((rep, transversal))
-    return classes
+    return SubgroupHandle(G, [i for i, j in enumerate(img) if j == r])
 
 
 def center(G: GroupHandle) -> SubgroupHandle:
     # fixed by conjugation with every generator is central
     conj = G.conjugation_tables()
-    return SubgroupHandle.from_indices(
-        G, [i for i in range(G.order()) if all(t[i] == i for t in conj)]
-    )
+    return SubgroupHandle(G, [i for i in range(G.order()) if all(t[i] == i for t in conj)])
 
 
-def _normal_closure(seeds: Iterable, ambient: Sequence, cap: int) -> tuple[list, list]:
-    """Generators and members of the normal closure of `seeds` under <ambient>.
+def _commutator_at(G: GroupHandle, a: int, b: int) -> int:
+    """The index of [e_a, e_b] = e_a^-1 e_b^-1 e_a e_b, looked up along the
+    Schreier words of the four factors; `.inverse()` is not a product."""
+    elements = G.elements
+    factors = (G.index_of(elements[a].inverse()), G.index_of(elements[b].inverse()), a, b)
+    return _compose(0, [t for r in factors for t in G.right_tables(r)])
 
-    Worklist: a queued element outside the current closure becomes a new
-    generator, the closure is regenerated, and the generator's conjugates by
-    each ambient generator are queued.  Once the queue is empty, every
-    generator's conjugates lie in the closure, so it is normalized by
-    <ambient>.  The identity alone gives ([], [identity]).
+
+def _normal_closure(G: GroupHandle, seeds: Iterable[int]) -> tuple[list, set]:
+    """Generators and members (as indices) of the normal closure in G of the
+    elements at `seeds`.
+
+    Worklist: a queued index outside the current closure becomes a new
+    generator, the closure is regenerated over G's tables, and the
+    generator's conjugates by G's generators (one lookup each in the
+    conjugation tables) are queued.  Once the queue is empty, every
+    generator's conjugates lie in the closure, so it is normal in G.  The
+    identity alone gives ([], {0}).
     """
-    ambient_inv = [g.inverse() for g in ambient]
+    conj = G.conjugation_tables()
     gens: list = []
-    members = [ambient[0].identity()]
-    member_set = set(members)
+    members = {0}
     queue = deque(seeds)
     while queue:
         x = queue.popleft()
-        if x in member_set:
-            continue
-        gens.append(x)
-        members = generate_elements(gens, cap=cap)
-        member_set = set(members)
-        queue.extend(gi * x * g for g, gi in zip(ambient, ambient_inv))
+        if x not in members:
+            gens.append(x)
+            members = set(_index_closure(G, gens))
+            queue.extend(t[x] for t in conj)
     return gens, members
 
 
-def _derived_closure(gens: Sequence, cap: int) -> tuple[list, list]:
-    """Generators and members of <gens>' = <[a, b] : a, b in gens>^<gens>."""
-    comms = [commutator(a, b) for a, b in itertools.combinations(gens, 2)]
-    return _normal_closure(comms, gens, cap)
-
-
-def is_soluble(G: GroupHandle) -> bool:
-    gens, order = G.generators, G.order()
+def _series_reaches_one(G: GroupHandle, step) -> bool:
+    """Whether the series from G whose next term is the normal closure in G
+    of step(generators of the current term) reaches 1."""
+    gens, order = [G.index_of(g) for g in G.generators], G.order()
     while order > 1:
-        gens, members = _derived_closure(gens, G.cap)
+        gens, members = _normal_closure(G, step(gens))
         if len(members) == order:
             return False
         order = len(members)
     return True
+
+
+def is_soluble(G: GroupHandle) -> bool:
+    # G^(i+1) is characteristic in G^(i), which is normal in G, so it is the
+    # normal closure in G of the commutators of G^(i)'s generators
+    return _series_reaches_one(
+        G, lambda gens: [_commutator_at(G, a, b) for a, b in itertools.combinations(gens, 2)]
+    )
 
 
 def is_nilpotent(G: GroupHandle | SubgroupHandle) -> bool:
     if isinstance(G, SubgroupHandle):
         G = G.as_group()
     # gamma_{i+1} = [gamma_i, G], the normal closure of [n, x] over generators
-    gens, order = G.generators, G.order()
-    while order > 1:
-        comms = [commutator(n, x) for n in gens for x in G.generators]
-        gens, members = _normal_closure(comms, G.generators, G.cap)
-        if len(members) == order:
-            return False
-        order = len(members)
-    return True
+    xs = [G.index_of(g) for g in G.generators]
+    return _series_reaches_one(G, lambda gens: [_commutator_at(G, n, x) for n in gens for x in xs])
 
 
 # ---------------------------------------------------------------------------
@@ -678,7 +658,7 @@ def is_normal(G: GroupHandle, H: SubgroupHandle) -> bool:
 
 
 def normal_closure(G: GroupHandle, x) -> SubgroupHandle:
-    return SubgroupHandle(G, _normal_closure([x], G.generators, G.cap)[1])
+    return SubgroupHandle(G, _normal_closure(G, [G.index_of(x)])[1])
 
 
 def _normalizes(images: Sequence[list], inside, i: int) -> bool:
@@ -690,9 +670,7 @@ def _normalizes(images: Sequence[list], inside, i: int) -> bool:
 def normalizer(G: GroupHandle, H: SubgroupHandle) -> SubgroupHandle:
     inside = H.indices()
     images = [G.conjugation_images(h) for h in H.generator_indices()]
-    return SubgroupHandle.from_indices(
-        G, [i for i in range(G.order()) if _normalizes(images, inside, i)]
-    )
+    return SubgroupHandle(G, [i for i in range(G.order()) if _normalizes(images, inside, i)])
 
 
 def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
@@ -732,7 +710,7 @@ def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
             if i not in inside and _normalizes(images, inside, i) and is_p_element(i)
         ))
         members = _index_closure(G, gens)
-    return SubgroupHandle.from_indices(G, members)
+    return SubgroupHandle(G, members)
 
 
 def p_core(G: GroupHandle, p: int) -> SubgroupHandle:
@@ -752,20 +730,21 @@ def p_core(G: GroupHandle, p: int) -> SubgroupHandle:
         if len(shrunk) == len(core):
             break
         core = shrunk
-    return SubgroupHandle.from_indices(G, core)
+    return SubgroupHandle(G, core)
 
 
 def fitting_subgroup(G: GroupHandle) -> SubgroupHandle:
     """F(G) as the product of the p-cores over primes dividing |G|.
 
     The p-cores are normal with pairwise coprime orders, so their product is
-    the set of products a*c, all distinct: |F| products in all.
+    the set of products a*c, all distinct; a*c is a looked up along c's
+    Schreier word, one word per member of F.
     """
-    members = [G.identity]
+    members = [0]
     for p in sorted(factorize(G.order())):
-        core = p_core(G, p).members
-        if len(core) > 1:
-            members = [a * c for a in members for c in core] if len(members) > 1 else list(core)
+        words = [G.right_tables(c) for c in p_core(G, p).indices()]
+        if len(words) > 1:
+            members = [_compose(a, w) for a in members for w in words]
     return SubgroupHandle(G, members)
 
 
@@ -776,37 +755,37 @@ def fitting_subgroup(G: GroupHandle) -> SubgroupHandle:
 def quotient_group(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
     """G/N as the permutation action of G's generators on left cosets of N.
 
-    Coset labels are deterministic: cosets are sorted by their least
-    canonical member.  The returned handle carries `coset_index_of`
-    (element -> coset label).  The image of g sends the label of N to the
-    label of gN, so q.images[coset_index_of[identity]] names the coset that
-    an element q of G/N stands for.
+    Coset labels are deterministic: one sweep of G's key order gives a new
+    label to the first index i outside every labelled coset, and labels its
+    coset iN by lookups along the Schreier words of N's members, so cosets
+    are numbered by their least member's key.  The returned handle carries
+    `coset_index_of`, the label of every element index of G.  The image of
+    g sends the label of xN to the label of gxN, read off g's left table,
+    so q.images[coset_index_of[0]] names the coset that an element q of G/N
+    stands for.
     """
     if not is_normal(G, N):
         raise NotNormal("quotient by a non-normal subgroup")
-    seen: set = set()
-    cosets: list[list] = []
-    for g in G.elements:
-        if g not in seen:
-            coset = [g * n for n in N.members]
-            seen.update(coset)
-            cosets.append(coset)
-    cosets.sort(key=lambda c: min(m.key() for m in c))
-    coset_of = {m: label for label, coset in enumerate(cosets) for m in coset}
-    gens = [_trusted_perm(tuple(coset_of[g * c[0]] for c in cosets)) for g in G.generators]
+    words = [G.right_tables(n) for n in N.indices()]
+    label: list = [None] * G.order()
+    reps = []
+    for i in G.key_order():
+        if label[i] is None:
+            for w in words:
+                label[_compose(i, w)] = len(reps)
+            reps.append(i)
+    gens = []
+    for g in G.generators:
+        left = G.left_table(G.index_of(g))
+        gens.append(_trusted_perm(tuple(label[left[r]] for r in reps)))
     Q = GroupHandle(gens, cap=G.cap, name=f"{G.name}/N")
     Q.materialize()
-    Q.coset_index_of = coset_of
+    Q.coset_index_of = label
     return Q
 
 
 # ---------------------------------------------------------------------------
 # structural predicates
-
-
-def is_cyclic_members(members) -> bool:
-    n = len(members)
-    return any(element_order(g) == n for g in members)
 
 
 def sylow_profile_cyclic_or_quaternion(H: SubgroupHandle) -> bool:
@@ -817,15 +796,11 @@ def sylow_profile_cyclic_or_quaternion(H: SubgroupHandle) -> bool:
     """
     Hg = H.as_group()
     for p in factorize(Hg.order()):
-        S = sylow_subgroup(Hg, p)
-        if is_cyclic_members(S.members):
+        S = sylow_subgroup(Hg, p).indices()
+        orders = [Hg.element_order_at(i) for i in S]
+        if len(S) in orders:
             continue
-        if p != 2 or S.order() < 8:
-            return False
-        involutions = sum(1 for g in S.members if not g.is_identity() and element_order(g) == 2)
-        if involutions != 1:
-            return False
-        if not any(element_order(g) == S.order() // 2 for g in S.members):
+        if p != 2 or len(S) < 8 or orders.count(2) != 1 or len(S) // 2 not in orders:
             return False
     return True
 
@@ -833,15 +808,15 @@ def sylow_profile_cyclic_or_quaternion(H: SubgroupHandle) -> bool:
 def is_metacyclic(G: GroupHandle) -> bool:
     """True iff G has a normal cyclic subgroup with cyclic quotient."""
     seen = set()
-    for g in G.elements:
-        H = subgroup_closure(G, [g])
-        if H.member_set in seen:
+    for i in range(G.order()):
+        H = SubgroupHandle(G, _index_closure(G, [i]))
+        if H.indices() in seen:
             continue
-        seen.add(H.member_set)
+        seen.add(H.indices())
         if not is_normal(G, H):
             continue
         Q = quotient_group(G, H)
-        if is_cyclic_members(Q.elements):
+        if any(Q.element_order_at(j) == Q.order() for j in range(Q.order())):
             return True
     return False
 
@@ -855,16 +830,14 @@ def find_frobenius_complement(G: GroupHandle, K: SubgroupHandle, max_order: int 
     if G.order() > max_order:
         return None
     m = G.order() // K.order()
-    elems = sorted(G.elements, key=lambda e: e.key())
-    singles = [g for g in elems if not g.is_identity() and g not in K.member_set]
-    for g in singles:
-        if m % element_order(g) != 0:
-            continue
-        H = subgroup_closure(G, [g])
-        if H.order() == m and len(H.member_set & K.member_set) == 1:
-            return H
-    for g, h in itertools.combinations(singles, 2):
-        H = subgroup_closure(G, [g, h])
-        if H.order() == m and len(H.member_set & K.member_set) == 1:
+    inside = K.indices()
+    singles = [i for i in G.key_order() if i and i not in inside]
+    candidates = itertools.chain(
+        ([i] for i in singles if m % G.element_order_at(i) == 0),
+        itertools.combinations(singles, 2),
+    )
+    for gens in candidates:
+        H = SubgroupHandle(G, _index_closure(G, gens))
+        if H.order() == m and len(H.indices() & inside) == 1:
             return H
     return None

@@ -6,10 +6,11 @@ explicitly built adjacency structure.  Centralizers, the centre, normalizers
 and normality come from scanning products over every element, and the
 centralizer classes of the commuting graph from scanning every element
 against every element.  The series and cores run over every element or every
-pair of elements of the group.  The Frobenius tests check every kernel
-element against every element of the pool, and project every element of G
-onto G/K.  The diameter-8 references work in log space: D = <x, c> by
-closure, and fixed-point equations on F by scanning every field element;
+pair of elements of the group, and the cosets of a quotient are formed by
+products.  The Frobenius tests check every kernel element against every
+element of the pool, and project every element of G onto G/K.  The
+diameter-8 references work in log space: D = <x, c> by closure, and
+fixed-point equations on F by scanning every field element;
 centralizers in D are also listed element by element in exponent form.
 Powers, inverses, orders and the Frobenius map of field elements come from
 repeated multiplication or a scan of the field, and primality from trial
@@ -23,7 +24,7 @@ from collections import deque
 from types import SimpleNamespace
 
 from commgraph.errors import EmptyGraph, SpecMismatch
-from commgraph.groups import PermutationElement, _derived_closure
+from commgraph.groups import PermutationElement, SubgroupHandle, _commutator_at, _normal_closure
 
 
 def naive_closure(generators):
@@ -140,10 +141,13 @@ def scan_centralizer_classes(group):
 
 
 def derived_subgroup(G, H=None):
-    """G' (or H' for a subgroup H) through the library's generator-driven
-    derived closure, as a subgroup of G."""
-    gens = H.small_generating_set() if H is not None else G.generators
-    return G.subgroup(_derived_closure(gens, G.cap)[1])
+    """G' (or H' for a subgroup H) through the library's normal-closure
+    engine, as a subgroup of G: the normal closure in G of the commutators
+    of the generators.  H has to be normal in G, since H' is then normal in
+    G and equals that closure; the only caller passes G'."""
+    gens = H.generator_indices() if H is not None else [G.index_of(g) for g in G.generators]
+    comms = [_commutator_at(G, a, b) for a, b in itertools.combinations(gens, 2)]
+    return SubgroupHandle(G, _normal_closure(G, comms)[1])
 
 
 def evaluate(poly, values):
@@ -169,6 +173,23 @@ def _closure_with_identity(group, seed):
 
 def _commutator(a, b):
     return a.inverse() * b.inverse() * a * b
+
+
+def brute_coset_labels(G, N):
+    """(label, images) of G/N from products: label maps every element to
+    the number of its coset gN, with the cosets sorted by their least
+    member's key, and images[v] lists, for each label, the label of
+    g_v times that coset, for every generator g_v of G."""
+    reps, seen = [], set()
+    for g in G.elements:
+        if g not in seen:
+            coset = {g * n for n in N.members}
+            seen |= coset
+            reps.append(min(coset, key=lambda e: e.key()))
+    reps.sort(key=lambda e: e.key())
+    label = {rep * n: i for i, rep in enumerate(reps) for n in N.members}
+    images = [tuple(label[g * rep] for rep in reps) for g in G.generators]
+    return label, images
 
 
 def exhaustive_derived(group, members):

@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from extra_groups import EXTRA_GROUPS, oracle_group
 from oracles import exhaustive_is_frobenius, exhaustive_is_two_frobenius
 
+from commgraph import classify, groups
 from commgraph.classify import (
     KIND_CONNECTED,
     KIND_FROBENIUS,
@@ -22,7 +23,6 @@ from commgraph.groups import (
     GroupHandle,
     PermutationElement,
     center,
-    conjugacy_classes,
     element_order,
     find_frobenius_complement,
     fitting_subgroup,
@@ -255,7 +255,13 @@ def test_every_kernel_class_is_tested():
     G = GroupHandle([PermutationElement(g) for g in C15C4], name="c15c4").materialize()
     F = fitting_subgroup(G)
     assert G.order() == 60 and F.order() == 15
-    reps = [rep for rep, _ in conjugacy_classes(G, F.members) if not rep.is_identity()]
+    # the first member of each nontrivial G-class of F, in key order
+    reps, seen = [], {0}
+    for x in F.members:
+        i = G.index_of(x)
+        if i not in seen:
+            seen.update(G.conjugation_images(i))
+            reps.append(x)
     commutes_outside = [
         any(g * rep == rep * g for g in G.elements if g not in F) for rep in reps[:2]
     ]
@@ -310,19 +316,26 @@ BUDGET_CASES = {
 def test_classify_group_product_budget(monkeypatch, name):
     gens, kind = BUDGET_CASES[name]
     G = GroupHandle(gens(), name=name).materialize()
-    products = []
-    real = PermutationElement.__mul__
+    products, quotients = [], []
+    real_mul, real_quotient = PermutationElement.__mul__, groups.quotient_group
 
     def counted(a, b):
         products.append(1)
-        return real(a, b)
+        return real_mul(a, b)
+
+    def recorded(*args):
+        quotients.append(real_quotient(*args))
+        return quotients[-1]
 
     monkeypatch.setattr(PermutationElement, "__mul__", counted)
+    monkeypatch.setattr(groups, "quotient_group", recorded)
+    monkeypatch.setattr(classify, "quotient_group", recorded)
     assert classify_group(G).kind == kind
-    # c = 2: after materialization the Fitting product makes at most |G|
-    # products and the cosets of G/F(G) |G|; the derived series' closures
-    # and the walks that materialize the quotients make the rest.  The
-    # conjugation tables, the centre, the normalizers, the Sylow subgroups
-    # and the kernel tests make none.  Scans with products over G made 4.4
-    # to 6.5·|gens|·|G| on these three groups.
-    assert 0 < len(products) <= 2 * len(G.generators) * G.order()
+    # after materialization only the walks that materialize the quotients
+    # multiply, |gens(Q)| products per element of Q; the series, F(G), the
+    # coset labels, the kernel tests and the graph are table lookups
+    if name == "agl1_13":
+        assert not quotients and not products
+    else:
+        assert quotients
+        assert len(products) <= sum(len(Q.generators) * Q.order() for Q in quotients)

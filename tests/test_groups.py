@@ -7,6 +7,7 @@ from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
     brute_center,
     brute_centralizer,
+    brute_coset_labels,
     brute_is_normal,
     brute_normalizer,
     derived_subgroup,
@@ -196,6 +197,50 @@ def test_quotient_requires_normal(sym4):
         quotient_group(sym4, H)
 
 
+def test_subgroup_rejects_non_member(c6):
+    with pytest.raises(NotMember):
+        c6.subgroup([c6.identity, P(1, 0, 2, 3, 4, 5)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.permutations(range(6)), st.permutations(range(6)), st.integers(min_value=0, max_value=119))
+@example([1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], 0)  # S4 by 1
+@example([1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], 3)  # S4 by A4
+@example([1, 0, 2, 3, 4, 5], [1, 2, 3, 0, 4, 5], 5)  # S4 by V4
+def test_quotient_labels_match_oracle_on_s6_subgroups(a, b, k):
+    G = GroupHandle([PermutationElement(a), PermutationElement(b)]).materialize()
+    # the oracle forms |G| |N| products; A6 and S6 would take seconds
+    assume(G.order() <= 120)
+    N = normal_closure(G, G.elements[k % G.order()])
+    Q = quotient_group(G, N)
+    label, images = brute_coset_labels(G, N)
+    assert Q.coset_index_of == [label[g] for g in G.elements]
+    assert [q.images for q in Q.generators] == images
+    assert Q.order() * N.order() == G.order()
+
+
+@pytest.mark.parametrize("name", ["agl1_13", "s4xs3"])
+def test_series_closures_and_fitting_make_no_product(monkeypatch, name):
+    G = GroupHandle(EXTRA_GROUPS[name](), name=name).materialize()
+    products = []
+    real = PermutationElement.__mul__
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(PermutationElement, "__mul__", counted)
+    assert is_soluble(G)
+    assert not is_nilpotent(G)
+    F = fitting_subgroup(G)
+    for g in G.generators:
+        normal_closure(G, g)
+    assert not products
+    # G/F(G) multiplies only in the walk that materializes it
+    Q = quotient_group(G, F)
+    assert len(products) == len(Q.generators) * Q.order()
+
+
 def test_sylow_profile(sym4, corpus):
     q8 = corpus["q8"]
     assert sylow_profile_cyclic_or_quaternion(q8.whole())
@@ -300,6 +345,7 @@ def _assert_tree_and_tables(G):
     for g, table in zip(gens, tables):
         gi = g.inverse()
         assert table == [G.index_of(gi * e * g) for e in elements]
+        assert G.left_table(G.index_of(g)) == [G.index_of(g * e) for e in elements]
     for x in elements:
         assert centralizer(G, x).member_set == brute_centralizer(G, x)
 
