@@ -16,7 +16,7 @@ without a product.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .graph import build_graph, diameter_and_components
 from .groups import (
@@ -37,16 +37,19 @@ KIND_CONNECTED = "ConnectedDiameter"
 KIND_DISCONNECTED_OTHER = "DisconnectedOther"
 
 
-@dataclass
-class ClassificationVerdict:
-    kind: str
-    order: int
-    kernel: SubgroupHandle | None = None
-    K: SubgroupHandle | None = None
-    L: SubgroupHandle | None = None
-    diameter: int | None = None
-    components: int | None = None
-    gk_metacyclic: bool | None = None
+_VerdictFields = namedtuple(
+    "ClassificationVerdict",
+    "kind order kernel K L diameter components gk_metacyclic",
+    defaults=(None,) * 6,
+)
+
+
+class ClassificationVerdict(_VerdictFields):
+    """kind and order; kernel, K and L are SubgroupHandles, diameter and
+    components ints and gk_metacyclic a bool, each None where the verdict
+    has none."""
+
+    __slots__ = ()
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "order": self.order}

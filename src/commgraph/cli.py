@@ -4,25 +4,29 @@ Subcommands: analyze, paper-verify, search-params, graph-export.  All output
 is deterministic (sorted JSON keys, fixed CSV columns) so reruns are
 byte-identical for the same inputs.
 
-Exit codes: 0 success, 1 parse error (also --jobs below 1, a non-integer
-COMMGRAPH_CAP for analyze or graph-export, or a group with no non-central
-element: the trivial group for analyze, any abelian group for graph-export),
-2 cap exceeded, 3 the classifier produced the sentinel verdict
-DisconnectedOther, 4 a verification check failed or raised (paper-verify).
+Each subcommand loads only what it runs.  analyze and graph-export use the
+group, graph and classification layers; the diameter-8 witness family is
+loaded at its first use, by paper-verify and search-params.
+
+Exit codes: 0 success, 1 parse error (also a usage error, --jobs or --cap
+below 1, a COMMGRAPH_CAP that is not an integer of at least 1 for analyze or
+graph-export, or a group with no non-central element: the trivial group for
+analyze, any abelian group for graph-export), 2 cap exceeded, 3 the
+classifier produced the sentinel verdict DisconnectedOther, 4 a verification
+check failed or raised (paper-verify).
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
 
+from . import diameter8
 from .classify import KIND_DISCONNECTED_OTHER, classify_group
 from .corpus import load_group_file
-from .diameter8 import find_params, first_failing_check, run_all_checks
 from .errors import CapExceeded, EmptyGraph
 from .graph import build_graph
 from .groups import DEFAULT_GROUP_CAP
@@ -42,18 +46,29 @@ ANALYZE_COLUMNS = [
 
 
 def default_cap() -> int:
-    """The element cap from COMMGRAPH_CAP; ValueError if it is not an integer."""
+    """The element cap from COMMGRAPH_CAP; ValueError unless it is an integer of at least 1."""
     raw = os.environ.get(CAP_ENV_VAR)
     if not raw:
         return DEFAULT_GROUP_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {cap}")
+    return cap
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_PARSE; argparse's own code 2 means a cap was exceeded here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="commgraph", description=__doc__)
+    parser = _Parser(prog="commgraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, formats=("json", "csv"), capped=False):
@@ -96,6 +111,8 @@ def _dump_json(payload) -> str:
 
 
 def _dump_csv(rows, columns) -> str:
+    import csv  # only --format csv writes CSV
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -164,12 +181,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_paper_verify(args: argparse.Namespace) -> int:
-    report = run_all_checks(args.q, args.r, args.t)
+    report = diameter8.run_all_checks(args.q, args.r, args.t)
     if args.fmt == "csv":
         _write(_dump_csv(report["checks"], ["name", "status", "detail"]), args.out)
     else:
         _write(_dump_json(report), args.out)
-    failing = first_failing_check(report)
+    failing = diameter8.first_failing_check(report)
     if failing:
         raised = any(c["name"] == failing and c["status"] == "error" for c in report["checks"])
         print(f"check {'raised' if raised else 'failed'}: {failing}", file=sys.stderr)
@@ -179,7 +196,7 @@ def cmd_paper_verify(args: argparse.Namespace) -> int:
 
 def cmd_search_params(args: argparse.Namespace) -> int:
     triples = [
-        {"q": p.q, "r": p.r, "t": p.t} for p in find_params(args.q_max)
+        {"q": p.q, "r": p.r, "t": p.t} for p in diameter8.find_params(args.q_max)
     ]
     if args.fmt == "csv":
         _write(_dump_csv(triples, ["q", "r", "t"]), args.out)
@@ -216,6 +233,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_PARSE
+    elif hasattr(args, "cap") and args.cap < 1:
+        print(f"error: --cap must be at least 1, got {args.cap}", file=sys.stderr)
+        return EXIT_PARSE
     handler = {
         "analyze": cmd_analyze,
         "paper-verify": cmd_paper_verify,

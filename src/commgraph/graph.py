@@ -11,26 +11,20 @@ Centralizers are sets of element indices.  C(rep) is read once per
 conjugacy class off the group's conjugation tables, and every other member
 of the class gets C(w^g) = C(w)^g by table lookups, so after the
 materialization walk the build makes no element product.  It costs about
-3|G| lookups per non-central class, plus the sorting and the adjacency
-test over pairs of classes.
+3|G| lookups per non-central class, plus the sorting; the neighbours of a
+centralizer class are the classes of the members of its representative's
+centralizer, one lookup each.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 
 from .errors import EmptyGraph, NotAVertex
 from .groups import GroupHandle
 
-
-@dataclass
-class DistanceReport:
-    source: object
-    target: object
-    distance: int | float
-    path: list = field(default_factory=list)
+DistanceReport = namedtuple("DistanceReport", "source target distance path")
 
 
 class CommutingGraph:
@@ -118,11 +112,15 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
         key=lambda cls: cls[0].key(),
     )
     class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    # class number by element index, None for a central element; class i's
+    # neighbours are the classes met in C(rep_i)
+    number = [None] * len(elements)
+    for v in cent_of:
+        number[v] = class_of[elements[v]]
     adjacency = []
-    rep_idx = [G.index_of(cls[0]) for cls in classes]
-    for i, r in enumerate(rep_idx):
-        cent = cent_of[r]
-        adjacency.append(sorted(j for j in range(len(classes)) if j != i and rep_idx[j] in cent))
+    for i, cls in enumerate(classes):
+        near = {number[c] for c in cent_of[G.index_of(cls[0])]}
+        adjacency.append(sorted(near - {None, i}))
     sources = sorted({class_of[elements[r]] for r in class_reps})
     return CommutingGraph(G, classes, class_of, adjacency, sources)
 

@@ -5,7 +5,8 @@ worklist over products, and distances come from an element-level BFS over an
 explicitly built adjacency structure.  Centralizers, the centre, normalizers
 and normality come from scanning products over every element, and the
 centralizer classes of the commuting graph from scanning every element
-against every element.  The series and cores run over every element or every
+against every element; their adjacency from testing every pair of class
+representatives.  The series and cores run over every element or every
 pair of elements of the group, and the cosets of a quotient are formed by
 products.  The Frobenius tests check every kernel element against every
 element of the pool, and project every element of G onto G/K.  The
@@ -135,6 +136,16 @@ def scan_centralizer_classes(group):
         for i, cls in enumerate(classes)
     ]
     return classes, class_of, adjacency
+
+
+def all_pairs_adjacency(graph):
+    """The class adjacency of a built commuting graph: classes i != j are
+    adjacent when their representatives commute, one product pair per pair."""
+    reps = graph.reps
+    return [
+        sorted(j for j, y in enumerate(reps) if j != i and x * y == y * x)
+        for i, x in enumerate(reps)
+    ]
 
 
 # --- library helpers that only the tests call -------------------------------

@@ -121,6 +121,37 @@ def test_analyze_rejects_jobs_below_one(capsys, jobs):
     assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
+@pytest.mark.parametrize("command", ["analyze", "graph-export"])
+@pytest.mark.parametrize("flag, env, named", [
+    (["--cap", "0"], None, "--cap must be at least 1, got 0"),
+    (["--cap", "-1"], None, "--cap must be at least 1, got -1"),
+    ([], "0", "COMMGRAPH_CAP must be at least 1, got 0"),
+    ([], "-5", "COMMGRAPH_CAP must be at least 1, got -5"),
+])
+def test_cap_below_one_is_a_usage_error(capsys, monkeypatch, command, flag, env, named):
+    if env is not None:
+        monkeypatch.setenv("COMMGRAPH_CAP", env)
+    code, out, err = run([command, data_path("sym4"), *flag], capsys)
+    assert code == EXIT_PARSE
+    assert out == ""
+    assert err == f"error: {named}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["graph-export", "F", "--format", "csv"],
+    ["paper-verify", "--cap", "10"],
+    ["analyze"],
+    ["no-such-command"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    # argparse's own code 2 would read as "element cap exceeded"
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: commgraph") and "error: " in err
+
+
 def test_analyze_multiple_files_jobs_preserve_order(capsys):
     files = [data_path("sym3"), data_path("alt4"), data_path("s3xs3")]
     code, out, _ = run(["analyze", *files, "--jobs", "3"], capsys)
@@ -138,6 +169,29 @@ def test_cli_import_leaves_thread_pool_unloaded():
         [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
     )
     assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+
+
+def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tmp_path):
+    # a fresh interpreter without site, so only commgraph's own imports count;
+    # diameter8 defines dataclasses, so their absence shows its body never ran
+    src = str(Path(diameter8.__file__).parents[1])
+    probe = (
+        "import sys\n"
+        "from commgraph.cli import main\n"
+        f"out, sym4 = {str(tmp_path / 'out')!r}, {data_path('sym4')!r}\n"
+        "codes = [main([cmd, sym4, '--out', out]) for cmd in ('analyze', 'graph-export')]\n"
+        "print(codes, 'dataclasses' in sys.modules)\n"
+        "from commgraph import ParamTriple, run_all_checks\n"
+        "import commgraph.diameter8\n"
+        "print(ParamTriple(11, 5, 3221).t, run_all_checks.__module__,\n"
+        "      commgraph.diameter8.find_params(11) == [ParamTriple(11, 5, 3221)])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (
+        0, "[0, 0] False\n3221 commgraph.diameter8 True\n"), done.stderr
 
 
 def test_analyze_csv(capsys):

@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
+    all_pairs_adjacency,
     brute_centralizer,
     naive_all_distances,
     naive_diameter,
@@ -186,6 +187,31 @@ def test_conjugacy_classes_and_graph_on_s6_subgroups(a, b):
             seen |= cls
     assert len(seen) == G.order()
     _assert_graph_matches_scan(G)
+
+
+# --- adjacency by class lookups against the all-pairs test ------------------
+
+
+def _assert_adjacency_matches_all_pairs(G):
+    try:
+        graph = build_graph(G)
+    except EmptyGraph:
+        return
+    assert graph.adjacency == all_pairs_adjacency(graph)
+
+
+@pytest.mark.parametrize("name", list_corpus())
+def test_adjacency_matches_all_pairs_test_on_corpus(corpus, name):
+    _assert_adjacency_matches_all_pairs(corpus[name])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(range(6)), st.permutations(range(6)))
+@example([1, 2, 3, 4, 5, 0], [1, 0, 2, 3, 4, 5])  # S6
+@example([1, 0, 3, 2, 4, 5], [0, 1, 2, 3, 5, 4])  # elementary abelian: no vertex
+def test_adjacency_matches_all_pairs_test_on_s6_subgroups(a, b):
+    G = GroupHandle([PermutationElement(a), PermutationElement(b)]).materialize()
+    _assert_adjacency_matches_all_pairs(G)
 
 
 # --- no element products after materialization ------------------------------
