@@ -52,14 +52,10 @@ from .groups import (
     sylow_subgroup,
 )
 
-_DIAMETER8_NAMES = frozenset({
-    "ExampleGroup",
-    "ParamTriple",
-    "build_example",
-    "example_group_order",
-    "find_params",
+_DIAMETER8_NAMES = {
+    "ExampleGroup", "ParamTriple", "build_example", "example_group_order", "find_params",
     "run_all_checks",
-})
+}
 
 
 def __getattr__(name):

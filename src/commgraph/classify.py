@@ -37,14 +37,11 @@ KIND_CONNECTED = "ConnectedDiameter"
 KIND_DISCONNECTED_OTHER = "DisconnectedOther"
 
 
-_VerdictFields = namedtuple(
+class ClassificationVerdict(namedtuple(
     "ClassificationVerdict",
     "kind order kernel K L diameter components gk_metacyclic",
     defaults=(None,) * 6,
-)
-
-
-class ClassificationVerdict(_VerdictFields):
+)):
     """kind and order; kernel, K and L are SubgroupHandles, diameter and
     components ints and gk_metacyclic a bool, each None where the verdict
     has none."""
