@@ -6,7 +6,9 @@ Usage: python scripts/witness_family_report.py [--q-max N] [--verify-all]
 --verify-all runs the full check suite on every triple found.  Every triple
 with q <= 43 builds; a triple whose field GF(q^r) exceeds the field cap
 (2^50; (10061, 5, 41) is one) fails at the `build` check.  Exits 4 if
-any verified triple does not pass every check, so it can serve as a check.
+any verified triple does not pass every check, so it can serve as a check,
+and 2 if the search cannot factor a quotient within the factoring budget
+(first at q = 83).
 """
 
 import argparse
@@ -18,6 +20,7 @@ from commgraph.diameter8 import (
     first_failing_check,
     run_all_checks,
 )
+from commgraph.errors import CapExceeded
 
 
 def main():
@@ -26,7 +29,11 @@ def main():
     parser.add_argument("--verify-all", action="store_true")
     args = parser.parse_args()
 
-    triples = find_params(args.q_max)
+    try:
+        triples = find_params(args.q_max)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if not triples:
         print(f"no valid parameter triples with q <= {args.q_max}")
         return

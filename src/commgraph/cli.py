@@ -11,7 +11,8 @@ loaded at its first use, by paper-verify and search-params.
 Exit codes: 0 success, 1 parse error (also a usage error, --jobs or --cap
 below 1, a COMMGRAPH_CAP that is not an integer of at least 1 for analyze or
 graph-export, or a group with no non-central element: the trivial group for
-analyze, any abelian group for graph-export), 2 cap exceeded, 3 the
+analyze, any abelian group for graph-export), 2 a cap exceeded: the element
+cap (analyze, graph-export) or the factoring budget (search-params), 3 the
 classifier produced the sentinel verdict DisconnectedOther, 4 a verification
 check failed or raised (paper-verify).
 """
@@ -195,9 +196,12 @@ def cmd_paper_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search_params(args: argparse.Namespace) -> int:
-    triples = [
-        {"q": p.q, "r": p.r, "t": p.t} for p in diameter8.find_params(args.q_max)
-    ]
+    try:
+        params = diameter8.find_params(args.q_max)
+    except CapExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    triples = [{"q": p.q, "r": p.r, "t": p.t} for p in params]
     if args.fmt == "csv":
         _write(_dump_csv(triples, ["q", "r", "t"]), args.out)
     else:

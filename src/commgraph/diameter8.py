@@ -25,6 +25,7 @@ from .errors import (
     CheckFailed,
     CommGraphError,
     EigenvalueClash,
+    FactorBudgetExceeded,
     NoSuchParams,
     NotInD,
     NotNormalizing,
@@ -89,14 +90,17 @@ def find_params(q_max: int) -> list[ParamTriple]:
     for q in range(3, q_max + 1, 2):
         if not is_prime(q):
             continue
-        for r in sorted(factorize(q - 1)):
+        for r in factorize(q - 1):
             if r < 5 or (q - 1) % (r * r) == 0:
                 continue
             quotient = (q ** r - 1) // (q - 1)
-            t = min(
-                (ell for ell in factorize(quotient) if (q - 1) % ell != 0),
-                default=None,
-            )
+            try:
+                primes = factorize(quotient)
+            except FactorBudgetExceeded as exc:
+                raise FactorBudgetExceeded(
+                    f"cannot factor (q^r-1)/(q-1) at q={q}, r={r}: {exc}"
+                ) from None
+            t = min((ell for ell in primes if (q - 1) % ell != 0), default=None)
             if t is not None:
                 out.append(ParamTriple(q, r, t))
     out.sort(key=lambda p: (p.q, p.r, p.t))

@@ -15,6 +15,10 @@ class CapExceeded(CommGraphError):
     pass
 
 
+class FactorBudgetExceeded(CapExceeded):
+    """fields.factorize ran out of Pollard-rho steps."""
+
+
 class DivisionByZero(CommGraphError):
     pass
 

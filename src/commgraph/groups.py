@@ -741,7 +741,7 @@ def fitting_subgroup(G: GroupHandle) -> SubgroupHandle:
     Schreier word, one word per member of F.
     """
     members = [0]
-    for p in sorted(factorize(G.order())):
+    for p in factorize(G.order()):
         words = [G.right_tables(c) for c in p_core(G, p).indices()]
         if len(words) > 1:
             members = [_compose(a, w) for a in members for w in words]

@@ -14,9 +14,9 @@ diameter-8 references work in log space: D = <x, c> by closure, and
 fixed-point equations on F by scanning every field element;
 centralizers in D are also listed element by element in exponent form.
 Powers, inverses, orders and the Frobenius map of field elements come from
-repeated multiplication or a scan of the field, and primality from trial
-division.  Two library helpers that only the tests call, the derived subgroup
-and polynomial evaluation, live here too.
+repeated multiplication or a scan of the field, and primality and
+factorization from trial division.  Two library helpers that only the tests
+call, the derived subgroup and polynomial evaluation, live here too.
 """
 
 import itertools
@@ -367,6 +367,22 @@ def trial_division_is_prime(n):
             return False
         i += 2
     return True
+
+
+def trial_division_factorize(n):
+    """Prime factorization by trial division, as {prime: multiplicity}."""
+    if n < 1:
+        raise ValueError("factorize expects a positive integer")
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
 
 
 def scanned_inverse(a):

@@ -300,6 +300,18 @@ def test_search_params_csv(capsys):
     assert out == "q,r,t\n11,5,3221\n"
 
 
+def test_search_params_factoring_budget(monkeypatch, capsys):
+    from commgraph import fields
+
+    # (43, 7) and (47, 23) need rho; 1000 steps split the first, not the second
+    monkeypatch.setattr(fields, "RHO_BUDGET", 1000)
+    code, out, err = run(["search-params", "--q-max", "47"], capsys)
+    assert code == EXIT_CAP
+    assert out == ""
+    assert err.startswith("error: cannot factor (q^r-1)/(q-1) at q=47, r=23: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_graph_export_sym3(capsys):
     code, out, _ = run(["graph-export", data_path("sym3")], capsys)
     assert code == EXIT_OK

@@ -1,7 +1,14 @@
 import random
 
 import pytest
-from oracles import LogSpaceD, LogTables, enumerated_fixed_set, evaluate, listed_centralizer_in_D
+from oracles import (
+    LogSpaceD,
+    LogTables,
+    enumerated_fixed_set,
+    evaluate,
+    listed_centralizer_in_D,
+    trial_division_factorize,
+)
 
 from commgraph import diameter8
 from commgraph.diameter8 import (
@@ -31,7 +38,14 @@ from commgraph.diameter8 import (
     witness_path8,
 )
 from commgraph.errors import CapExceeded, NoSuchParams, NotInD, NotNormalizing, SymbolicFailure
-from commgraph.fields import Poly, element_order, factorize, field_create, frobenius_map
+from commgraph.fields import (
+    Poly,
+    element_order,
+    factorize,
+    field_create,
+    frobenius_map,
+    is_prime,
+)
 from commgraph.groups import MatrixAutElement, generate_elements
 
 
@@ -104,6 +118,21 @@ def test_find_params_q31():
     triples = find_params(31)
     assert ParamTriple(31, 5, 11) in triples
     assert triples[0] == ParamTriple(11, 5, 3221)
+
+
+def test_find_params_q79(monkeypatch):
+    triples = find_params(79)
+    assert [(p.q, p.r, p.t) for p in triples] == [
+        (11, 5, 3221), (23, 11, 3937230404603), (29, 7, 88009573), (31, 5, 11),
+        (41, 5, 579281), (43, 7, 5839), (47, 23, 6630274723), (53, 13, 3297113),
+        (59, 29, 80986039), (61, 5, 131), (67, 11, 89), (71, 5, 11), (71, 7, 883),
+        (79, 13, 8346157),
+    ]
+    for p in triples:
+        quotient = (p.q ** p.r - 1) // (p.q - 1)
+        assert is_prime(p.t) and quotient % p.t == 0 and (p.q - 1) % p.t != 0
+    monkeypatch.setattr(diameter8, "factorize", trial_division_factorize)
+    assert find_params(43) == triples[:6]
 
 
 def test_find_params_excludes_small_r():

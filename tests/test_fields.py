@@ -1,13 +1,20 @@
 import json
+import math
 
 import pytest
 
-from oracles import evaluate, trial_division_is_prime, unfiltered_least_irreducible
+from oracles import (
+    evaluate,
+    trial_division_factorize,
+    trial_division_is_prime,
+    unfiltered_least_irreducible,
+)
 
 from commgraph.corpus import load_group_file
 from commgraph.errors import (
     CapExceeded,
     DivisionByZero,
+    FactorBudgetExceeded,
     NoSuchOrder,
     NotPrime,
     SpecMismatch,
@@ -56,6 +63,65 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert 3825123056546413051 == 149491 * 747451 * 34233211
     assert not is_prime(3215031751) and not is_prime(3825123056546413051)
     assert is_prime(2 ** 61 - 1) and is_prime(10000000000000061)
+
+
+# The quotients (q^r - 1)/(q - 1) that `search-params --q-max 43` factors.
+SEARCH_43_QUOTIENTS = [
+    (q ** r - 1) // (q - 1)
+    for q, r in ((11, 5), (23, 11), (29, 7), (31, 5), (41, 5), (43, 7))
+]
+# Two Mersenne primes: trial division cannot reach this product, rho splits it.
+MERSENNE_SEMIPRIME = (2 ** 31 - 1) * (2 ** 61 - 1)
+
+
+def test_factorize_matches_trial_division():
+    # items() compares the key order too, which must be ascending
+    cases = [
+        *range(1, 10 ** 5),
+        1000003 ** 2, 7 * 1000003 ** 3, 999983 * 1000003, 561 * 1105 * 1729,
+        *SEARCH_43_QUOTIENTS,
+        # a batch gcd of m: the backtrack splits it, fails and the next c
+        # splits it, or fails for c = 1 and 2 before c = 3 does
+        139267 * 155833, 9473 * 141161, 1019 ** 2, 1249 ** 2, 5449 ** 2,
+    ]
+    for n in cases:
+        assert list(factorize(n).items()) == list(trial_division_factorize(n).items()), n
+
+
+def test_factorize_beyond_trial_division():
+    cases = [MERSENNE_SEMIPRIME, 23 ** 11 - 1, 10 ** 16 + 60, (79 ** 13 - 1) // 78]
+    for n in cases:
+        factors = factorize(n)
+        assert math.prod(p ** e for p, e in factors.items()) == n
+        assert all(is_prime(p) for p in factors)
+        assert list(factors) == sorted(factors)
+    assert factorize(MERSENNE_SEMIPRIME) == {2 ** 31 - 1: 1, 2 ** 61 - 1: 1}
+
+
+def test_factorize_rejects_non_positive():
+    for n in (0, -12):
+        with pytest.raises(ValueError):
+            factorize(n)
+
+
+def test_factorize_budget(monkeypatch):
+    from commgraph import fields
+
+    monkeypatch.setattr(fields, "RHO_BUDGET", 1000)  # the split takes about 46 000 steps
+    with pytest.raises(FactorBudgetExceeded) as info:
+        factorize(MERSENNE_SEMIPRIME)
+    assert isinstance(info.value, CapExceeded)
+    assert factorize(23 ** 11 - 1) == {2: 1, 11: 2, 3937230404603: 1}  # no rho step
+
+
+def test_factorize_backtracks_before_the_next_c(monkeypatch):
+    from commgraph import fields
+
+    # With c = 1 the first rounds through 2 * (1 + 2 + ... + 128) = 510 steps
+    # end in a batch gcd equal to m; the step-by-step walk back through that
+    # batch splits m, where starting over with c = 2 would overrun the budget.
+    monkeypatch.setattr(fields, "RHO_BUDGET", 510)
+    assert factorize(139267 * 155833) == {139267: 1, 155833: 1}
 
 
 def test_matrix_file_with_large_p_parses(tmp_path):
