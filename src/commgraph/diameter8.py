@@ -18,7 +18,7 @@ the matching upper-bound path rather than re-searching the graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
 from .errors import (
@@ -43,7 +43,7 @@ from .fields import (
     frobenius_map,
     is_prime,
 )
-from .groups import MatrixAutElement, _diag, _mat_mul, conjugate
+from .groups import MatrixAutElement, _diag, _mat_mul, conjugate, cyclic_powers
 from .groups import element_order as group_element_order
 
 ALL = "all"  # marker for a solution set equal to the whole field, or to all of <f>
@@ -53,11 +53,7 @@ ALL = "all"  # marker for a solution set equal to the whole field, or to all of 
 # parameters
 
 
-@dataclass(frozen=True)
-class ParamTriple:
-    q: int
-    r: int
-    t: int
+ParamTriple = namedtuple("ParamTriple", "q r t")
 
 
 def validate_params(q: int, r: int, t: int) -> list[str]:
@@ -76,9 +72,10 @@ def validate_params(q: int, r: int, t: int) -> list[str]:
     if not is_prime(t):
         problems.append(f"t={t} must be prime")
     else:
-        quotient = (q ** r - 1) // (q - 1)
-        if quotient % t != 0:
-            problems.append(f"t={t} must divide (q^r-1)/(q-1)={quotient}")
+        # (q^r-1)/(q-1) mod t, from q^r mod t(q-1): the quotient itself has
+        # about r*log10(q) digits
+        if (pow(q, r, t * (q - 1)) - 1) // (q - 1) % t != 0:
+            problems.append(f"t={t} must divide (q^r-1)/(q-1)")
         if (q - 1) % t == 0:
             problems.append(f"t={t} must not divide q-1={q - 1}")
     return problems
@@ -103,7 +100,7 @@ def find_params(q_max: int) -> list[ParamTriple]:
             t = min((ell for ell in primes if (q - 1) % ell != 0), default=None)
             if t is not None:
                 out.append(ParamTriple(q, r, t))
-    out.sort(key=lambda p: (p.q, p.r, p.t))
+    out.sort()
     return out
 
 
@@ -116,20 +113,16 @@ def example_group_order(params: ParamTriple) -> int:
 # F-coordinates
 
 
-@dataclass(frozen=True)
-class FCoords:
+class FCoords(namedtuple("FCoords", "a b c d x")):
     """Coordinates of a unipotent element of F; the defining relation ties
     the (3,1) entry to the others: x*a = b - d."""
 
-    a: FieldElement
-    b: FieldElement
-    c: FieldElement
-    d: FieldElement
-    x: FieldElement
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.x * self.a != self.b - self.d:
+    def __new__(cls, a, b, c, d, x):
+        if x * a != b - d:
             raise ValueError("FCoords relation x*a = b - d violated")
+        return super().__new__(cls, a, b, c, d, x)
 
     @classmethod
     def from_free(cls, a, x, d, c):
@@ -191,18 +184,14 @@ class _NormalForm:
 
     def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement, f: FieldElement):
         self.spec = spec
-        self.x_powers = [x.identity()]  # the matrices x^i, i < ord(x)
-        acc = x
-        while not acc.is_identity():
-            self.x_powers.append(acc)
-            acc = acc * x
+        self.x_powers = cyclic_powers(x)  # the matrices x^i, i < ord(x)
         self.order_x = len(self.x_powers)
         self.order_c = element_order(f)
         self.order = self.order_x * self.order_c
         if math.gcd(self.order_x, self.order_c) != 1:
             raise NoSuchParams(f"ord(x) = {self.order_x} and ord(c) = {self.order_c} not coprime")
         q = spec.p
-        if x.inverse() * c * x != self.c_matrix(f ** q):
+        if conjugate(c, x) != self.c_matrix(f ** q):
             raise NoSuchParams("x^{-1} c x != c^q: D has no metacyclic normal form")
         # h has order dividing ord(c), so h^(q^k) = h^(q^k mod ord(c))
         self.qpow = [pow(q, k, self.order_c) for k in range(self.order_x)]
@@ -272,20 +261,15 @@ class _NormalForm:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ExampleGroup:
-    params: ParamTriple
-    spec: FieldSpec
-    u: FieldElement          # first diagonal entry of z, order r^2
-    v: FieldElement          # second diagonal entry of z, order r^2
-    f: FieldElement          # diagonal entry of c, order t
-    z: MatrixAutElement
-    c: MatrixAutElement
-    x: MatrixAutElement      # x = z * beta, twist 1
-    xr: MatrixAutElement     # x^r, diagonal, twist 0
-    g: MatrixAutElement      # the fixed unipotent conjugating element
-    y: MatrixAutElement      # y = x^g
-    ctx: _NormalForm         # D = <x, c> in normal form
+class ExampleGroup(namedtuple("ExampleGroup", "params spec u v f z c x xr g y ctx")):
+    """The witness group for one ParamTriple over spec = GF(q^r).
+
+    u and v (order r^2) are the first two diagonal entries of z, f (order t)
+    the diagonal entry of c; x = z * beta has twist 1 and xr = x^r is
+    diagonal; g is the fixed unipotent conjugating element and y = x^g; ctx
+    is D = <x, c> in normal form.  No __slots__, so the cached properties
+    have an instance dict to fill.
+    """
 
     @cached_property
     def d_elements(self) -> list:
@@ -351,7 +335,7 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     xr = ctx.x_powers[r % ctx.order_x]
     one = spec.one()
     g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
-    y = g.inverse() * x * g
+    y = conjugate(x, g)
 
     return ExampleGroup(
         params=params, spec=spec,
@@ -457,7 +441,7 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
 
     # (iii) x^{-1} c x = c^q != c
     c_to_q = ctx.c_matrix(eg.f ** q)
-    if eg.x.inverse() * eg.c * eg.x != c_to_q:
+    if conjugate(eg.c, eg.x) != c_to_q:
         raise CheckFailed("conj-c-by-x", "x^{-1} c x != c^q")
     if c_to_q == eg.c:
         raise CheckFailed("conj-c-by-x", "c^q == c")
@@ -484,15 +468,7 @@ _F_POSITIONS = (
 )
 
 
-@dataclass
-class FixedPointReport:
-    w_description: str
-    count: int
-    coord_sizes: dict
-    free_coords: list
-
-    def __bool__(self):
-        return self.count > 0
+FixedPointReport = namedtuple("FixedPointReport", "count coord_sizes free_coords")
 
 
 def fixed_points_in_F(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport:
@@ -530,9 +506,7 @@ def fixed_points_in_F(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport
         for name, s in (("a", s_a), ("b", s_b), ("x", s_x), ("d", s_d), ("c", s_c))
     }
     free = [name for name, s in (("a", s_a), ("b", s_b), ("x", s_x), ("d", s_d), ("c", s_c)) if s is ALL]
-    return FixedPointReport(
-        w_description=f"twist={w.twist}", count=count, coord_sizes=sizes, free_coords=free
-    )
+    return FixedPointReport(count=count, coord_sizes=sizes, free_coords=free)
 
 
 def _fixed_set(spec: FieldSpec, mu: FieldElement, i: int):
@@ -605,13 +579,8 @@ def _count_with_relation(spec, s_a, s_x, s_b, s_d, s_c) -> int:
     return total * c_factor
 
 
-@dataclass
-class CentralizerReport:
-    w_description: str
-    d_part_order: int
-    f_part: FixedPointReport
-    order: int
-    d_part: list  # C_D(w) as described by _NormalForm.centralizer
+# d_part is C_D(w) as described by _NormalForm.centralizer, f_part C_F(w)
+CentralizerReport = namedtuple("CentralizerReport", "d_part_order f_part order d_part")
 
 
 def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport:
@@ -632,7 +601,6 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
     d_order = ctx.count(c_d)
     fp = fixed_points_in_F(eg, w)
     return CentralizerReport(
-        w_description=fp.w_description,
         d_part_order=d_order,
         f_part=fp,
         order=d_order * fp.count,
@@ -644,10 +612,7 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
 # separation and centre checks
 
 
-@dataclass
-class SeparationReport:
-    entry: tuple
-    monomial: str
+SeparationReport = namedtuple("SeparationReport", "entry monomial")
 
 
 def _separation_families(spec, g):
@@ -688,10 +653,10 @@ def verify_family_separation(eg: ExampleGroup) -> SeparationReport:
     raise SymbolicFailure("no commutator entry is a nonzero monomial a^i b^j with i, j >= 1")
 
 
-@dataclass
-class PathReport:
-    labels: list
-    elements: list
+class PathReport(namedtuple("PathReport", "labels elements")):
+    """The labelled vertices of a path; its len() counts edges."""
+
+    __slots__ = ()
 
     def __len__(self):
         return len(self.elements) - 1
@@ -722,11 +687,7 @@ def witness_path8(eg: ExampleGroup) -> PathReport:
     return PathReport(labels=labels, elements=path)
 
 
-@dataclass
-class CenterOfFReport:
-    forced_zero: list
-    free: list
-    order: int
+CenterOfFReport = namedtuple("CenterOfFReport", "forced_zero free order")
 
 
 def center_of_F(eg: ExampleGroup) -> CenterOfFReport:
@@ -792,11 +753,10 @@ def _substitute_zero(poly: Poly, zero_vars: set[int]) -> Poly:
     return Poly(poly.spec, poly.nvars, terms)
 
 
-@dataclass
-class Class3Report:
-    derived_nontrivial: bool
-    triple_nontrivial: bool
-    quadruple_trivial: bool
+class Class3Report(namedtuple(
+    "Class3Report", "derived_nontrivial triple_nontrivial quadruple_trivial"
+)):
+    __slots__ = ()
 
     @property
     def ok(self):

@@ -11,9 +11,9 @@ Centralizers are sets of element indices.  C(rep) is read once per
 conjugacy class off the group's conjugation tables, and every other member
 of the class gets C(w^g) = C(w)^g by table lookups, so after the
 materialization walk the build makes no element product.  It costs about
-3|G| lookups per non-central class, plus the sorting; the neighbours of a
-centralizer class are the classes of the members of its representative's
-centralizer, one lookup each.
+3|G| lookups per non-central class, plus G's key order (sorted once and
+cached on G); the neighbours of a centralizer class are the classes of the
+members of its centralizer, one lookup each.
 """
 
 from __future__ import annotations
@@ -103,25 +103,21 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     if not cent_of:
         raise EmptyGraph("every element is central")
 
+    # swept in key order, the buckets and their members come out sorted by key
     buckets: dict[frozenset, list] = {}
-    for v, cent in cent_of.items():
-        buckets.setdefault(cent, []).append(elements[v])
-
-    classes = sorted(
-        (sorted(members, key=lambda e: e.key()) for members in buckets.values()),
-        key=lambda cls: cls[0].key(),
-    )
-    class_of = {v: i for i, cls in enumerate(classes) for v in cls}
+    for v in G.key_order():
+        if v in cent_of:
+            buckets.setdefault(cent_of[v], []).append(v)
     # class number by element index, None for a central element; class i's
-    # neighbours are the classes met in C(rep_i)
+    # neighbours are the classes met in its centralizer
     number = [None] * len(elements)
-    for v in cent_of:
-        number[v] = class_of[elements[v]]
-    adjacency = []
-    for i, cls in enumerate(classes):
-        near = {number[c] for c in cent_of[G.index_of(cls[0])]}
-        adjacency.append(sorted(near - {None, i}))
-    sources = sorted({class_of[elements[r]] for r in class_reps})
+    for i, members in enumerate(buckets.values()):
+        for v in members:
+            number[v] = i
+    adjacency = [sorted({number[c] for c in cent} - {None, i}) for i, cent in enumerate(buckets)]
+    sources = sorted({number[r] for r in class_reps})
+    classes = [[elements[v] for v in members] for members in buckets.values()]
+    class_of = {elements[v]: number[v] for v in cent_of}
     return CommutingGraph(G, classes, class_of, adjacency, sources)
 
 

@@ -14,8 +14,8 @@ by all of G, at one lookup per entry.  Subgroups are index sets: closures,
 normal closures, the series, centralizers, normalizers, Sylow subgroups,
 p-cores and F(G) are read off the tables, in G's key order where a choice
 is made.  A quotient G/N labels its cosets by lookups and is materialized
-by its own walk.  `element_order` and `conjugate` multiply, for callers
-that hold bare elements.  Everything is meant for desk-scale groups.
+by its own walk.  `cyclic_powers`, `element_order` and `conjugate`
+multiply, for callers that hold bare elements.  Everything is meant for desk-scale groups.
 """
 
 from __future__ import annotations
@@ -222,13 +222,18 @@ def conjugate(x, g):
     return g.inverse() * x * g
 
 
-def element_order(x) -> int:
-    n = 1
+def cyclic_powers(x) -> list:
+    """[1, x, x^2, ..., x^(n-1)] for n the order of x."""
+    out = [x.identity()]
     acc = x
     while not acc.is_identity():
+        out.append(acc)
         acc = acc * x
-        n += 1
-    return n
+    return out
+
+
+def element_order(x) -> int:
+    return len(cyclic_powers(x))
 
 
 # ---------------------------------------------------------------------------

@@ -173,14 +173,20 @@ def test_cli_import_leaves_thread_pool_unloaded():
 
 def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tmp_path):
     # a fresh interpreter without site, so only commgraph's own imports count;
-    # diameter8 defines dataclasses, so their absence shows its body never ran
+    # diameter8 stays the lazy loader's placeholder until its first attribute
+    # access, and no subcommand, the witness family's included, loads dataclasses
     src = str(Path(diameter8.__file__).parents[1])
     probe = (
         "import sys\n"
         "from commgraph.cli import main\n"
+        "def lazy():\n"
+        "    return type(sys.modules['commgraph.diameter8']).__name__ == '_LazyModule'\n"
         f"out, sym4 = {str(tmp_path / 'out')!r}, {data_path('sym4')!r}\n"
         "codes = [main([cmd, sym4, '--out', out]) for cmd in ('analyze', 'graph-export')]\n"
-        "print(codes, 'dataclasses' in sys.modules)\n"
+        "print(codes, lazy(), 'dataclasses' in sys.modules)\n"
+        "codes = [main(['paper-verify', '--out', out]),\n"
+        "         main(['search-params', '--q-max', '11', '--out', out])]\n"
+        "print(codes, lazy(), 'dataclasses' in sys.modules)\n"
         "from commgraph import ParamTriple, run_all_checks\n"
         "import commgraph.diameter8\n"
         "print(ParamTriple(11, 5, 3221).t, run_all_checks.__module__,\n"
@@ -190,8 +196,11 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
-    assert (done.returncode, done.stdout) == (
-        0, "[0, 0] False\n3221 commgraph.diameter8 True\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, (
+        "[0, 0] True False\n"
+        "[0, 0] False False\n"
+        "3221 commgraph.diameter8 True\n"
+    )), done.stderr
 
 
 def test_analyze_csv(capsys):
@@ -251,6 +260,17 @@ def test_paper_verify_rejects_q13_r5(capsys):
     code, _, err = run(["paper-verify", "--q", "13", "--r", "5", "--t", "7"], capsys)
     assert code == EXIT_CHECK_FAILED
     assert "params" in err
+
+
+def test_paper_verify_rejects_t_without_forming_the_quotient(capsys):
+    # (q^r-1)/(q-1) has 4858 digits here, past the int-to-str limit
+    code, out, err = run(["paper-verify", "--q", "2819", "--r", "1409", "--t", "3"], capsys)
+    assert (code, err) == (EXIT_CHECK_FAILED, "check failed: params\n")
+    report = json.loads(out)
+    jsonschema.validate(report, schema("paper_verify_report.schema.json"))
+    assert report["checks"] == [
+        {"name": "params", "status": "fail", "detail": "t=3 must divide (q^r-1)/(q-1)"}
+    ]
 
 
 def _raise_type_error(*args):

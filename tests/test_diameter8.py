@@ -153,6 +153,22 @@ def test_validate_params_rejections():
     assert not validate_params(11, 5, 3221)
 
 
+def test_validate_params_quotient_rule_matches_full_quotient():
+    # the residue of (q^r-1)/(q-1) mod t is taken from q^r mod t(q-1); the
+    # full quotient decides the same rule wherever it is small enough to form
+    seen = 0
+    for q in (p for p in range(11, 200, 2) if is_prime(p)):
+        for r in (p for p in range(5, q) if is_prime(p) and (q - 1) % p == 0):
+            if (q - 1) % (r * r) == 0:
+                continue
+            quotient = (q ** r - 1) // (q - 1)
+            for t in (p for p in range(2, 120) if is_prime(p)):
+                flagged = any("must divide (q^r-1)" in m for m in validate_params(q, r, t))
+                assert flagged == (quotient % t != 0), (q, r, t)
+                seen += not flagged
+    assert seen >= 5  # some triples pass the rule
+
+
 # --- construction ----------------------------------------------------------
 
 
