@@ -4,9 +4,9 @@ Subcommands: analyze, paper-verify, search-params, graph-export.  All output
 is deterministic (sorted JSON keys, fixed CSV columns) so reruns are
 byte-identical for the same inputs.
 
-Each subcommand loads only what it runs.  analyze and graph-export use the
-group, graph and classification layers; the diameter-8 witness family is
-loaded at its first use, by paper-verify and search-params.
+Each subcommand loads only what it runs: this module imports only errors
+and the stdlib, the package's layers are lazy modules that load at their
+first use, and search-params imports only the number theory in params.
 
 Exit codes: 0 success, 1 parse error (also a usage error, --jobs or --cap
 below 1, a COMMGRAPH_CAP that is not an integer of at least 1 for analyze or
@@ -25,12 +25,8 @@ import json
 import os
 import sys
 
-from . import diameter8
-from .classify import KIND_DISCONNECTED_OTHER, classify_group
-from .corpus import load_group_file
+from . import classify, corpus, diameter8, graph, groups
 from .errors import CapExceeded, EmptyGraph
-from .graph import build_graph
-from .groups import DEFAULT_GROUP_CAP
 
 CAP_ENV_VAR = "COMMGRAPH_CAP"
 
@@ -50,7 +46,7 @@ def default_cap() -> int:
     """The element cap from COMMGRAPH_CAP; ValueError unless it is an integer of at least 1."""
     raw = os.environ.get(CAP_ENV_VAR)
     if not raw:
-        return DEFAULT_GROUP_CAP
+        return groups.DEFAULT_GROUP_CAP
     try:
         cap = int(raw)
     except ValueError:
@@ -124,14 +120,14 @@ def _dump_csv(rows, columns) -> str:
 
 def _analyze_one(path: str, cap: int) -> dict:
     try:
-        handle = load_group_file(path, cap=cap)
+        handle = corpus.load_group_file(path, cap=cap)
         handle.materialize()
     except CapExceeded as exc:
         return {"file": path, "error": str(exc), "error_kind": "cap"}
     except Exception as exc:
         return {"file": path, "error": str(exc), "error_kind": "parse"}
     try:
-        verdict = classify_group(handle)
+        verdict = classify.classify_group(handle)
     except CapExceeded as exc:
         return {"file": path, "error": str(exc), "error_kind": "cap"}
     except EmptyGraph as exc:
@@ -150,6 +146,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         # imported here: the pool module is a tenth of the CLI's import time
         from concurrent.futures import ThreadPoolExecutor
 
+        # A lazy module's first attribute access runs its code with no lock
+        # held, so a second thread could read it half-run: load what the
+        # workers call (corpus, groups, fields, classify, graph) on this one.
+        corpus.load_group_file, classify.classify_group
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(lambda p: _analyze_one(p, args.cap), args.files))
     else:
@@ -175,7 +175,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"error: {row['file']}: {row['error']}", file=sys.stderr)
             return EXIT_CAP
     for row in rows:
-        if row.get("kind") == KIND_DISCONNECTED_OTHER:
+        if row.get("kind") == classify.KIND_DISCONNECTED_OTHER:
             print(f"sentinel verdict DisconnectedOther: {row['file']}", file=sys.stderr)
             return EXIT_SENTINEL
     return EXIT_OK
@@ -196,12 +196,14 @@ def cmd_paper_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_search_params(args: argparse.Namespace) -> int:
+    from . import params  # number theory only: no field, group or witness-family code
+
     try:
-        params = diameter8.find_params(args.q_max)
+        found = params.find_params(args.q_max)
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    triples = [{"q": p.q, "r": p.r, "t": p.t} for p in params]
+    triples = [{"q": p.q, "r": p.r, "t": p.t} for p in found]
     if args.fmt == "csv":
         _write(_dump_csv(triples, ["q", "r", "t"]), args.out)
     else:
@@ -212,7 +214,7 @@ def cmd_search_params(args: argparse.Namespace) -> int:
 def cmd_graph_export(args: argparse.Namespace) -> int:
     path = args.files[0]
     try:
-        handle = load_group_file(path, cap=args.cap)
+        handle = corpus.load_group_file(path, cap=args.cap)
         handle.materialize()
     except CapExceeded as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
@@ -221,11 +223,11 @@ def cmd_graph_export(args: argparse.Namespace) -> int:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        graph = build_graph(handle)
+        commuting = graph.build_graph(handle)
     except EmptyGraph as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    _write(_dump_json(graph.to_json()), args.out)
+    _write(_dump_json(commuting.to_json()), args.out)
     return EXIT_OK
 
 

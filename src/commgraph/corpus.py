@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import json
-from importlib import resources
 
 from .groups import DEFAULT_GROUP_CAP, GroupHandle
 
 
 def _data_root():
+    from importlib import resources  # only the bundled corpus is read through it
+
     return resources.files("commgraph") / "data"
 
 

@@ -16,7 +16,7 @@ class CapExceeded(CommGraphError):
 
 
 class FactorBudgetExceeded(CapExceeded):
-    """fields.factorize ran out of Pollard-rho steps."""
+    """primes.factorize ran out of Pollard-rho steps."""
 
 
 class DivisionByZero(CommGraphError):

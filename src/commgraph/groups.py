@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
 from .errors import (
     BackendMismatch,
@@ -31,7 +31,8 @@ from .errors import (
     NotMember,
     NotNormal,
 )
-from .fields import FieldSpec, frobenius_map, is_prime, factorize
+from .fields import FieldSpec, frobenius_map
+from .primes import factorize, is_prime
 
 DEFAULT_GROUP_CAP = 200000
 

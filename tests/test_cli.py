@@ -172,35 +172,116 @@ def test_cli_import_leaves_thread_pool_unloaded():
 
 
 def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tmp_path):
-    # a fresh interpreter without site, so only commgraph's own imports count;
-    # diameter8 stays the lazy loader's placeholder until its first attribute
-    # access, and no subcommand, the witness family's included, loads dataclasses
+    # a fresh interpreter without site, so only commgraph's own imports count.
+    # A layer stays the lazy loader's placeholder until its first attribute
+    # access: analyze and graph-export leave the witness family lazy,
+    # search-params every layer, and paper-verify the classifier, graph and
+    # corpus.  No subcommand imports typing, importlib.resources or dataclasses.
     src = str(Path(diameter8.__file__).parents[1])
     probe = (
         "import sys\n"
         "from commgraph.cli import main\n"
-        "def lazy():\n"
-        "    return type(sys.modules['commgraph.diameter8']).__name__ == '_LazyModule'\n"
+        "def report(*argvs):\n"
+        "    codes = [main([*argv, '--out', out]) for argv in argvs]\n"
+        "    lazy = sorted(name.rpartition('.')[2] for name, m in sys.modules.items()\n"
+        "                  if type(m).__name__ == '_LazyModule')\n"
+        "    stdlib = ('dataclasses', 'typing', 'importlib.resources')\n"
+        "    print(codes, lazy, [name in sys.modules for name in stdlib])\n"
         f"out, sym4 = {str(tmp_path / 'out')!r}, {data_path('sym4')!r}\n"
-        "codes = [main([cmd, sym4, '--out', out]) for cmd in ('analyze', 'graph-export')]\n"
-        "print(codes, lazy(), 'dataclasses' in sys.modules)\n"
-        "codes = [main(['paper-verify', '--out', out]),\n"
-        "         main(['search-params', '--q-max', '11', '--out', out])]\n"
-        "print(codes, lazy(), 'dataclasses' in sys.modules)\n"
-        "from commgraph import ParamTriple, run_all_checks\n"
-        "import commgraph.diameter8\n"
-        "print(ParamTriple(11, 5, 3221).t, run_all_checks.__module__,\n"
-        "      commgraph.diameter8.find_params(11) == [ParamTriple(11, 5, 3221)])\n"
+        "if sys.argv[1] == 'files':\n"
+        "    report(['analyze', sym4], ['graph-export', sym4])\n"
+        "else:\n"
+        "    report(['search-params', '--q-max', '11'])\n"
+        "    report(['paper-verify'])\n"
+        "    from commgraph import ParamTriple, run_all_checks\n"
+        "    import commgraph.diameter8\n"
+        "    print(ParamTriple(11, 5, 3221).t, run_all_checks.__module__,\n"
+        "          commgraph.diameter8.find_params(11) == [ParamTriple(11, 5, 3221)])\n"
+    )
+
+    def run_probe(mode):
+        done = subprocess.run(
+            [sys.executable, "-S", "-c", probe, mode], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        return done.returncode, done.stdout, done.stderr
+
+    code, out, err = run_probe("files")
+    assert (code, out) == (0, "[0, 0] ['diameter8'] [False, False, False]\n"), err
+    code, out, err = run_probe("witness")
+    assert (code, out) == (0, (
+        "[0] ['classify', 'corpus', 'diameter8', 'fields', 'graph', 'groups'] "
+        "[False, False, False]\n"
+        "[0] ['classify', 'corpus', 'graph'] [False, False, False]\n"
+        "3221 commgraph.diameter8 True\n"
+    )), err
+
+
+def test_analyze_jobs_loads_what_workers_call_before_the_pool(tmp_path):
+    # a lazy module runs its code at its first attribute access with no lock
+    # held, so analyze must load every layer its workers call before the pool
+    # starts; q8 is the corpus's one matrix group, so the field layer counts
+    src = str(Path(diameter8.__file__).parents[1])
+    files = [data_path("q8"), data_path("sym4"), data_path("q8")]
+    probe = (
+        "import sys\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "from commgraph.cli import main\n"
+        "at_pool_start = []\n"
+        "init = ThreadPoolExecutor.__init__\n"
+        "def record(self, *args, **kwargs):\n"
+        "    at_pool_start.append(sorted(name for name, m in sys.modules.items()\n"
+        "                                if type(m).__name__ == '_LazyModule'))\n"
+        "    init(self, *args, **kwargs)\n"
+        "ThreadPoolExecutor.__init__ = record\n"
+        f"files, out = {files!r}, {str(tmp_path / 'rows')!r}\n"
+        "rows = []\n"
+        "for jobs in ('3', '1'):\n"
+        "    code = main(['analyze', *files, '--jobs', jobs, '--out', out])\n"
+        "    rows.append(open(out, 'rb').read())\n"
+        "print(code, at_pool_start, rows[0] == rows[1])\n"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=60,
     )
-    assert (done.returncode, done.stdout) == (0, (
-        "[0, 0] True False\n"
-        "[0, 0] False False\n"
-        "3221 commgraph.diameter8 True\n"
-    )), done.stderr
+    assert (done.returncode, done.stdout) == (0, "0 [['commgraph.diameter8']] True\n"), done.stderr
+
+
+def test_tracer_round_trip_restores_every_namespace():
+    # bench/spans.py rebinds each traced function in every commgraph module
+    # that holds it, loading the lazy ones as it walks them; diameter8 is
+    # registered first so that it binds the originals before the defining
+    # modules are rebound, and remove() then leaves no wrapper behind
+    root = Path(__file__).resolve().parents[1]
+    probe = (
+        "import sys\n"
+        "from commgraph.cli import main\n"
+        "import spans\n"
+        f"sym4 = {data_path('sym4')!r}\n"
+        "quiet = ['--out', __import__('os').devnull]\n"
+        "main(['search-params', '--q-max', '11', *quiet])\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "try:\n"
+        "    codes = [main(['search-params', '--q-max', '11', *quiet]),\n"
+        "             main(['analyze', sym4, *quiet])]\n"
+        "finally:\n"
+        "    tracer.remove()\n"
+        "names = {span.name for span in tracer.spans}\n"
+        "modules = [m for n, m in list(sys.modules.items()) if n.startswith('commgraph')]\n"
+        "owners = modules + [v for m in modules for v in vars(m).values()\n"
+        "                    if isinstance(v, type) and v.__module__ == m.__name__]\n"
+        "left = sorted(f'{getattr(o, \"__name__\", o)}.{attr}' for o in owners\n"
+        "              for attr, v in vars(o).items()\n"
+        "              if getattr(getattr(v, '__code__', None), 'co_filename', '') == spans.__file__)\n"
+        "print(codes, 'diameter8.find_params' in names, 'fields.factorize' in names, left)\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")])),
+    )
+    assert (done.returncode, done.stdout) == (0, "[0, 0] True True []\n"), done.stderr
 
 
 def test_analyze_csv(capsys):
@@ -321,10 +402,10 @@ def test_search_params_csv(capsys):
 
 
 def test_search_params_factoring_budget(monkeypatch, capsys):
-    from commgraph import fields
+    from commgraph import primes
 
     # (43, 7) and (47, 23) need rho; 1000 steps split the first, not the second
-    monkeypatch.setattr(fields, "RHO_BUDGET", 1000)
+    monkeypatch.setattr(primes, "RHO_BUDGET", 1000)
     code, out, err = run(["search-params", "--q-max", "47"], capsys)
     assert code == EXIT_CAP
     assert out == ""

@@ -121,6 +121,8 @@ def test_find_params_q31():
 
 
 def test_find_params_q79(monkeypatch):
+    from commgraph import params
+
     triples = find_params(79)
     assert [(p.q, p.r, p.t) for p in triples] == [
         (11, 5, 3221), (23, 11, 3937230404603), (29, 7, 88009573), (31, 5, 11),
@@ -131,7 +133,7 @@ def test_find_params_q79(monkeypatch):
     for p in triples:
         quotient = (p.q ** p.r - 1) // (p.q - 1)
         assert is_prime(p.t) and quotient % p.t == 0 and (p.q - 1) % p.t != 0
-    monkeypatch.setattr(diameter8, "factorize", trial_division_factorize)
+    monkeypatch.setattr(params, "factorize", trial_division_factorize)
     assert find_params(43) == triples[:6]
 
 

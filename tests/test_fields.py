@@ -105,9 +105,9 @@ def test_factorize_rejects_non_positive():
 
 
 def test_factorize_budget(monkeypatch):
-    from commgraph import fields
+    from commgraph import primes
 
-    monkeypatch.setattr(fields, "RHO_BUDGET", 1000)  # the split takes about 46 000 steps
+    monkeypatch.setattr(primes, "RHO_BUDGET", 1000)  # the split takes about 46 000 steps
     with pytest.raises(FactorBudgetExceeded) as info:
         factorize(MERSENNE_SEMIPRIME)
     assert isinstance(info.value, CapExceeded)
@@ -115,19 +115,16 @@ def test_factorize_budget(monkeypatch):
 
 
 def test_factorize_backtracks_before_the_next_c(monkeypatch):
-    from commgraph import fields
+    from commgraph import primes
 
     # With c = 1 the first rounds through 2 * (1 + 2 + ... + 128) = 510 steps
     # end in a batch gcd equal to m; the step-by-step walk back through that
     # batch splits m, where starting over with c = 2 would overrun the budget.
-    monkeypatch.setattr(fields, "RHO_BUDGET", 510)
+    monkeypatch.setattr(primes, "RHO_BUDGET", 510)
     assert factorize(139267 * 155833) == {139267: 1, 155833: 1}
 
 
-def test_matrix_file_with_large_p_parses(tmp_path):
-    # 10^16 + 61 is prime, and trial division to its square root takes seconds
-    p = 10000000000000061
-    path = tmp_path / "big_p.json"
+def _prime_field_group_file(path, p):
     path.write_text(json.dumps({
         "type": "matrix",
         "field": {"p": p, "k": 1, "modulus": [0, 1]},
@@ -135,10 +132,30 @@ def test_matrix_file_with_large_p_parses(tmp_path):
         "aut_order": 1,
         "generators": [{"twist": 0, "matrix": [[1, 1], [0, 1]]}],
     }))
-    G = load_group_file(path, cap=50)
-    assert G.generators[0].spec.p == p
-    with pytest.raises(CapExceeded):
-        G.materialize()  # the unipotent generator has order p
+    return path
+
+
+def test_matrix_file_with_large_p_parses(tmp_path):
+    # trial division to the square root of any of these takes seconds or more;
+    # the last is the greatest prime below 10^30, past Miller-Rabin's proven
+    # range, and 2^89 - 1 is a Mersenne prime
+    for p in (10 ** 16 + 61, 2 ** 61 - 1, 2 ** 89 - 1, 10 ** 30 - 11):
+        G = load_group_file(_prime_field_group_file(tmp_path / f"{p}.json", p), cap=50)
+        assert G.generators[0].spec.p == p
+        with pytest.raises(CapExceeded):
+            G.materialize()  # the unipotent generator has order p
+
+
+# 3215031751 = 151 * 751 * 28351 and 3825123056546413051 = 149491 * 747451 *
+# 34233211 are strong pseudoprimes to every prime base up to 7 and 23
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051, MERSENNE_SEMIPRIME])
+def test_matrix_file_with_large_composite_p_is_a_parse_error(tmp_path, capsys, n):
+    from commgraph.cli import EXIT_PARSE, main
+
+    path = _prime_field_group_file(tmp_path / "big_n.json", n)
+    assert main(["analyze", str(path)]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {n} is not prime\n"
 
 
 def test_field_create_rejects_composite_p():
