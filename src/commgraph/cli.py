@@ -8,6 +8,9 @@ Each subcommand loads only what it runs: this module imports only errors
 and the stdlib, the package's layers are lazy modules that load at their
 first use, and search-params imports only the number theory in params.
 
+analyze runs its files one after another: --jobs is still parsed and
+checked, but it no longer changes how the files run.
+
 Exit codes: 0 success, 1 parse error (also a usage error, --jobs or --cap
 below 1, a COMMGRAPH_CAP that is not an integer of at least 1 for analyze or
 graph-export, or a group with no non-central element: the trivial group for
@@ -76,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="classify group files")
     p.add_argument("files", nargs="+")
-    p.add_argument("--jobs", type=int, default=1, help="files analyzed concurrently")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="kept for compatibility: files are analyzed one after another")
     common(p, capped=True)
 
     p = sub.add_parser("paper-verify", help="run the diameter-8 family verification suite")
@@ -118,67 +122,54 @@ def _dump_csv(rows, columns) -> str:
     return buf.getvalue()
 
 
-def _analyze_one(path: str, cap: int) -> dict:
+def _run_on_file(path: str, cap: int, stage) -> tuple:
+    """Load and walk the group in `path`, then run `stage` on it: always a
+    pair, ("ok", the stage's result) or ("cap" or "parse", the message)."""
     try:
         handle = corpus.load_group_file(path, cap=cap)
         handle.materialize()
     except CapExceeded as exc:
-        return {"file": path, "error": str(exc), "error_kind": "cap"}
+        return "cap", str(exc)
     except Exception as exc:
-        return {"file": path, "error": str(exc), "error_kind": "parse"}
+        return "parse", str(exc)
     try:
-        verdict = classify.classify_group(handle)
+        return "ok", stage(handle)
     except CapExceeded as exc:
-        return {"file": path, "error": str(exc), "error_kind": "cap"}
-    except EmptyGraph as exc:
-        # only the trivial group reaches the graph with no vertex
-        return {"file": path, "error": str(exc), "error_kind": "parse"}
-    row = {"file": path}
-    row.update(verdict.to_json())
-    return row
+        return "cap", str(exc)
+    except EmptyGraph as exc:  # no non-central element, so the graph has no vertex
+        return "parse", str(exc)
+
+
+_ERROR_EXIT = {"parse": EXIT_PARSE, "cap": EXIT_CAP}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return EXIT_PARSE
-    if args.jobs > 1:
-        # imported here: the pool module is a tenth of the CLI's import time
-        from concurrent.futures import ThreadPoolExecutor
-
-        # A lazy module's first attribute access runs its code with no lock
-        # held, so a second thread could read it half-run: load what the
-        # workers call (corpus, groups, fields, classify, graph) on this one.
-        corpus.load_group_file, classify.classify_group
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(lambda p: _analyze_one(p, args.cap), args.files))
-    else:
-        rows = [_analyze_one(p, args.cap) for p in args.files]
+    rows, stops = [], []  # stops: (exit code, stderr line) per failed or sentinel file
+    for path in args.files:
+        kind, result = _run_on_file(path, args.cap, classify.classify_group)
+        if kind != "ok":
+            rows.append({"file": path, "error": result, "error_kind": kind})
+            stops.append((_ERROR_EXIT[kind], f"error: {path}: {result}"))
+            continue
+        rows.append({"file": path, **result.to_json()})
+        if result.kind == classify.KIND_DISCONNECTED_OTHER:
+            stops.append((EXIT_SENTINEL, f"sentinel verdict DisconnectedOther: {path}"))
 
     if args.fmt == "csv":
-        csv_rows = []
-        for row in rows:
-            if "error" in row:
-                csv_rows.append({"file": row["file"], "kind": "Error"})
-            else:
-                csv_rows.append(row)
+        csv_rows = [{"file": r["file"], "kind": "Error"} if "error" in r else r for r in rows]
         _write(_dump_csv(csv_rows, ANALYZE_COLUMNS), args.out)
     else:
         _write(_dump_json(rows), args.out)
 
-    for row in rows:
-        if row.get("error_kind") == "parse":
-            print(f"error: {row['file']}: {row['error']}", file=sys.stderr)
-            return EXIT_PARSE
-    for row in rows:
-        if row.get("error_kind") == "cap":
-            print(f"error: {row['file']}: {row['error']}", file=sys.stderr)
-            return EXIT_CAP
-    for row in rows:
-        if row.get("kind") == classify.KIND_DISCONNECTED_OTHER:
-            print(f"sentinel verdict DisconnectedOther: {row['file']}", file=sys.stderr)
-            return EXIT_SENTINEL
-    return EXIT_OK
+    if not stops:
+        return EXIT_OK
+    # parse beats cap beats sentinel, as their exit codes rank; then the first file
+    code, line = min(stops, key=lambda stop: stop[0])
+    print(line, file=sys.stderr)
+    return code
 
 
 def cmd_paper_verify(args: argparse.Namespace) -> int:
@@ -213,21 +204,11 @@ def cmd_search_params(args: argparse.Namespace) -> int:
 
 def cmd_graph_export(args: argparse.Namespace) -> int:
     path = args.files[0]
-    try:
-        handle = corpus.load_group_file(path, cap=args.cap)
-        handle.materialize()
-    except CapExceeded as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except Exception as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    try:
-        commuting = graph.build_graph(handle)
-    except EmptyGraph as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    _write(_dump_json(commuting.to_json()), args.out)
+    kind, result = _run_on_file(path, args.cap, graph.build_graph)
+    if kind != "ok":
+        print(f"error: {path}: {result}", file=sys.stderr)
+        return _ERROR_EXIT[kind]
+    _write(_dump_json(result.to_json()), args.out)
     return EXIT_OK
 
 

@@ -260,10 +260,7 @@ def build_example(params: ParamTriple) -> ExampleGroup:
             break
     if u is None:
         raise EigenvalueClash("no (u, v) pair satisfies the 4-set condition")
-    try:
-        f = element_of_order(spec, t)
-    except Exception as exc:  # pragma: no cover - contradicts validated params
-        raise NoSuchParams(f"no element of order {t}: {exc}") from exc
+    f = element_of_order(spec, t)  # t divides q^r - 1, as validate_params checked
 
     zero = spec.zero()
     z = MatrixAutElement(spec, _diag(zero, [u, v, v.inverse(), u.inverse()]), 0)

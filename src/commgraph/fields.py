@@ -270,14 +270,13 @@ class FieldSpec:
 
 
 class FieldElement:
-    """An element of GF(p^k) as a reduced coefficient vector."""
+    """An element of GF(p^k) as a reduced coefficient vector.
+
+    Built by `FieldSpec.element`, which reduces and checks the coefficients,
+    or by `_element` from a tuple already reduced.
+    """
 
     __slots__ = ("spec", "coeffs", "_hash")
-
-    def __init__(self, spec: FieldSpec, coeffs: Iterable[int]):
-        self.spec = spec
-        self.coeffs = tuple(int(c) % spec.p for c in coeffs)
-        self._hash = hash(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):

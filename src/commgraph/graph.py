@@ -35,7 +35,7 @@ class CommutingGraph:
         self.classes = classes          # list of element lists
         self.class_of = class_of        # element -> class index
         self.adjacency = adjacency     # class index -> sorted list of class indices
-        self.sources = sources          # one class index per conjugation orbit of classes
+        self.sources = sources          # class indices, at least one per conjugation orbit
         self.reps = [cls[0] for cls in classes]
 
     @property
@@ -76,8 +76,9 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     a time: C(rep) is a fibre of `GroupHandle.conjugation_images`, and the
     class is walked under the generators' conjugation tables with
     C(w^g) = C(w)^g, so no element product is made.  The
-    centralizer class of each class representative is a BFS source, one per
-    orbit of the conjugation action on centralizer classes.
+    centralizer class of each conjugacy-class representative is a BFS source,
+    so every orbit of the conjugation action on centralizer classes has at
+    least one (an orbit can hold the classes of several representatives).
     """
     elements = G.elements
     conj = G.conjugation_tables()
@@ -164,7 +165,7 @@ def diameter_and_components(graph: CommutingGraph) -> dict:
     connected and Infinity otherwise; a lone class of size >= 2 still has
     internal diameter 1.  Conjugation is a graph automorphism, so the
     eccentricity is constant on each orbit of classes, and the BFS runs only
-    from the graph's sources, one class per orbit.
+    from the graph's sources, at least one class per orbit.
     """
     n = len(graph.classes)
     unseen = set(range(n))

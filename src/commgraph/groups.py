@@ -51,10 +51,7 @@ class PermutationElement:
     def __mul__(self, other: "PermutationElement") -> "PermutationElement":
         # (a*b)(i) = a(b(i)): right factor acts first
         a, b = self.images, other.images
-        out = PermutationElement.__new__(PermutationElement)
-        out.images = tuple(a[j] for j in b)
-        out._hash = hash(out.images)
-        return out
+        return _trusted_perm(tuple(a[j] for j in b))
 
     def inverse(self) -> "PermutationElement":
         inv = [0] * len(self.images)

@@ -450,6 +450,15 @@ def enumerated_fixed_set(tables, mu, twist):
     return sols
 
 
+def scanned_count_with_relation(s_a, s_x, s_b, s_d, s_c):
+    """|{(a, b, c, d, x) : x*a = b - d}| with each coordinate in its listed
+    set, by testing every (a, x, b, d); c is in no equation, so each solution
+    counts once per element of s_c."""
+    return len(s_c) * sum(
+        1 for a, x, b, d in itertools.product(s_a, s_x, s_b, s_d) if x * a == b - d
+    )
+
+
 class LogSpaceD:
     """Diagonal-with-twist 4x4 matrices in log space.
 

@@ -19,6 +19,7 @@ from commgraph.cli import (
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_PARSE,
+    EXIT_SENTINEL,
     main,
 )
 
@@ -160,15 +161,31 @@ def test_analyze_multiple_files_jobs_preserve_order(capsys):
     assert [r["file"] for r in rows] == files
 
 
-def test_cli_import_leaves_thread_pool_unloaded():
-    # the pool module is imported only when --jobs > 1
+def test_cli_import_leaves_thread_pool_unloaded(tmp_path):
+    # analyze runs its files one after another for every --jobs, so neither
+    # importing the CLI nor analyze --jobs 3 loads a pool or starts a thread;
+    # q8 is the corpus's one matrix group, so the field layer runs too
     src = str(Path(diameter8.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, commgraph.cli; print('concurrent.futures' in sys.modules)"
-    done = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    files = [data_path("q8"), data_path("sym4"), data_path("q8")]
+    probe = (
+        "import sys\n"
+        "from commgraph.cli import main\n"
+        "pool = ('concurrent.futures', 'threading')\n"
+        "print([name in sys.modules for name in pool])\n"
+        f"files, out = {files!r}, {str(tmp_path / 'rows')!r}\n"
+        "rows = []\n"
+        "for jobs in ('3', '1'):\n"
+        "    code = main(['analyze', *files, '--jobs', jobs, '--out', out])\n"
+        "    rows.append(open(out, 'rb').read())\n"
+        "print(code, [name in sys.modules for name in pool], rows[0] == rows[1])\n"
     )
-    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (
+        0, "[False, False]\n0 [False, False] True\n"
+    ), done.stderr
 
 
 def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tmp_path):
@@ -215,37 +232,6 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
         "[0] ['classify', 'corpus', 'graph'] [False, False, False]\n"
         "3221 commgraph.diameter8 True\n"
     )), err
-
-
-def test_analyze_jobs_loads_what_workers_call_before_the_pool(tmp_path):
-    # a lazy module runs its code at its first attribute access with no lock
-    # held, so analyze must load every layer its workers call before the pool
-    # starts; q8 is the corpus's one matrix group, so the field layer counts
-    src = str(Path(diameter8.__file__).parents[1])
-    files = [data_path("q8"), data_path("sym4"), data_path("q8")]
-    probe = (
-        "import sys\n"
-        "from concurrent.futures import ThreadPoolExecutor\n"
-        "from commgraph.cli import main\n"
-        "at_pool_start = []\n"
-        "init = ThreadPoolExecutor.__init__\n"
-        "def record(self, *args, **kwargs):\n"
-        "    at_pool_start.append(sorted(name for name, m in sys.modules.items()\n"
-        "                                if type(m).__name__ == '_LazyModule'))\n"
-        "    init(self, *args, **kwargs)\n"
-        "ThreadPoolExecutor.__init__ = record\n"
-        f"files, out = {files!r}, {str(tmp_path / 'rows')!r}\n"
-        "rows = []\n"
-        "for jobs in ('3', '1'):\n"
-        "    code = main(['analyze', *files, '--jobs', jobs, '--out', out])\n"
-        "    rows.append(open(out, 'rb').read())\n"
-        "print(code, at_pool_start, rows[0] == rows[1])\n"
-    )
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", probe], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src), timeout=60,
-    )
-    assert (done.returncode, done.stdout) == (0, "0 [['commgraph.diameter8']] True\n"), done.stderr
 
 
 def test_tracer_round_trip_restores_every_namespace():
@@ -455,6 +441,28 @@ def test_analyze_trivial_group(tmp_path, capsys, jobs, generators):
     rows = json.loads(out)
     jsonschema.validate(rows, schema("analyze_report.schema.json"))
     assert rows[0]["error_kind"] == "parse"
+
+
+def test_analyze_exit_ranks_parse_over_cap_over_sentinel(tmp_path, capsys, monkeypatch):
+    # the sentinel never fires on a soluble group, so a stub classifier
+    # returns it for every group that loads; stderr names the first file of
+    # the highest-ranked outcome, wherever it stands in the list
+    from commgraph import classify
+
+    def sentinel(handle):
+        return classify.ClassificationVerdict(classify.KIND_DISCONNECTED_OTHER, 6, components=2)
+
+    monkeypatch.setattr(classify, "classify_group", sentinel)
+    sym3, alt4, sym4 = data_path("sym3"), data_path("alt4"), data_path("sym4")
+    missing = str(tmp_path / "missing.json")
+    code, out, err = run(["analyze", sym3, alt4, missing, sym4, "--cap", "10"], capsys)
+    assert code == EXIT_PARSE and err.startswith(f"error: {missing}: ")
+    assert [r.get("error_kind") for r in json.loads(out)] == [None, "cap", "parse", "cap"]
+    code, _, err = run(["analyze", sym3, sym4, alt4, "--cap", "10"], capsys)
+    assert code == EXIT_CAP and err.startswith(f"error: {sym4}: ")
+    code, out, err = run(["analyze", sym4, sym3, "--format", "csv"], capsys)
+    assert code == EXIT_SENTINEL and err == f"sentinel verdict DisconnectedOther: {sym4}\n"
+    assert out.splitlines()[1:] == [f"{f},DisconnectedOther,6,,,,,2" for f in (sym4, sym3)]
 
 
 def _identity_rows(n):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from oracles import (
     enumerated_fixed_set,
     evaluate,
     listed_centralizer_in_D,
+    scanned_count_with_relation,
     trial_division_factorize,
 )
 
@@ -16,6 +18,7 @@ from commgraph.diameter8 import (
     FCoords,
     ParamTriple,
     _F_POSITIONS,
+    _count_with_relation,
     _fixed_set,
     _p_commutator,
     _p_identity,
@@ -425,6 +428,27 @@ def test_fixed_set_matches_enumeration_on_witness_entries(example_group, log_tab
             closed = _fixed_set(spec, mu, w.twist)
             assert _closed_as_coeffs(spec, closed) == enumerated_fixed_set(log_tables, mu, w.twist)
 
+
+def test_count_with_relation_matches_scan_in_gf9():
+    # every mix of the whole field, {0} and a GF(3)-line for a, x, b and d,
+    # with the whole field or {0} for c
+    spec = field_create(3, 2)
+    everything = list(spec.elements())
+    zero, root = spec.zero(), spec.element((0, 1))
+    choices = [ALL, {zero}, {root * m for m in range(3)}]
+    counted = refused = 0
+    for s_a, s_x, s_b, s_d in itertools.product(choices, repeat=4):
+        for s_c in (ALL, {zero}):
+            sets = (s_a, s_x, s_b, s_d, s_c)
+            if s_a is ALL and s_x is ALL:
+                with pytest.raises(NotNormalizing):
+                    _count_with_relation(spec, *sets)
+                refused += 1
+                continue
+            listed = [everything if s is ALL else s for s in sets]
+            assert _count_with_relation(spec, *sets) == scanned_count_with_relation(*listed), sets
+            counted += 1
+    assert (counted, refused) == (144, 18)
 
 
 def test_fixed_points_zr_trivial(example_group):
