@@ -9,8 +9,8 @@ X normalizes J, so C_X(j^g) = C_X(j)^g and the condition is checked for one
 j per X-class of J.  C_X(j) and j's class are the fibre over j and the
 values of j's conjugation images, so the test is index lookups with no
 element product.  G is 2-Frobenius iff G/K is Frobenius (with kernel L/K)
-and L is Frobenius with kernel K; L is read off the coset labels of G/K,
-without a product.
+and L is Frobenius with kernel K.  G/K is an index group whose element c is
+coset number c, so L is the elements of G whose coset label lies in F(G/K).
 """
 
 from __future__ import annotations
@@ -108,10 +108,7 @@ def _two_frobenius(G: GroupHandle, K: SubgroupHandle):
     FQ = is_frobenius(Q)
     if FQ is None:
         return None
-    # the image of g sends the label of K to the label of gK
-    home = Q.coset_index_of[0]
-    labels = {Q.elements[q].images[home] for q in FQ.indices()}
-    L = SubgroupHandle(G, [i for i, c in enumerate(Q.coset_index_of) if c in labels])
+    L = SubgroupHandle(G, [i for i, c in enumerate(Q.coset_index_of) if c in FQ.indices()])
     # L Frobenius with kernel K
     if not _kernel_condition(G, K, L.indices()):
         return None

@@ -35,7 +35,7 @@ class CommutingGraph:
         self.classes = classes          # list of element lists
         self.class_of = class_of        # element -> class index
         self.adjacency = adjacency     # class index -> sorted list of class indices
-        self.sources = sources          # class indices, at least one per conjugation orbit
+        self.sources = sources          # class indices, one per conjugation orbit
         self.reps = [cls[0] for cls in classes]
 
     @property
@@ -75,15 +75,17 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     Centralizers are sets of element indices and come one conjugacy class at
     a time: C(rep) is a fibre of `GroupHandle.conjugation_images`, and the
     class is walked under the generators' conjugation tables with
-    C(w^g) = C(w)^g, so no element product is made.  The
-    centralizer class of each conjugacy-class representative is a BFS source,
-    so every orbit of the conjugation action on centralizer classes has at
-    least one (an orbit can hold the classes of several representatives).
+    C(w^g) = C(w)^g, so no element product is made.  A walk assigns the
+    whole orbit of C(rep) under conjugation, so the centralizer class of a
+    representative whose C(rep) no earlier walk assigned is a BFS source,
+    one per orbit of the conjugation action on centralizer classes.
     """
     elements = G.elements
     conj = G.conjugation_tables()
     cent_of: dict[int, frozenset] = {}
-    class_reps = []
+    # every centralizer set met so far, mapped to itself: equal centralizers share one set
+    assigned: dict = {}
+    source_reps = []
     for r in range(len(elements)):
         if r in cent_of:
             continue  # r's class has been walked
@@ -91,15 +93,17 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
         cent = frozenset(i for i, j in enumerate(img) if j == r)
         if len(cent) == len(elements):
             continue  # r is central
-        class_reps.append(r)
-        cent_of[r] = cent
+        if cent not in assigned:
+            source_reps.append(r)
+        cent_of[r] = assigned.setdefault(cent, cent)
         queue = deque([r])
         while queue:
             w = queue.popleft()
             for table in conj:
                 v = table[w]
                 if v not in cent_of:
-                    cent_of[v] = frozenset(table[c] for c in cent_of[w])
+                    image = frozenset(table[c] for c in cent_of[w])
+                    cent_of[v] = assigned.setdefault(image, image)
                     queue.append(v)
     if not cent_of:
         raise EmptyGraph("every element is central")
@@ -116,7 +120,7 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
         for v in members:
             number[v] = i
     adjacency = [sorted({number[c] for c in cent} - {None, i}) for i, cent in enumerate(buckets)]
-    sources = sorted({number[r] for r in class_reps})
+    sources = sorted(number[r] for r in source_reps)
     classes = [[elements[v] for v in members] for members in buckets.values()]
     class_of = {elements[v]: number[v] for v in cent_of}
     return CommutingGraph(G, classes, class_of, adjacency, sources)
@@ -165,7 +169,7 @@ def diameter_and_components(graph: CommutingGraph) -> dict:
     connected and Infinity otherwise; a lone class of size >= 2 still has
     internal diameter 1.  Conjugation is a graph automorphism, so the
     eccentricity is constant on each orbit of classes, and the BFS runs only
-    from the graph's sources, at least one class per orbit.
+    from the graph's sources, one class per orbit.
     """
     n = len(graph.classes)
     unseen = set(range(n))

@@ -13,8 +13,9 @@ gives left multiplication by one element, or the conjugates of one element
 by all of G, at one lookup per entry.  Subgroups are index sets: closures,
 normal closures, the series, centralizers, normalizers, Sylow subgroups,
 p-cores and F(G) are read off the tables, in G's key order where a choice
-is made.  A quotient G/N labels its cosets by lookups and is materialized
-by its own walk.  `cyclic_powers`, `element_order` and `conjugate`
+is made.  A quotient G/N is an index group whose element c is coset number
+c: its Schreier tree and tables are G's, read through the coset labels, so
+it needs no walk.  `cyclic_powers`, `element_order` and `conjugate`
 multiply, for callers that hold bare elements.  Everything is meant for desk-scale groups.
 """
 
@@ -345,7 +346,7 @@ class GroupHandle:
         if self._conj is None:
             self.materialize()
             self._conj = [
-                [right_g[j] for j in self.left_table(self._index[g.inverse()])]
+                [right_g[j] for j in self.left_table(self.inverse_at(self.index_of(g)))]
                 for g, right_g in zip(self.generators, self._right)
             ]
         return self._conj
@@ -392,6 +393,11 @@ class GroupHandle:
             self._orders[r] = n
         return n
 
+    def inverse_at(self, r: int) -> int:
+        """The index of e_r^-1 = e_r^(n-1) for n the order of e_r, looked up
+        along n - 1 copies of e_r's Schreier word."""
+        return _compose(0, self.right_tables(r) * (self.element_order_at(r) - 1))
+
     @property
     def elements(self) -> list:
         self.materialize()
@@ -399,7 +405,7 @@ class GroupHandle:
 
     @property
     def identity(self):
-        return self.generators[0].identity()
+        return self.elements[0]
 
     def order(self) -> int:
         return len(self.elements)
@@ -501,7 +507,7 @@ class SubgroupHandle:
     @cached_property
     def members(self) -> tuple:
         elements = self.parent.elements
-        return tuple(sorted((elements[i] for i in self._indices), key=lambda e: e.key()))
+        return tuple(elements[i] for i in self.parent.key_order() if i in self._indices)
 
     @cached_property
     def member_set(self) -> frozenset:
@@ -532,22 +538,18 @@ class SubgroupHandle:
         G = self.parent
         gens: list = []
         current = {0}
-        for m in self.members:
-            i = G.index_of(m)
-            if i not in current:
+        for i in G.key_order():
+            if i in self._indices and i not in current:
                 gens.append(i)
                 current = set(_index_closure(G, gens))
                 if len(current) == len(self._indices):
                     break
         return gens
 
-    def small_generating_set(self) -> list:
-        elements = self.parent.elements
-        return [elements[i] for i in self.generator_indices()] or [self.parent.identity]
-
     def as_group(self) -> GroupHandle:
         """View this subgroup as a standalone materialized handle."""
-        g = GroupHandle(self.small_generating_set(), cap=self.parent.cap)
+        gens = [self.parent.elements[i] for i in self.generator_indices() or [0]]
+        g = GroupHandle(gens, cap=self.parent.cap)
         g.materialize()
         assert g.order() == len(self._indices)
         return g
@@ -593,9 +595,8 @@ def center(G: GroupHandle) -> SubgroupHandle:
 
 def _commutator_at(G: GroupHandle, a: int, b: int) -> int:
     """The index of [e_a, e_b] = e_a^-1 e_b^-1 e_a e_b, looked up along the
-    Schreier words of the four factors; `.inverse()` is not a product."""
-    elements = G.elements
-    factors = (G.index_of(elements[a].inverse()), G.index_of(elements[b].inverse()), a, b)
+    Schreier words of the four factors."""
+    factors = (G.inverse_at(a), G.inverse_at(b), a, b)
     return _compose(0, [t for r in factors for t in G.right_tables(r)])
 
 
@@ -756,33 +757,34 @@ def fitting_subgroup(G: GroupHandle) -> SubgroupHandle:
 
 
 def quotient_group(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
-    """G/N as the permutation action of G's generators on left cosets of N.
+    """G/N as an index group whose element c is coset number c.
 
-    Coset labels are deterministic: one sweep of G's key order gives a new
-    label to the first index i outside every labelled coset, and labels its
-    coset iN by lookups along the Schreier words of N's members, so cosets
-    are numbered by their least member's key.  The returned handle carries
-    `coset_index_of`, the label of every element index of G.  The image of
-    g sends the label of xN to the label of gxN, read off g's left table,
-    so q.images[coset_index_of[0]] names the coset that an element q of G/N
-    stands for.
+    One sweep of G's index order gives a new number to the first index
+    rep_c outside every numbered coset, and numbers its coset by lookups
+    along the Schreier words of N's members, so coset 0 is N.  N is normal,
+    so xN * g = xgN, and Q's Schreier tree and right tables are G's read at
+    each rep_c through the labels; rep_c is the least index of its coset,
+    so its tree parent lies in an earlier coset.  Q's key order is its index
+    order.  The returned handle carries `coset_index_of`, the coset number
+    of every element index of G.
     """
     if not is_normal(G, N):
         raise NotNormal("quotient by a non-normal subgroup")
     words = [G.right_tables(n) for n in N.indices()]
     label: list = [None] * G.order()
     reps = []
-    for i in G.key_order():
+    for i in range(G.order()):
         if label[i] is None:
             for w in words:
                 label[_compose(i, w)] = len(reps)
             reps.append(i)
-    gens = []
-    for g in G.generators:
-        left = G.left_table(G.index_of(g))
-        gens.append(_trusted_perm(tuple(label[left[r]] for r in reps)))
-    Q = GroupHandle(gens, cap=G.cap, name=f"{G.name}/N")
-    Q.materialize()
+    parent, via = G.schreier_tree()
+    Q = GroupHandle([label[G.index_of(g)] for g in G.generators], cap=G.cap, name=f"{G.name}/N")
+    Q._elements = Q._key_order = list(range(len(reps)))
+    Q._index = {c: c for c in Q._elements}
+    Q._parent = [-1] + [label[parent[r]] for r in reps[1:]]
+    Q._via = [via[r] for r in reps]
+    Q._right = [[label[t[r]] for r in reps] for t in G._right]
     Q.coset_index_of = label
     return Q
 

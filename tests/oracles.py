@@ -6,10 +6,13 @@ explicitly built adjacency structure.  Centralizers, the centre, normalizers
 and normality come from scanning products over every element, and the
 centralizer classes of the commuting graph from scanning every element
 against every element; their adjacency from testing every pair of class
-representatives.  The series and cores run over every element or every
-pair of elements of the group, and the cosets of a quotient are formed by
-products.  The Frobenius tests check every kernel element against every
-element of the pool, and project every element of G onto G/K.  The
+representatives, and their conjugation orbits from conjugating a
+representative by every element.  The series and cores run over every
+element or every pair of elements of the group, and the cosets of a
+quotient are formed by products, which also give the quotient as a
+permutation group of degree [G:N], materialized by its own walk.  The
+Frobenius tests check every kernel element against every element of the
+pool, and project every element of G onto G/K.  The
 diameter-8 references work in log space: D = <x, c> by closure, and
 fixed-point equations on F by scanning every field element;
 centralizers in D are also listed element by element in exponent form.
@@ -25,7 +28,13 @@ from collections import deque
 from types import SimpleNamespace
 
 from commgraph.errors import EmptyGraph, SpecMismatch
-from commgraph.groups import PermutationElement, SubgroupHandle, _commutator_at, _normal_closure
+from commgraph.groups import (
+    GroupHandle,
+    PermutationElement,
+    SubgroupHandle,
+    _commutator_at,
+    _normal_closure,
+)
 
 
 def naive_closure(generators):
@@ -138,6 +147,20 @@ def scan_centralizer_classes(group):
     return classes, class_of, adjacency
 
 
+def brute_centralizer_orbits(group, classes, class_of):
+    """The orbits of conjugation on the centralizer classes of the commuting
+    graph, as sets of class numbers: C(x)^g = C(x^g), so the orbit of the
+    class of x holds the class of g^-1 x g for every element g."""
+    orbits, seen = [], set()
+    for i, cls in enumerate(classes):
+        if i not in seen:
+            x = cls[0]
+            orbit = {class_of[g.inverse() * x * g] for g in group.elements}
+            seen |= orbit
+            orbits.append(orbit)
+    return orbits
+
+
 def all_pairs_adjacency(graph):
     """The class adjacency of a built commuting graph: classes i != j are
     adjacent when their representatives commute, one product pair per pair."""
@@ -186,21 +209,30 @@ def _commutator(a, b):
     return a.inverse() * b.inverse() * a * b
 
 
-def brute_coset_labels(G, N):
-    """(label, images) of G/N from products: label maps every element to
-    the number of its coset gN, with the cosets sorted by their least
-    member's key, and images[v] lists, for each label, the label of
-    g_v times that coset, for every generator g_v of G."""
-    reps, seen = [], set()
-    for g in G.elements:
-        if g not in seen:
-            coset = {g * n for n in N.members}
-            seen |= coset
-            reps.append(min(coset, key=lambda e: e.key()))
-    reps.sort(key=lambda e: e.key())
-    label = {rep * n: i for i, rep in enumerate(reps) for n in N.members}
-    images = [tuple(label[g * rep] for rep in reps) for g in G.generators]
-    return label, images
+def brute_coset_labels(elements, members):
+    """(label, reps) of G/N from products, for G's element list and N's
+    members: label maps every element to the number of its coset gN, with
+    the cosets numbered by their least member's index in the element list,
+    and reps[c] is that least member."""
+    label, reps = {}, []
+    for g in elements:
+        if g not in label:
+            label.update((g * n, len(reps)) for n in members)
+            reps.append(g)
+    return label, reps
+
+
+def permutation_quotient(G, N):
+    """(label, perm, P): G/N as the permutation action of G on the cosets of
+    N, from products.  label is `brute_coset_labels`'s; perm[c] is coset c
+    as a permutation of the coset numbers, sending the number of xN to the
+    number of (rep_c x)N, so perm[c] * perm[d] is the permutation of the
+    coset cd; P is the degree-[G:N] group of the generators' permutations,
+    materialized by its own walk."""
+    label, reps = brute_coset_labels(G.elements, N.members)
+    perm = [PermutationElement([label[r * s] for s in reps]) for r in reps]
+    P = GroupHandle([perm[label[g]] for g in G.generators]).materialize()
+    return label, perm, P
 
 
 def exhaustive_derived(group, members):
@@ -319,11 +351,7 @@ def exhaustive_is_two_frobenius(group):
     K = exhaustive_fitting(group)
     if len(K) in (1, len(elems)):
         return None
-    label, reps = {}, []
-    for g in elems:
-        if g not in label:
-            label.update((g * k, len(reps)) for k in K)
-            reps.append(g)
+    label, reps = brute_coset_labels(elems, K)
     project = {g: PermutationElement([label[g * r] for r in reps]) for g in elems}
     quotient = SimpleNamespace(elements=list(set(project.values())), identity=project[group.identity])
     FQ = exhaustive_fitting(quotient)

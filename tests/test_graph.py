@@ -7,6 +7,7 @@ from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
     all_pairs_adjacency,
     brute_centralizer,
+    brute_centralizer_orbits,
     naive_all_distances,
     naive_diameter,
     naive_vertex_adjacency,
@@ -153,8 +154,11 @@ def _assert_graph_matches_scan(G):
     assert graph.classes == want[0]
     assert graph.class_of == want[1]
     assert graph.adjacency == want[2]
-    # the BFS from one class per conjugation orbit against every pair
-    assert len(graph.sources) <= len(graph.classes)
+    # one BFS source in every conjugation orbit of centralizer classes,
+    # and the BFS from those sources against every pair
+    orbits = brute_centralizer_orbits(G, want[0], want[1])
+    assert len(graph.sources) == len(orbits)
+    assert all(len(orbit & set(graph.sources)) == 1 for orbit in orbits)
     assert diameter_and_components(graph)["diameter"] == naive_diameter(G)
 
 

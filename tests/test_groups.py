@@ -7,7 +7,6 @@ from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
     brute_center,
     brute_centralizer,
-    brute_coset_labels,
     brute_is_normal,
     brute_normalizer,
     derived_subgroup,
@@ -18,8 +17,10 @@ from oracles import (
     exhaustive_normal_closure,
     exhaustive_p_core,
     naive_closure,
+    permutation_quotient,
 )
 
+from commgraph.classify import is_frobenius
 from commgraph.corpus import list_corpus
 from commgraph.errors import BackendMismatch, CapExceeded, NotMember, NotNormal
 from commgraph.fields import factorize, field_create, frobenius_map
@@ -46,7 +47,7 @@ from commgraph.groups import (
     sylow_profile_cyclic_or_quaternion,
     sylow_subgroup,
 )
-from commgraph.groups import _mat_frob, _mat_mul
+from commgraph.groups import _compose, _mat_frob, _mat_mul
 
 
 def P(*images):
@@ -187,7 +188,8 @@ def test_quotient_group(sym4):
     assert quotient_group(sym4, sym4.trivial_subgroup()).order() == 24
     q = quotient_group(sym4, sym4.subgroup(V4))
     assert q.order() == 6
-    assert any(a * b != b * a for a in q.elements for b in q.elements)  # non-abelian
+    assert center(q).is_trivial()  # S3, so non-abelian
+    assert q.whole().members == tuple(range(6))  # coset numbers, in key order
     assert q.order() * 4 == sym4.order()
 
 
@@ -212,11 +214,41 @@ def test_quotient_labels_match_oracle_on_s6_subgroups(a, b, k):
     # the oracle forms |G| |N| products; A6 and S6 would take seconds
     assume(G.order() <= 120)
     N = normal_closure(G, G.elements[k % G.order()])
+    _assert_quotient_matches_permutation_quotient(G, N)
+
+
+@pytest.mark.parametrize("name", list_corpus())
+def test_quotient_matches_permutation_quotient_on_corpus(corpus, name):
+    G = corpus[name]
+    normals = {G.trivial_subgroup(), center(G), fitting_subgroup(G), G.whole()}
+    normals |= {normal_closure(G, g) for g in G.generators}
+    for N in normals:
+        _assert_quotient_matches_permutation_quotient(G, N)
+
+
+def _assert_quotient_matches_permutation_quotient(G, N):
     Q = quotient_group(G, N)
-    label, images = brute_coset_labels(G, N)
+    label, perm, P = permutation_quotient(G, N)
     assert Q.coset_index_of == [label[g] for g in G.elements]
-    assert [q.images for q in Q.generators] == images
-    assert Q.order() * N.order() == G.order()
+    assert Q.order() * N.order() == G.order() == P.order() * N.order()
+    number = {p: c for c, p in enumerate(perm)}
+    assert Q.generators == [number[g] for g in P.generators]
+    # right multiplication by each generator, the Schreier tree, orders and
+    # inverses of Q against products of the permutations
+    for q in Q.generators:
+        assert [_compose(c, Q.right_tables(q)) for c in range(Q.order())] == [
+            number[p * perm[q]] for p in perm]
+    parent, via = Q.schreier_tree()
+    for c in range(1, Q.order()):
+        assert perm[c] == perm[parent[c]] * P.generators[via[c]]
+    assert [Q.element_order_at(c) for c in range(Q.order())] == [element_order(p) for p in perm]
+    assert [Q.inverse_at(c) for c in range(Q.order())] == [number[p.inverse()] for p in perm]
+    # the structure the classification reads off Q
+    assert fitting_subgroup(Q).order() == fitting_subgroup(P).order()
+    kernel_orders = [None if k is None else k.order()
+                     for k in (is_frobenius(Q), is_frobenius(P))]
+    assert kernel_orders[0] == kernel_orders[1]
+    assert is_metacyclic(Q) == is_metacyclic(P)
 
 
 @pytest.mark.parametrize("name", ["agl1_13", "s4xs3"])
@@ -235,10 +267,9 @@ def test_series_closures_and_fitting_make_no_product(monkeypatch, name):
     F = fitting_subgroup(G)
     for g in G.generators:
         normal_closure(G, g)
+    # G/F(G) reads its tree and tables off G's, so it needs no walk
+    quotient_group(G, F)
     assert not products
-    # G/F(G) multiplies only in the walk that materializes it
-    Q = quotient_group(G, F)
-    assert len(products) == len(Q.generators) * Q.order()
 
 
 def test_sylow_profile(sym4, corpus):
@@ -348,6 +379,8 @@ def _assert_tree_and_tables(G):
         assert G.left_table(G.index_of(g)) == [G.index_of(g * e) for e in elements]
     for x in elements:
         assert centralizer(G, x).member_set == brute_centralizer(G, x)
+    assert [G.inverse_at(i) for i in range(len(elements))] == [
+        G.index_of(x.inverse()) for x in elements]
 
 
 def _table_group(corpus, name):
