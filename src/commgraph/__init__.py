@@ -18,7 +18,7 @@ import sys
 # walks the package's modules in order to rebind a function everywhere loads
 # diameter8, which then binds the original, before it rebinds the defining
 # module.
-for _name in ("diameter8", "classify", "corpus", "graph", "groups", "fields"):
+for _name in ("diameter8", "classify", "corpus", "graph", "groups", "matrices", "fields"):
     _spec = importlib.util.find_spec(f".{_name}", __name__)
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = globals()[_name] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
@@ -35,9 +35,10 @@ _HOME = {
         "fields": "FieldElement FieldSpec Poly element_of_order element_order field_create "
                   "frobenius_map",
         "graph": "CommutingGraph DistanceReport build_graph diameter_and_components distance",
-        "groups": "GroupHandle MatrixAutElement PermutationElement SubgroupHandle center "
-                  "centralizer fitting_subgroup generate_elements is_nilpotent is_soluble p_core "
+        "groups": "GroupHandle PermutationElement SubgroupHandle center centralizer "
+                  "fitting_subgroup generate_elements is_nilpotent is_soluble p_core "
                   "quotient_group sylow_profile_cyclic_or_quaternion sylow_subgroup",
+        "matrices": "MatrixAutElement",
     }.items()
     for name in names.split()
 }

@@ -40,8 +40,8 @@ from .fields import (
     field_create,
     frobenius_map,
 )
-from .groups import MatrixAutElement, _diag, _mat_mul, conjugate, cyclic_powers
-from .groups import element_order as group_element_order
+from .matrices import MatrixAutElement, _diag, _mat_mul, conjugate, cyclic_powers
+from .matrices import element_order as group_element_order
 from .params import ParamTriple, example_group_order, find_params, validate_params  # noqa: F401
 
 ALL = "all"  # marker for a solution set equal to the whole field, or to all of <f>
@@ -249,11 +249,12 @@ def build_example(params: ParamTriple) -> ExampleGroup:
 
     h = element_of_order(spec, r * r)
     order_r2 = sorted((h ** k for k in range(1, r * r) if k % r), key=lambda e: e.coeffs)
+    # each candidate's (e^r, e^-r), computed once for all the pairs it is in
+    eigen = [((e ** r).coeffs, (e ** -r).coeffs) for e in order_r2]
     u = v = None
-    for eu in order_r2:
-        for ev in order_r2:
-            four = {(eu ** r).coeffs, (eu ** -r).coeffs, (ev ** r).coeffs, (ev ** -r).coeffs}
-            if len(four) == 4:
+    for eu, (ur, u_r) in zip(order_r2, eigen):
+        for ev, (vr, v_r) in zip(order_r2, eigen):
+            if len({ur, u_r, vr, v_r}) == 4:
                 u, v = eu, ev
                 break
         if u is not None:

@@ -4,7 +4,10 @@ Extension fields are represented as GF(p)[X] modulo a fixed monic irreducible
 polynomial.  The modulus is always the lexicographically least monic
 irreducible of the requested degree, so serialized fields are reproducible.
 An element is a :class:`FieldElement` holding its reduced coefficient tuple,
-and its operators are the one interface to field arithmetic.
+and its operators are the one interface to field arithmetic.  A negative
+power is the inverse of a positive one, by one extended Euclid.  The
+Frobenius map is GF(p)-linear, so `frobenius_map` applies a k x k matrix
+over GF(p) that each spec builds once per power and keeps.
 """
 
 from __future__ import annotations
@@ -44,32 +47,37 @@ def _poldeg(a: Sequence[int]) -> int:
 
 
 def _polmulmod(a, b, modulus, p):
+    """a * b modulo the monic modulus.  Coefficients accumulate as plain
+    integers and each is reduced mod p once: a high one just before it is
+    folded down, a low one at the end."""
     res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
             for j, bj in enumerate(b):
                 if bj:
-                    res[i + j] = (res[i + j] + ai * bj) % p
+                    res[i + j] += ai * bj
     k = len(modulus) - 1
     for i in range(len(res) - 1, k - 1, -1):
-        c = res[i]
+        c = res[i] % p
         if c:
-            res[i] = 0
             for j in range(k):
-                res[i - k + j] = (res[i - k + j] - c * modulus[j]) % p
-    res = res[:k]
+                res[i - k + j] -= c * modulus[j]
+    res = [c % p for c in res[:k]]
     return res + [0] * (k - len(res))
 
+
 def _polpowmod(a, e, modulus, p):
-    k = len(modulus) - 1
-    result = [1] + [0] * (k - 1)
+    """a^e for a reduced residue a and e >= 0, by binary powering that
+    neither multiplies by 1 first nor squares past the top bit of e."""
+    result = None
     base = list(a)
     while e:
         if e & 1:
-            result = _polmulmod(result, base, modulus, p)
-        base = _polmulmod(base, base, modulus, p)
+            result = base if result is None else _polmulmod(result, base, modulus, p)
         e >>= 1
-    return result
+        if e:
+            base = _polmulmod(base, base, modulus, p)
+    return [1] + [0] * (len(modulus) - 2) if result is None else result
 
 
 def _polinvmod(a, modulus, p):
@@ -166,11 +174,12 @@ class FieldSpec:
 
     Instances are immutable.  A spec builds elements, lists the field and
     finds the canonical primitive element; all element arithmetic is on
-    :class:`FieldElement`.  The canonical primitive element and the primes
-    dividing p^k - 1 are computed on first use and kept.
+    :class:`FieldElement`.  The canonical primitive element, the primes
+    dividing p^k - 1 and the matrix of each power of Frobenius are computed
+    on first use and kept.
     """
 
-    __slots__ = ("p", "k", "modulus", "size", "_hash", "_primitive", "_primes")
+    __slots__ = ("p", "k", "modulus", "size", "_hash", "_primitive", "_primes", "_frobenius")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         self.p = p
@@ -182,6 +191,7 @@ class FieldSpec:
         self._hash = hash((p, k, self.modulus))
         self._primitive = None
         self._primes = None
+        self._frobenius = {}
 
     def __eq__(self, other):
         return (
@@ -240,6 +250,25 @@ class FieldSpec:
                     self._primitive = _element(self, coeffs)
                     break
         return self._primitive
+
+    def _frobenius_columns(self, i: int) -> tuple:
+        """The matrix of Frob^i, for 0 < i < k, as its k columns.
+
+        Frob^i is GF(p)-linear and multiplicative, so it sends X^j to Y^j
+        for Y = X^(p^i): row j of the matrix is Y^j, from one power of X and
+        k - 2 products.  Column l then gives coefficient l of Frob^i(a) as
+        a dot product with a's coefficients (Berlekamp's Q-matrix).  Built
+        once per i and kept.
+        """
+        cols = self._frobenius.get(i)
+        if cols is None:
+            x = [0, 1] + [0] * (self.k - 2)
+            y = _polpowmod(x, self.p ** i, self.modulus, self.p)
+            rows = [[1] + [0] * (self.k - 1), y]
+            while len(rows) < self.k:
+                rows.append(_polmulmod(rows[-1], y, self.modulus, self.p))
+            cols = self._frobenius[i] = tuple(zip(*rows))
+        return cols
 
     def log_table(self) -> tuple[list, dict]:
         """(exp, log): discrete-log tables w.r.t. the canonical primitive element."""
@@ -332,6 +361,8 @@ class FieldElement:
             if e < 0:
                 raise DivisionByZero("negative power of zero")
             return spec.one() if e == 0 else self
+        if e < 0:
+            return (self ** -e).inverse()
         # the units form a group of order p^k - 1
         e %= spec.size - 1
         return _element(spec, tuple(_polpowmod(self.coeffs, e, spec.modulus, spec.p)))
@@ -412,8 +443,16 @@ def element_of_order(spec: FieldSpec, n: int) -> FieldElement:
 
 def frobenius_map(a: FieldElement, i: int = 1) -> FieldElement:
     """Apply the Frobenius automorphism x -> x^p of GF(p^k), i times (i may
-    be negative, as Frob^k is the identity)."""
-    return a ** (a.spec.p ** (i % a.spec.k))
+    be negative, as Frob^k is the identity), as the spec's cached matrix of
+    Frob^i applied to a's coefficient vector."""
+    spec = a.spec
+    i %= spec.k
+    if not i:
+        return a
+    p, coeffs = spec.p, a.coeffs
+    return _element(spec, tuple(
+        sum(c * m for c, m in zip(coeffs, col)) % p for col in spec._frobenius_columns(i)
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Finite group backends and generic structure algorithms.
 
 Two element backends: permutations (image arrays) and matrices over GF(p^k)
-carrying a Frobenius twist.  Groups are handles around a generating set and
-are materialized by breadth-first closure before any structural query runs.
+carrying a Frobenius twist (`matrices.MatrixAutElement`).  Groups are
+handles around a generating set and are materialized by breadth-first
+closure before any structural query runs.  The field layer loads only when
+a matrix group file is parsed, so a permutation group never compiles it.
 
 Only materialization walks multiply elements.  A walk keeps its Schreier
 tree (each element is its parent times one generator) and its products, as
@@ -15,8 +17,9 @@ normal closures, the series, centralizers, normalizers, Sylow subgroups,
 p-cores and F(G) are read off the tables, in G's key order where a choice
 is made.  A quotient G/N is an index group whose element c is coset number
 c: its Schreier tree and tables are G's, read through the coset labels, so
-it needs no walk.  `cyclic_powers`, `element_order` and `conjugate`
-multiply, for callers that hold bare elements.  Everything is meant for desk-scale groups.
+it needs no walk; a subgroup viewed as a group of its own is closed over
+its parent's tables in the same way.  Everything is meant for desk-scale
+groups.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 from functools import cached_property
 
+from . import fields
 from .errors import (
     BackendMismatch,
     CapExceeded,
     NotMember,
     NotNormal,
 )
-from .fields import FieldSpec, frobenius_map
+from .matrices import MatrixAutElement, _mat_inv
 from .primes import factorize, is_prime
 
 DEFAULT_GROUP_CAP = 200000
@@ -91,148 +95,6 @@ def _trusted_perm(images: tuple) -> PermutationElement:
     out.images = images
     out._hash = hash(images)
     return out
-
-
-class MatrixAutElement:
-    """Invertible matrix over GF(p^k) together with a Frobenius twist.
-
-    The twist exponent i stands for the i-th power of the Frobenius
-    automorphism of the entry field.  Multiplication follows
-    (A, i) * (B, j) = (A * beta^{-i}(B), i + j mod k), which makes
-    conjugation by the pure twist element apply beta to matrix entries:
-    (B, 0) ^ (1, i) = (beta^i(B), 0).
-    """
-
-    __slots__ = ("spec", "mat", "twist", "_hash")
-
-    def __init__(self, spec: FieldSpec, mat, twist: int = 0):
-        self.spec = spec
-        self.mat = tuple(tuple(row) for row in mat)
-        self.twist = twist % spec.k
-        self._hash = hash((self.twist, tuple(e.coeffs for row in self.mat for e in row)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.mat)
-
-    def __mul__(self, other: "MatrixAutElement") -> "MatrixAutElement":
-        b = _mat_frob(other.spec, other.mat, -self.twist)
-        return MatrixAutElement(
-            self.spec, _mat_mul(self.spec.zero(), self.mat, b), self.twist + other.twist
-        )
-
-    def inverse(self) -> "MatrixAutElement":
-        inv = _mat_inv(self.spec, self.mat)
-        return MatrixAutElement(self.spec, _mat_frob(self.spec, inv, self.twist), -self.twist)
-
-    def identity(self) -> "MatrixAutElement":
-        return MatrixAutElement(self.spec, _diag(self.spec.zero(), [self.spec.one()] * self.dim), 0)
-
-    def is_identity(self) -> bool:
-        return not self.twist and self.mat == self.identity().mat
-
-    def key(self):
-        return (self.twist,) + tuple(e.coeffs for row in self.mat for e in row)
-
-    def ambient(self):
-        return ("mat", self.spec, self.dim)
-
-    def to_json(self):
-        return {
-            "twist": self.twist,
-            "matrix": [[list(e.coeffs) for e in row] for row in self.mat],
-        }
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MatrixAutElement)
-            and self.twist == other.twist
-            and self.mat == other.mat
-        )
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"MatAut(twist={self.twist}, {self.mat})"
-
-
-def _diag(zero, entries):
-    """The square diagonal matrix with the given entries, over the ring whose
-    zero is given."""
-    n = len(entries)
-    return tuple(tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n))
-
-
-def _mat_mul(zero, a, b):
-    """Square matrix product over any ring whose elements have `is_zero`."""
-    dim = len(a)
-    out = []
-    for i in range(dim):
-        row = []
-        arow = a[i]
-        for j in range(dim):
-            acc = None
-            for k in range(dim):
-                x = arow[k]
-                if x.is_zero():
-                    continue
-                y = b[k][j]
-                if y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            row.append(zero if acc is None else acc)
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _mat_frob(spec, a, i):
-    """Frobenius^i on every entry; zero and GF(p) entries are fixed and kept."""
-    i %= spec.k
-    if i == 0:
-        return a
-    return tuple(
-        tuple(frobenius_map(e, i) if any(e.coeffs[1:]) else e for e in row) for row in a
-    )
-
-
-def _mat_inv(spec, a):
-    """Gaussian elimination; raises on singular input."""
-    dim = len(a)
-    ident = _diag(spec.zero(), [spec.one()] * dim)
-    aug = [list(a[i]) + list(ident[i]) for i in range(dim)]
-    for col in range(dim):
-        piv = next((r for r in range(col, dim) if not aug[r][col].is_zero()), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [e * inv for e in aug[col]]
-        for r in range(dim):
-            if r != col and not aug[r][col].is_zero():
-                fac = aug[r][col]
-                aug[r] = [aug[r][i] - fac * aug[col][i] for i in range(2 * dim)]
-    return tuple(tuple(aug[i][dim:]) for i in range(dim))
-
-
-def conjugate(x, g):
-    """x^g = g^{-1} x g."""
-    return g.inverse() * x * g
-
-
-def cyclic_powers(x) -> list:
-    """[1, x, x^2, ..., x^(n-1)] for n the order of x."""
-    out = [x.identity()]
-    acc = x
-    while not acc.is_identity():
-        out.append(acc)
-        acc = acc * x
-    return out
-
-
-def element_order(x) -> int:
-    return len(cyclic_powers(x))
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +324,7 @@ class GroupHandle:
                 gens.append(PermutationElement(images))
             return cls(gens, cap=cap, name=name)
         if kind == "matrix":
-            spec = FieldSpec.from_json(obj["field"])
+            spec = fields.FieldSpec.from_json(obj["field"])
             if int(obj.get("aut_order", spec.k)) != spec.k:
                 raise ValueError("aut_order must equal the field extension degree")
             dim = int(obj["dim"])
@@ -547,12 +409,36 @@ class SubgroupHandle:
         return gens
 
     def as_group(self) -> GroupHandle:
-        """View this subgroup as a standalone materialized handle."""
-        gens = [self.parent.elements[i] for i in self.generator_indices() or [0]]
-        g = GroupHandle(gens, cap=self.parent.cap)
-        g.materialize()
-        assert g.order() == len(self._indices)
-        return g
+        """View this subgroup as a standalone materialized handle.
+
+        The walk of `_schreier_tree` over the generating set, with each
+        product a lookup along a generator's Schreier word in the parent's
+        tables: the same elements, tree and tables as a walk of its own,
+        with no product, so the parent may be an index group.  The key
+        order is the parent's, restricted.
+        """
+        G = self.parent
+        gens = self.generator_indices() or [0]
+        words = [G.right_tables(g) for g in gens]
+        members, local = [0], {0: 0}
+        parent, via, right = [-1], [-1], [[] for _ in gens]
+        for p, i in enumerate(members):
+            for v, w in enumerate(words):
+                j = _compose(i, w)
+                n = local.get(j)
+                if n is None:
+                    n = local[j] = len(members)
+                    members.append(j)
+                    parent.append(p)
+                    via.append(v)
+                right[v].append(n)
+        assert len(members) == len(self._indices)
+        H = GroupHandle([G.elements[i] for i in gens], cap=G.cap)
+        H._elements = [G.elements[i] for i in members]
+        H._index = {e: n for n, e in enumerate(H._elements)}
+        H._parent, H._via, H._right = parent, via, right
+        H._key_order = [local[i] for i in G.key_order() if i in local]
+        return H
 
     def __repr__(self):
         return f"Subgroup(order={len(self._indices)})"

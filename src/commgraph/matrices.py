@@ -1,0 +1,158 @@
+"""Invertible matrices over GF(p^k) with a Frobenius twist, and the helpers
+that multiply bare group elements.
+
+`MatrixAutElement` is the matrix element backend of `groups`; the witness
+family in `diameter8` builds its matrices from it directly.  The square
+matrix helpers work over any ring whose elements have `is_zero`, so the
+symbolic checks reuse them on polynomial entries.  The field layer is
+reached through the lazy `fields` module, so importing this module, as
+`groups` does, compiles no field code.  `conjugate`, `cyclic_powers` and
+`element_order` multiply, for callers that hold bare elements of either
+backend.
+"""
+
+from __future__ import annotations
+
+from . import fields
+
+
+class MatrixAutElement:
+    """Invertible matrix over GF(p^k) together with a Frobenius twist.
+
+    The twist exponent i stands for the i-th power of the Frobenius
+    automorphism of the entry field.  Multiplication follows
+    (A, i) * (B, j) = (A * beta^{-i}(B), i + j mod k), which makes
+    conjugation by the pure twist element apply beta to matrix entries:
+    (B, 0) ^ (1, i) = (beta^i(B), 0).
+    """
+
+    __slots__ = ("spec", "mat", "twist", "_hash")
+
+    def __init__(self, spec: fields.FieldSpec, mat, twist: int = 0):
+        self.spec = spec
+        self.mat = tuple(tuple(row) for row in mat)
+        self.twist = twist % spec.k
+        self._hash = hash((self.twist, tuple(e.coeffs for row in self.mat for e in row)))
+
+    @property
+    def dim(self) -> int:
+        return len(self.mat)
+
+    def __mul__(self, other: "MatrixAutElement") -> "MatrixAutElement":
+        b = _mat_frob(other.spec, other.mat, -self.twist)
+        return MatrixAutElement(
+            self.spec, _mat_mul(self.spec.zero(), self.mat, b), self.twist + other.twist
+        )
+
+    def inverse(self) -> "MatrixAutElement":
+        inv = _mat_inv(self.spec, self.mat)
+        return MatrixAutElement(self.spec, _mat_frob(self.spec, inv, self.twist), -self.twist)
+
+    def identity(self) -> "MatrixAutElement":
+        return MatrixAutElement(self.spec, _diag(self.spec.zero(), [self.spec.one()] * self.dim), 0)
+
+    def is_identity(self) -> bool:
+        return not self.twist and self.mat == self.identity().mat
+
+    def key(self):
+        return (self.twist,) + tuple(e.coeffs for row in self.mat for e in row)
+
+    def ambient(self):
+        return ("mat", self.spec, self.dim)
+
+    def to_json(self):
+        return {
+            "twist": self.twist,
+            "matrix": [[list(e.coeffs) for e in row] for row in self.mat],
+        }
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, MatrixAutElement)
+            and self.twist == other.twist
+            and self.mat == other.mat
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"MatAut(twist={self.twist}, {self.mat})"
+
+
+def _diag(zero, entries):
+    """The square diagonal matrix with the given entries, over the ring whose
+    zero is given."""
+    n = len(entries)
+    return tuple(tuple(entries[i] if i == j else zero for j in range(n)) for i in range(n))
+
+
+def _mat_mul(zero, a, b):
+    """Square matrix product over any ring whose elements have `is_zero`."""
+    dim = len(a)
+    out = []
+    for i in range(dim):
+        row = []
+        arow = a[i]
+        for j in range(dim):
+            acc = None
+            for k in range(dim):
+                x = arow[k]
+                if x.is_zero():
+                    continue
+                y = b[k][j]
+                if y.is_zero():
+                    continue
+                term = x * y
+                acc = term if acc is None else acc + term
+            row.append(zero if acc is None else acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def _mat_frob(spec, a, i):
+    """Frobenius^i on every entry; zero and GF(p) entries are fixed and kept."""
+    i %= spec.k
+    if i == 0:
+        return a
+    return tuple(
+        tuple(fields.frobenius_map(e, i) if any(e.coeffs[1:]) else e for e in row) for row in a
+    )
+
+
+def _mat_inv(spec, a):
+    """Gaussian elimination; raises on singular input."""
+    dim = len(a)
+    ident = _diag(spec.zero(), [spec.one()] * dim)
+    aug = [list(a[i]) + list(ident[i]) for i in range(dim)]
+    for col in range(dim):
+        piv = next((r for r in range(col, dim) if not aug[r][col].is_zero()), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [e * inv for e in aug[col]]
+        for r in range(dim):
+            if r != col and not aug[r][col].is_zero():
+                fac = aug[r][col]
+                aug[r] = [aug[r][i] - fac * aug[col][i] for i in range(2 * dim)]
+    return tuple(tuple(aug[i][dim:]) for i in range(dim))
+
+
+def conjugate(x, g):
+    """x^g = g^{-1} x g."""
+    return g.inverse() * x * g
+
+
+def cyclic_powers(x) -> list:
+    """[1, x, x^2, ..., x^(n-1)] for n the order of x."""
+    out = [x.identity()]
+    acc = x
+    while not acc.is_identity():
+        out.append(acc)
+        acc = acc * x
+    return out
+
+
+def element_order(x) -> int:
+    return len(cyclic_powers(x))

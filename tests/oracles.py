@@ -22,6 +22,7 @@ factorization from trial division.  Two library helpers that only the tests
 call, the derived subgroup and polynomial evaluation, live here too.
 """
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -413,8 +414,10 @@ def trial_division_factorize(n):
     return out
 
 
+@functools.cache
 def scanned_inverse(a):
-    """The b with a*b = 1, found by scanning the field."""
+    """The b with a*b = 1, found by scanning the field; kept per element, as
+    a scan of GF(11^5) takes about a second."""
     one = a.spec.one()
     return next(b for b in a.spec.elements() if a * b == one)
 

@@ -23,13 +23,13 @@ from commgraph.groups import (
     GroupHandle,
     PermutationElement,
     center,
-    element_order,
     find_frobenius_complement,
     fitting_subgroup,
     is_nilpotent,
     is_soluble,
     sylow_profile_cyclic_or_quaternion,
 )
+from commgraph.matrices import element_order
 
 V4 = {
     PermutationElement([0, 1, 2, 3]),

@@ -191,9 +191,12 @@ def test_cli_import_leaves_thread_pool_unloaded(tmp_path):
 def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tmp_path):
     # a fresh interpreter without site, so only commgraph's own imports count.
     # A layer stays the lazy loader's placeholder until its first attribute
-    # access: analyze and graph-export leave the witness family lazy,
-    # search-params every layer, and paper-verify the classifier, graph and
-    # corpus.  No subcommand imports typing, importlib.resources or dataclasses.
+    # access: analyze and graph-export on a permutation group leave the
+    # witness family and the field layer lazy, and a matrix group file
+    # (q8) loads the field layer; search-params leaves every layer lazy, and
+    # paper-verify the classifier, graph, corpus and the permutation engine
+    # in groups, which commgraph.MatrixAutElement does not load either.  No
+    # subcommand imports typing, importlib.resources or dataclasses.
     src = str(Path(diameter8.__file__).parents[1])
     probe = (
         "import sys\n"
@@ -204,15 +207,18 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
         "                  if type(m).__name__ == '_LazyModule')\n"
         "    stdlib = ('dataclasses', 'typing', 'importlib.resources')\n"
         "    print(codes, lazy, [name in sys.modules for name in stdlib])\n"
-        f"out, sym4 = {str(tmp_path / 'out')!r}, {data_path('sym4')!r}\n"
+        f"out, sym4, q8 = {str(tmp_path / 'out')!r}, {data_path('sym4')!r}, {data_path('q8')!r}\n"
         "if sys.argv[1] == 'files':\n"
         "    report(['analyze', sym4], ['graph-export', sym4])\n"
+        "    report(['analyze', q8])\n"
+        "    print(open(out).read().replace(q8, 'q8'), end='')\n"
         "else:\n"
         "    report(['search-params', '--q-max', '11'])\n"
         "    report(['paper-verify'])\n"
-        "    from commgraph import ParamTriple, run_all_checks\n"
+        "    from commgraph import MatrixAutElement, ParamTriple, run_all_checks\n"
         "    import commgraph.diameter8\n"
         "    print(ParamTriple(11, 5, 3221).t, run_all_checks.__module__,\n"
+        "          MatrixAutElement.__module__, type(sys.modules['commgraph.groups']).__name__,\n"
         "          commgraph.diameter8.find_params(11) == [ParamTriple(11, 5, 3221)])\n"
     )
 
@@ -224,13 +230,17 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
         return done.returncode, done.stdout, done.stderr
 
     code, out, err = run_probe("files")
-    assert (code, out) == (0, "[0, 0] ['diameter8'] [False, False, False]\n"), err
+    assert (code, out) == (0, (
+        "[0, 0] ['diameter8', 'fields'] [False, False, False]\n"
+        "[0] ['diameter8'] [False, False, False]\n"
+        '[\n  {\n    "file": "q8",\n    "kind": "HasCentre",\n    "order": 8\n  }\n]\n'
+    )), err
     code, out, err = run_probe("witness")
     assert (code, out) == (0, (
-        "[0] ['classify', 'corpus', 'diameter8', 'fields', 'graph', 'groups'] "
+        "[0] ['classify', 'corpus', 'diameter8', 'fields', 'graph', 'groups', 'matrices'] "
         "[False, False, False]\n"
-        "[0] ['classify', 'corpus', 'graph'] [False, False, False]\n"
-        "3221 commgraph.diameter8 True\n"
+        "[0] ['classify', 'corpus', 'graph', 'groups'] [False, False, False]\n"
+        "3221 commgraph.diameter8 commgraph.matrices _LazyModule True\n"
     )), err
 
 
@@ -238,7 +248,9 @@ def test_tracer_round_trip_restores_every_namespace():
     # bench/spans.py rebinds each traced function in every commgraph module
     # that holds it, loading the lazy ones as it walks them; diameter8 is
     # registered first so that it binds the originals before the defining
-    # modules are rebound, and remove() then leaves no wrapper behind
+    # modules are rebound, and remove() then leaves no wrapper behind.  It
+    # counts matrix products through groups.MatrixAutElement, which is the
+    # class that matrices defines and diameter8 builds the witness from.
     root = Path(__file__).resolve().parents[1]
     probe = (
         "import sys\n"
@@ -251,9 +263,10 @@ def test_tracer_round_trip_restores_every_namespace():
         "tracer.install()\n"
         "try:\n"
         "    codes = [main(['search-params', '--q-max', '11', *quiet]),\n"
-        "             main(['analyze', sym4, *quiet])]\n"
+        "             main(['analyze', sym4, *quiet]), main(['paper-verify', *quiet])]\n"
         "finally:\n"
         "    tracer.remove()\n"
+        "products = tracer.product_counts()['groups.matrix_products']\n"
         "names = {span.name for span in tracer.spans}\n"
         "modules = [m for n, m in list(sys.modules.items()) if n.startswith('commgraph')]\n"
         "owners = modules + [v for m in modules for v in vars(m).values()\n"
@@ -261,13 +274,14 @@ def test_tracer_round_trip_restores_every_namespace():
         "left = sorted(f'{getattr(o, \"__name__\", o)}.{attr}' for o in owners\n"
         "              for attr, v in vars(o).items()\n"
         "              if getattr(getattr(v, '__code__', None), 'co_filename', '') == spans.__file__)\n"
-        "print(codes, 'diameter8.find_params' in names, 'fields.factorize' in names, left)\n"
+        "print(codes, 'diameter8.find_params' in names, 'fields.factorize' in names,\n"
+        "      'diameter8.build_example' in names, products, left)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")])),
     )
-    assert (done.returncode, done.stdout) == (0, "[0, 0] True True []\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 65 []\n"), done.stderr
 
 
 def test_analyze_csv(capsys):

@@ -266,7 +266,7 @@ def test_numeric_times_symbolic_matches_lifted_product(example_group):
     # verify_symplectic and the separation families multiply numeric
     # matrices into symbolic ones without lifting them to constant Polys
     from commgraph.diameter8 import _form_matrix
-    from commgraph.groups import _mat_mul
+    from commgraph.matrices import _mat_mul
 
     spec = example_group.spec
     zero = Poly.zero(spec, 4)

@@ -5,6 +5,8 @@ import pytest
 
 from oracles import (
     evaluate,
+    repeated_frobenius,
+    repeated_power,
     trial_division_factorize,
     trial_division_is_prime,
     unfiltered_least_irreducible,
@@ -255,6 +257,18 @@ def test_frobenius_has_order_k(gf115):
     assert acc == g
     # negative exponents wrap around
     assert frobenius_map(g, -1) == frobenius_map(g, 4)
+
+
+def test_witness_field_frobenius_and_powers_match_oracles(gf115):
+    # GF(11^5) carries the witness; the hypothesis pool holds only fields
+    # small enough to scan at every example.  X, the canonical primitive
+    # element and a dense element, against repeated multiplication.
+    for a in (gf115.element((0, 1, 0, 0, 0)), gf115.primitive_element(),
+              gf115.element((3, 1, 4, 1, 5))):
+        for i in range(-5, 10):
+            assert frobenius_map(a, i) == repeated_frobenius(a, i), (a, i)
+        for e in range(-30, 31):
+            assert a ** e == repeated_power(a, e), (a, e)
 
 
 def test_frobenius_is_ring_hom_sampled(gf115):

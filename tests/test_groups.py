@@ -30,8 +30,6 @@ from commgraph.groups import (
     PermutationElement,
     center,
     centralizer,
-    conjugate,
-    element_order,
     find_frobenius_complement,
     fitting_subgroup,
     generate_elements,
@@ -47,7 +45,8 @@ from commgraph.groups import (
     sylow_profile_cyclic_or_quaternion,
     sylow_subgroup,
 )
-from commgraph.groups import _compose, _mat_frob, _mat_mul
+from commgraph.groups import _compose
+from commgraph.matrices import _mat_frob, _mat_mul, conjugate, element_order
 
 
 def P(*images):
@@ -249,6 +248,27 @@ def _assert_quotient_matches_permutation_quotient(G, N):
                      for k in (is_frobenius(Q), is_frobenius(P))]
     assert kernel_orders[0] == kernel_orders[1]
     assert is_metacyclic(Q) == is_metacyclic(P)
+    # subgroups of Q viewed as groups of their own (their elements are coset
+    # numbers, with no product of their own), against the same subgroups of P
+    for H in (fitting_subgroup(Q), Q.whole()):
+        K = P.subgroup(perm[c] for c in H.indices())
+        assert is_nilpotent(H) == is_nilpotent(K)
+        assert sylow_profile_cyclic_or_quaternion(H) == sylow_profile_cyclic_or_quaternion(K)
+
+
+@pytest.mark.parametrize("name", list_corpus())
+def test_as_group_matches_a_walk_of_its_own(corpus, name):
+    # the view read off the parent's tables is the handle a walk over the
+    # same generators builds: elements, tree, tables and key order
+    G = corpus[name]
+    for H in (G.trivial_subgroup(), center(G), fitting_subgroup(G), sylow_subgroup(G, 2),
+              G.whole()):
+        view = H.as_group()
+        walked = GroupHandle(view.generators).materialize()
+        assert view.elements == walked.elements
+        assert view.schreier_tree() == walked.schreier_tree()
+        assert view._right == walked._right
+        assert view.key_order() == walked.key_order()
 
 
 @pytest.mark.parametrize("name", ["agl1_13", "s4xs3"])

@@ -14,12 +14,12 @@ from commgraph.graph import build_graph, distance
 from commgraph.groups import (
     centralizer,
     center,
-    element_order as group_element_order,
     is_normal,
     normal_closure,
     quotient_group,
     subgroup_closure,
 )
+from commgraph.matrices import element_order as group_element_order
 
 FIELD_POOL = [
     field_create(2, 1),
