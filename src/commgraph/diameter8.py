@@ -9,6 +9,12 @@ centralizer shapes, the commutator separation of the two centralizer
 families, nilpotency class 3 of F, and the explicit 8-edge commuting path
 from x to its conjugate y.
 
+The arithmetic follows the closed forms of the field: q = p, so a power
+h^(q^k) is Frob^k(h), a cached linear map, and the Hilbert-90 test takes a
+norm as the product of conjugates; F's commutators are taken in its five
+coordinates, by a group law checked once against the matrix product; and
+each C_F(w) is solved once per example.
+
 The distance lower bound d(x, y) >= 8 itself rests on a combinatorial case
 analysis over these verified facts; the graph of the full group (order about
 5.4e25) is far beyond enumeration, so the checks certify the premises and
@@ -17,6 +23,7 @@ the matching upper-bound path rather than re-searching the graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from functools import cached_property
@@ -39,6 +46,7 @@ from .fields import (
     element_order,
     field_create,
     frobenius_map,
+    norm,
 )
 from .matrices import MatrixAutElement, _diag, _mat_mul, conjugate, cyclic_powers
 from .matrices import element_order as group_element_order
@@ -114,10 +122,12 @@ class _NormalForm:
     and c_h = diag(h, h, h^-1, h^-1), so that c^j = c_(f^j).
 
     The relation x^{-1} c x = c^q gives c_h x^k = x^k c_(h^(q^k)), hence the
-    product (i, h)(k, h') = (i + k, h^(q^k) h'), with i taken mod ord(x).
-    The constructor verifies the relation and that the two orders are
-    coprime, so <c> is normal, <x> meets it trivially and every element of D
-    has exactly one normal form: |D| = ord(x) * ord(c).
+    product (i, h)(k, h') = (i + k, Frob^k(h) h'), with i taken mod ord(x):
+    q = p is prime (`validate_params` checks it), so h^(q^k) is the k-th
+    power of Frobenius, a cached linear map.  The constructor verifies the
+    relation and that the two orders are coprime, so <c> is normal, <x>
+    meets it trivially and every element of D has exactly one normal form:
+    |D| = ord(x) * ord(c).
     """
 
     def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement, f: FieldElement):
@@ -144,7 +154,7 @@ class _NormalForm:
         return (0, self.one)
 
     def mul(self, a, b):
-        return ((a[0] + b[0]) % self.order_x, a[1] ** self.qpow[b[0]] * b[1])
+        return ((a[0] + b[0]) % self.order_x, frobenius_map(a[1], b[0]) * b[1])
 
     def to_matrix(self, e) -> MatrixAutElement:
         return self.x_powers[e[0]] * self.c_matrix(e[1])
@@ -175,16 +185,22 @@ class _NormalForm:
         ord(c) = t is prime, so unless q^a = 1 mod t, h -> h^(q^a - 1)
         permutes <f> and h is the one (q^a - 1)-th root of the right side;
         if q^a = 1, every h commutes when the right side is 1, and none else.
+        The right side is Frob^i(g) g^-1.
         """
         a, g = w
         n = self.order_c
         lhs = (self.qpow[a] - 1) % n
         root = pow(lhs, -1, n) if lhs else 0
-        # q^i mod t takes only ord_t(q) values (r of them for a witness
-        # triple), so the right side is computed once per value
+        # g^(q^i) depends only on q^i mod t, which takes ord_t(q) values (r
+        # of them for a witness triple), so the right side is computed once
+        # per value, at its first i
+        first: dict = {}
+        for i, e in enumerate(self.qpow):
+            first.setdefault(e, i)
+        g_inv = g.inverse()
         solution = {}
-        for e in set(self.qpow):
-            rhs = g ** (e - 1)
+        for e, i in first.items():
+            rhs = frobenius_map(g, i) * g_inv
             if lhs:
                 solution[e] = rhs ** root
             elif rhs == self.one:
@@ -199,7 +215,7 @@ class _NormalForm:
 # ---------------------------------------------------------------------------
 
 
-class ExampleGroup(namedtuple("ExampleGroup", "params spec u v f z c x xr g y ctx")):
+class ExampleGroup(namedtuple("ExampleGroup", "params spec u v f z c x xr g ctx")):
     """The witness group for one ParamTriple over spec = GF(q^r).
 
     u and v (order r^2) are the first two diagonal entries of z, f (order t)
@@ -208,6 +224,22 @@ class ExampleGroup(namedtuple("ExampleGroup", "params spec u v f z c x xr g y ct
     is D = <x, c> in normal form.  No __slots__, so the cached properties
     have an instance dict to fill.
     """
+
+    @cached_property
+    def g_inverse(self) -> MatrixAutElement:
+        """g^-1, inverted once for y and the conjugates of the checks."""
+        return self.g.inverse()
+
+    @cached_property
+    def y(self) -> MatrixAutElement:
+        """x^g, the far end of the witness path."""
+        return self.g_inverse * self.x * self.g
+
+    @cached_property
+    def f_fixed_points(self) -> dict:
+        """The C_F(w) report of each element w solved so far, filled by
+        `solved_fixed_points`."""
+        return {}
 
     @cached_property
     def d_elements(self) -> list:
@@ -238,8 +270,9 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     coefficient order, v the first partner making {u^r, u^-r, v^r, v^-r} a
     4-set, f the canonical element of order t.  The elements of order r^2
     are h^k with gcd(k, r) = 1 for h the canonical element of order r^2, so
-    only those r(r-1) candidates are sorted.  D is kept in its metacyclic
-    normal form x^i c_h; nothing is enumerated.
+    only those r(r-1) candidates are sorted, and with every power of h
+    listed (h^k)^r and (h^k)^-r are read off the list.  D is kept in its
+    metacyclic normal form x^i c_h; nothing is enumerated.
     """
     problems = validate_params(params.q, params.r, params.t)
     if problems:
@@ -247,35 +280,37 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     q, r, t = params.q, params.r, params.t
     spec = field_create(q, r)
 
-    h = element_of_order(spec, r * r)
-    order_r2 = sorted((h ** k for k in range(1, r * r) if k % r), key=lambda e: e.coeffs)
-    # each candidate's (e^r, e^-r), computed once for all the pairs it is in
-    eigen = [((e ** r).coeffs, (e ** -r).coeffs) for e in order_r2]
-    u = v = None
-    for eu, (ur, u_r) in zip(order_r2, eigen):
-        for ev, (vr, v_r) in zip(order_r2, eigen):
-            if len({ur, u_r, vr, v_r}) == 4:
-                u, v = eu, ev
-                break
-        if u is not None:
-            break
-    if u is None:
+    n = r * r
+    h = element_of_order(spec, n)
+    h_pows = [spec.one()]
+    for _ in range(n - 1):
+        h_pows.append(h_pows[-1] * h)
+    # the exponents k of the candidates, in the coefficient order of h^k,
+    # each with the coefficients of (h^k)^r and (h^k)^-r
+    order_r2 = sorted((k for k in range(1, n) if k % r), key=lambda k: h_pows[k].coeffs)
+    eigen = [(k, h_pows[k * r % n].coeffs, h_pows[-k * r % n].coeffs) for k in order_r2]
+    pair = next((
+        (ku, kv) for (ku, *ue), (kv, *ve) in itertools.product(eigen, repeat=2)
+        if len({*ue, *ve}) == 4
+    ), None)
+    if pair is None:
         raise EigenvalueClash("no (u, v) pair satisfies the 4-set condition")
+    ku, kv = pair
+    u, v = h_pows[ku], h_pows[kv]
     f = element_of_order(spec, t)  # t divides q^r - 1, as validate_params checked
 
     zero = spec.zero()
-    z = MatrixAutElement(spec, _diag(zero, [u, v, v.inverse(), u.inverse()]), 0)
+    z = MatrixAutElement(spec, _diag(zero, [u, v, h_pows[-kv % n], h_pows[-ku % n]]), 0)
     c = MatrixAutElement(spec, _diag(zero, [f, f, f.inverse(), f.inverse()]), 0)
     x = MatrixAutElement(spec, z.mat, 1)
     ctx = _NormalForm(spec, x, c, f)
     xr = ctx.x_powers[r % ctx.order_x]
     one = spec.one()
     g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
-    y = conjugate(x, g)
 
     return ExampleGroup(
         params=params, spec=spec,
-        u=u, v=v, f=f, z=z, c=c, x=x, xr=xr, g=g, y=y, ctx=ctx,
+        u=u, v=v, f=f, z=z, c=c, x=x, xr=xr, g=g, ctx=ctx,
     )
 
 
@@ -316,9 +351,9 @@ def _p_unitriangular_inverse(spec, m):
 
 
 def _p_commutator(spec, a, b):
-    ainv = _p_unitriangular_inverse(spec, a)
-    binv = _p_unitriangular_inverse(spec, b)
-    return _p_mat_mul(_p_mat_mul(ainv, binv), _p_mat_mul(a, b))
+    """[a, b] = a^-1 b^-1 a b, as (ba)^-1 (ab)."""
+    ab = _p_mat_mul(a, b)
+    return _p_mat_mul(_p_unitriangular_inverse(spec, _p_mat_mul(b, a)), ab)
 
 
 def generic_f_matrix(spec: FieldSpec, nvars: int, base: int):
@@ -351,7 +386,8 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
     report: dict = {}
 
     # (i) x^r is diagonal of order r: (u*beta)^r = u^(1 + q + ... + q^(r-1)),
-    # and the exponent sum is congruent to r mod r^2, landing in GF(q)
+    # the norm N(u), and the exponent sum is congruent to r mod r^2, landing
+    # in GF(q)
     nsum = sum(q ** i for i in range(r))
     report["exponent_sum"] = nsum
     if nsum % (r * r) != r:
@@ -361,7 +397,8 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
     zero = spec.zero()
     if any(eg.xr.mat[i][j] != zero for i in range(4) for j in range(4) if i != j):
         raise CheckFailed("xr-diagonal", "x^r is not diagonal")
-    expected = _diag(zero, [eg.u ** nsum, eg.v ** nsum, eg.v ** -nsum, eg.u ** -nsum])
+    nu, nv = norm(eg.u), norm(eg.v)
+    expected = _diag(zero, [nu, nv, nv.inverse(), nu.inverse()])
     if eg.xr.mat != expected:
         raise CheckFailed("xr-exponent", "x^r != z^(1+q+...+q^(r-1))")
     if any(frobenius_map(eg.xr.mat[i][i]) != eg.xr.mat[i][i] for i in range(4)):
@@ -445,21 +482,31 @@ def fixed_points_in_F(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport
     return FixedPointReport(count=count, coord_sizes=sizes, free_coords=free)
 
 
+def solved_fixed_points(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport:
+    """fixed_points_in_F(eg, w), solved once per element of an example and
+    kept on it."""
+    reports = eg.f_fixed_points
+    if w not in reports:
+        reports[w] = fixed_points_in_F(eg, w)
+    return reports[w]
+
+
 def _fixed_set(spec: FieldSpec, mu: FieldElement, i: int):
     """{m in GF(q^r) : mu * m^(q^i) = m}: ALL, or a set of at most q elements.
 
     For i = 0 the equation is (mu - 1) m = 0.  Otherwise sigma = Frob^i
     generates Gal(GF(q^r)/GF(q)) because r is prime.  By Hilbert's Theorem 90
-    a nonzero solution exists iff N(mu) = mu^((q^r-1)/(q-1)) = 1, and the
-    solutions are then the line m0 * GF(q) for any nonzero value m0 of
-    sum_k c_k sigma^k(theta), where c_0 = 1 and c_(k+1) = mu sigma(c_k).  The
-    sum is GF(q)-linear in theta and not identically zero (Dedekind), so a
-    basis element theta gives m0 (Lang, Algebra, ch. VI).
+    a nonzero solution exists iff the norm N(mu) = mu^((q^r-1)/(q-1)), the
+    product of mu's r conjugates, is 1, and the solutions are then the line
+    m0 * GF(q) for any nonzero value m0 of sum_k c_k sigma^k(theta), where
+    c_0 = 1 and c_(k+1) = mu sigma(c_k).  The sum is GF(q)-linear in theta
+    and not identically zero (Dedekind), so a basis element theta gives m0
+    (Lang, Algebra, ch. VI).
     """
     zero, one = spec.zero(), spec.one()
     if i == 0:
         return ALL if mu == one else {zero}
-    if mu ** ((spec.size - 1) // (spec.p - 1)) != one:
+    if norm(mu) != one:
         return {zero}
     cs = [one]
     for _ in range(spec.k - 1):
@@ -535,7 +582,7 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
         raise NotInD("w must be a nonidentity element of D")
     c_d = ctx.centralizer(wc)
     d_order = ctx.count(c_d)
-    fp = fixed_points_in_F(eg, w)
+    fp = solved_fixed_points(eg, w)
     return CentralizerReport(
         d_part_order=d_order,
         f_part=fp,
@@ -551,14 +598,14 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
 SeparationReport = namedtuple("SeparationReport", "entry monomial")
 
 
-def _separation_families(spec, g):
+def _separation_families(spec, g, g_inverse):
     """C_F(c) = {FCoords(a, 0, 0, 0, 0)} on variable a, and its g-conjugate on
     variable b, as matrices over the polynomials in (a, b)."""
     one, zero = Poly.constant(spec, 1, 2), Poly.zero(spec, 2)
     fam_a, fam_b = (
         _f_rows(one, zero, Poly.variable(spec, i, 2), zero, zero, zero, zero) for i in range(2)
     )
-    return fam_a, _mat_mul(zero, _mat_mul(zero, g.inverse().mat, fam_b), g.mat)
+    return fam_a, _mat_mul(zero, _mat_mul(zero, g_inverse.mat, fam_b), g.mat)
 
 
 def verify_family_separation(eg: ExampleGroup) -> SeparationReport:
@@ -572,7 +619,7 @@ def verify_family_separation(eg: ExampleGroup) -> SeparationReport:
     for valid parameters; if none is found, raises SymbolicFailure.
     """
     spec = eg.spec
-    comm = _p_commutator(spec, *_separation_families(spec, eg.g))
+    comm = _p_commutator(spec, *_separation_families(spec, eg.g, eg.g_inverse))
     ident = _p_identity(spec, 2)
     for i in range(4):
         for j in range(4):
@@ -610,8 +657,8 @@ def witness_path8(eg: ExampleGroup) -> PathReport:
     one, zero = spec.one(), spec.zero()
     w = FCoords(a=one, b=zero, c=zero, d=zero, x=zero).to_matrix(spec)
     u = FCoords(a=zero, b=zero, c=one, d=zero, x=zero).to_matrix(spec)
-    g = eg.g
-    path = [eg.x, eg.xr, eg.c, w, u, conjugate(w, g), conjugate(eg.c, g), conjugate(eg.xr, g), eg.y]
+    g, g_inv = eg.g, eg.g_inverse
+    path = [eg.x, eg.xr, eg.c, w, u, g_inv * w * g, g_inv * eg.c * g, g_inv * eg.xr * g, eg.y]
     labels = ["x", "x^r", "c", "w", "u", "w*", "c^g", "(x^r)^g", "y"]
     for i in range(len(path) - 1):
         if path[i] * path[i + 1] != path[i + 1] * path[i]:
@@ -699,19 +746,63 @@ class Class3Report(namedtuple(
         return self.derived_nontrivial and self.triple_nontrivial and self.quadruple_trivial
 
 
+def _f_coords(rows):
+    """The coordinates (a, b, c, d, x) of an F matrix, over any ring."""
+    return rows[1][0], rows[2][0], rows[3][0], rows[3][1], rows[2][1]
+
+
+def _f_mul(g, h):
+    """The product of two elements of F in coordinates (a, b, c, d, x)."""
+    a1, b1, c1, d1, x1 = g
+    a2, b2, c2, d2, x2 = h
+    return (a1 + a2, b1 + b2 + x1 * a2, c1 + c2 + d1 * a2 - a1 * b2, d1 + d2 - a1 * x2, x1 + x2)
+
+
+def _f_inv(g):
+    """The inverse of an element of F in coordinates (a, b, c, d, x)."""
+    a, b, c, d, x = g
+    xa = x * a
+    return (-a, xa - b, a * d - a * b + a * xa - c, -d - xa, -x)
+
+
+def _f_commutator(g, h):
+    """[g, h] = g^-1 h^-1 g h = (hg)^-1 (gh), in coordinates."""
+    return _f_mul(_f_inv(_f_mul(h, g)), _f_mul(g, h))
+
+
+def _check_f_law(spec):
+    """Check `_f_mul` and `_f_inv` against the symbolic matrix product of two
+    generic F elements; raises SymbolicFailure if either differs."""
+    one, zero = Poly.constant(spec, 1, 8), Poly.zero(spec, 8)
+    m1, m2 = generic_f_matrix(spec, 8, 0), generic_f_matrix(spec, 8, 4)
+    g, h = _f_coords(m1), _f_coords(m2)
+    if _f_rows(one, zero, *_f_mul(g, h)) != _p_mat_mul(m1, m2):
+        raise SymbolicFailure("the product in F's coordinates differs from the matrix product")
+    if _p_mat_mul(m1, _f_rows(one, zero, *_f_inv(g))) != _p_identity(spec, 8):
+        raise SymbolicFailure("the inverse in F's coordinates is not the matrix inverse")
+
+
 def verify_f_class3(eg: ExampleGroup) -> Class3Report:
-    """F has nilpotency class exactly 3, by generic left-normed commutators."""
+    """F has nilpotency class exactly 3, by generic left-normed commutators.
+
+    The commutators are taken in F's coordinates, by a group law that is
+    first checked against the symbolic matrix product.
+    """
     spec = eg.spec
+    _check_f_law(spec)
     nvars = 16
-    ms = [generic_f_matrix(spec, nvars, 4 * i) for i in range(4)]
-    comm2 = _p_commutator(spec, ms[0], ms[1])
-    comm3 = _p_commutator(spec, comm2, ms[2])
-    comm4 = _p_commutator(spec, comm3, ms[3])
-    ident = _p_identity(spec, nvars)
+    gs = [_f_coords(generic_f_matrix(spec, nvars, 4 * i)) for i in range(4)]
+    comm2 = _f_commutator(gs[0], gs[1])
+    comm3 = _f_commutator(comm2, gs[2])
+    comm4 = _f_commutator(comm3, gs[3])
+
+    def trivial(coords):
+        return all(e.is_zero() for e in coords)
+
     return Class3Report(
-        derived_nontrivial=comm2 != ident,
-        triple_nontrivial=comm3 != ident,
-        quadruple_trivial=comm4 == ident,
+        derived_nontrivial=not trivial(comm2),
+        triple_nontrivial=not trivial(comm3),
+        quadruple_trivial=trivial(comm4),
     )
 
 
@@ -722,7 +813,7 @@ def verify_not_frobenius_structure(eg: ExampleGroup) -> bool:
     centre <x^r>, so D is not a Frobenius group, ruling out 2-Frobenius
     (the kernel chain would force K = F and G/F Frobenius).
     """
-    fp = fixed_points_in_F(eg, eg.c)
+    fp = solved_fixed_points(eg, eg.c)
     if fp.count <= 1:
         return False
     return eg.ctx.count(eg.d_centre) > 1
@@ -781,9 +872,9 @@ def run_all_checks(q: int = 11, r: int = 5, t: int = 3221) -> dict:
         return f"x^r order {rep['xr_order']}, |Z(D)| = {rep['centre_order']}"
 
     def chk_fixed_points():
-        fz = fixed_points_in_F(eg, eg.xr)
-        fx = fixed_points_in_F(eg, eg.x)
-        fc = fixed_points_in_F(eg, eg.c)
+        fz = solved_fixed_points(eg, eg.xr)
+        fx = solved_fixed_points(eg, eg.x)
+        fc = solved_fixed_points(eg, eg.c)
         if fz.count != 1:
             raise CheckFailed("fixed-points", f"|C_F(z^r)| = {fz.count}")
         if fx.count != 1:

@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of the
+group-file readers."""
+
+
+def json_int(value, name: str) -> int:
+    """value if it is a JSON integer, an int that is not a bool; otherwise a
+    ValueError naming the field."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class CommGraphError(Exception):

@@ -5,15 +5,19 @@ polynomial.  The modulus is always the lexicographically least monic
 irreducible of the requested degree, so serialized fields are reproducible.
 An element is a :class:`FieldElement` holding its reduced coefficient tuple,
 and its operators are the one interface to field arithmetic.  A negative
-power is the inverse of a positive one, by one extended Euclid.  The
+power is the inverse of a positive one, by one extended Euclid; a factor in
+GF(p) scales the other's coefficients, and a power of an element of GF(p)
+is an integer power mod p.  The
 Frobenius map is GF(p)-linear, so `frobenius_map` applies a k x k matrix
-over GF(p) that each spec builds once per power and keeps.
+over GF(p) that each spec builds once per power and keeps, and `norm` is
+the product of an element's k conjugates under it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Sequence
+from operator import add, mul
 
 from .errors import (
     CapExceeded,
@@ -22,14 +26,16 @@ from .errors import (
     NotPrime,
     SpecMismatch,
     ZeroElement,
+    json_int,
 )
 from .primes import factorize, is_prime
 
 # Largest field field_create builds.  Nothing enumerates the field, but the
 # canonical primitive element is found by a scan in coefficient order whose
-# length grows with p.  Finding it took 0.25 s in GF(23^11), about 9.5e14 and
-# the largest field of a witness triple with q <= 43, and 24 s in
-# GF(10061^5) (2 vCPU, CPython 3.11.7).
+# length grows with p; each candidate is tested through its norm for the
+# primes of p - 1.  Finding it takes 0.012 s in GF(23^11), about 9.5e14 and
+# the largest field of a witness triple with q <= 43, and would take 0.75 s
+# in GF(10061^5), which the cap refuses (2 vCPU, CPython 3.11.7).
 FIELD_CAP = 2 ** 50
 # Discrete-log tables are only built for fields small enough to enumerate.
 LOG_TABLE_CAP = 2 ** 21
@@ -194,7 +200,7 @@ class FieldSpec:
         self._frobenius = {}
 
     def __eq__(self, other):
-        return (
+        return self is other or (
             isinstance(other, FieldSpec)
             and self.p == other.p
             and self.k == other.k
@@ -237,15 +243,29 @@ class FieldSpec:
         return self._primes
 
     def primitive_element(self) -> FieldElement:
-        """Least primitive element under coefficient-vector lexicographic order."""
+        """Least primitive element under coefficient-vector lexicographic order.
+
+        a is primitive iff a^((p^k - 1)/l) != 1 for every prime l of
+        p^k - 1.  When l divides p - 1 that power is N(a)^((p - 1)/l) for
+        the norm N(a) = a^((p^k - 1)/(p - 1)) in GF(p), an integer power mod
+        p; the other primes keep the power in the field.
+        """
         if self._primitive is None:
-            n = self.size - 1
+            n, p = self.size - 1, self.p
             one = self.one().coeffs
-            primes = self._unit_primes()
-            for coeffs in itertools.product(range(self.p), repeat=self.k):
-                if any(coeffs) and all(
-                    tuple(_polpowmod(coeffs, n // ell, self.modulus, self.p)) != one
-                    for ell in primes
+            by_norm, by_power = [], []
+            for ell in self._unit_primes():
+                (by_norm if (p - 1) % ell == 0 else by_power).append(ell)
+            for coeffs in itertools.product(range(p), repeat=self.k):
+                if not any(coeffs):
+                    continue
+                if by_norm:
+                    n_a = norm(_element(self, coeffs)).coeffs[0]
+                    if any(pow(n_a, (p - 1) // ell, p) == 1 for ell in by_norm):
+                        continue
+                if all(
+                    tuple(_polpowmod(coeffs, n // ell, self.modulus, p)) != one
+                    for ell in by_power
                 ):
                     self._primitive = _element(self, coeffs)
                     break
@@ -254,19 +274,27 @@ class FieldSpec:
     def _frobenius_columns(self, i: int) -> tuple:
         """The matrix of Frob^i, for 0 < i < k, as its k columns.
 
-        Frob^i is GF(p)-linear and multiplicative, so it sends X^j to Y^j
-        for Y = X^(p^i): row j of the matrix is Y^j, from one power of X and
-        k - 2 products.  Column l then gives coefficient l of Frob^i(a) as
-        a dot product with a's coefficients (Berlekamp's Q-matrix).  Built
-        once per i and kept.
+        Frob is GF(p)-linear and multiplicative, so it sends X^j to Y^j for
+        Y = X^p: row j of its matrix is Y^j, from one power of X and k - 2
+        products.  Column l then gives coefficient l of Frob(a) as a dot
+        product with a's coefficients (Berlekamp's Q-matrix).  Frob^i is
+        Frob after Frob^(i-1), so for i > 1 row j is Frob of row j of
+        Frob^(i-1), with no product in the field.  Built once per i and kept.
         """
         cols = self._frobenius.get(i)
         if cols is None:
-            x = [0, 1] + [0] * (self.k - 2)
-            y = _polpowmod(x, self.p ** i, self.modulus, self.p)
-            rows = [[1] + [0] * (self.k - 1), y]
-            while len(rows) < self.k:
-                rows.append(_polmulmod(rows[-1], y, self.modulus, self.p))
+            p = self.p
+            if i == 1:
+                y = _polpowmod([0, 1] + [0] * (self.k - 2), p, self.modulus, p)
+                rows = [[1] + [0] * (self.k - 1), y]
+                while len(rows) < self.k:
+                    rows.append(_polmulmod(rows[-1], y, self.modulus, p))
+            else:
+                frob = self._frobenius_columns(1)
+                rows = [
+                    [sum(map(mul, row, col)) % p for col in frob]
+                    for row in zip(*self._frobenius_columns(i - 1))
+                ]
             cols = self._frobenius[i] = tuple(zip(*rows))
         return cols
 
@@ -289,10 +317,10 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> FieldSpec:
-        p, k = int(obj["p"]), int(obj["k"])
+        p, k = json_int(obj["p"], "p"), json_int(obj["k"], "k")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        modulus = [int(c) for c in obj["modulus"]]
+        modulus = [json_int(c, "modulus entry") for c in obj["modulus"]]
         if modulus[-1] % p != 1 or not _is_irreducible([c % p for c in modulus], p):
             raise SpecMismatch("modulus is not monic irreducible over GF(p)")
         return cls(p, k, modulus)
@@ -339,8 +367,14 @@ class FieldElement:
         c = self._coerce(other)
         if c is NotImplemented:
             return NotImplemented
-        spec = self.spec
-        return _element(spec, tuple(_polmulmod(self.coeffs, c, spec.modulus, spec.p)))
+        spec, a = self.spec, self.coeffs
+        if any(c[1:]):
+            if any(a[1:]):
+                return _element(spec, tuple(_polmulmod(a, c, spec.modulus, spec.p)))
+            a, c = c, a
+        # a factor in GF(p) scales the other's coefficients
+        s, p = c[0], spec.p
+        return _element(spec, tuple(x * s % p for x in a))
 
     __rmul__ = __mul__
 
@@ -365,7 +399,10 @@ class FieldElement:
             return (self ** -e).inverse()
         # the units form a group of order p^k - 1
         e %= spec.size - 1
-        return _element(spec, tuple(_polpowmod(self.coeffs, e, spec.modulus, spec.p)))
+        a = self.coeffs
+        if not any(a[1:]):  # in GF(p), an integer power mod p
+            return _element(spec, (pow(a[0], e, spec.p),) + a[1:])
+        return _element(spec, tuple(_polpowmod(a, e, spec.modulus, spec.p)))
 
     def inverse(self) -> FieldElement:
         if self.is_zero():
@@ -451,8 +488,19 @@ def frobenius_map(a: FieldElement, i: int = 1) -> FieldElement:
         return a
     p, coeffs = spec.p, a.coeffs
     return _element(spec, tuple(
-        sum(c * m for c, m in zip(coeffs, col)) % p for col in spec._frobenius_columns(i)
+        sum(map(mul, coeffs, col)) % p for col in spec._frobenius_columns(i)
     ))
+
+
+def norm(a: FieldElement) -> FieldElement:
+    """The norm of a from GF(p^k) to GF(p): the product of a's k conjugates
+    Frob^i(a), which equals a^((p^k - 1)/(p - 1)) and lies in GF(p)
+    (Lidl and Niederreiter, Finite Fields, ch. 2)."""
+    out = conj = a
+    for _ in range(a.spec.k - 1):
+        conj = frobenius_map(conj)
+        out = out * conj
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +566,12 @@ class Poly:
                 terms.pop(exps, None)
             else:
                 terms[exps] = s
-        return Poly(self.spec, self.nvars, terms)
+        return _poly(self.spec, self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.spec, self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.spec, self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -541,7 +589,7 @@ class Poly:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 c = c1 * c2
                 acc = terms.get(e)
                 s = c if acc is None else acc + c
@@ -549,7 +597,7 @@ class Poly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        return Poly(self.spec, self.nvars, terms)
+        return _poly(self.spec, self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -592,3 +640,13 @@ class Poly:
             )
             parts.append(f"{coeff!r}*{mono}" if mono else repr(coeff))
         return "Poly(" + " + ".join(parts) + ")"
+
+
+def _poly(spec: FieldSpec, nvars: int, terms: dict) -> Poly:
+    """Wrap a term map whose keys are exponent tuples and whose
+    coefficients are nonzero, skipping the filtering."""
+    out = Poly.__new__(Poly)
+    out.spec = spec
+    out.nvars = nvars
+    out.terms = terms
+    return out

@@ -35,6 +35,7 @@ from .errors import (
     CapExceeded,
     NotMember,
     NotNormal,
+    json_int,
 )
 from .matrices import MatrixAutElement, _mat_inv
 from .primes import factorize, is_prime
@@ -316,18 +317,18 @@ class GroupHandle:
     def from_json(cls, obj: dict, cap: int = DEFAULT_GROUP_CAP, name: str = "") -> "GroupHandle":
         kind = obj.get("type")
         if kind == "permutation":
-            degree = int(obj["degree"])
+            degree = json_int(obj["degree"], "degree")
             gens = []
             for images in obj["generators"]:
                 if len(images) != degree:
                     raise ValueError("generator degree mismatch")
-                gens.append(PermutationElement(images))
+                gens.append(PermutationElement([json_int(i, "permutation image") for i in images]))
             return cls(gens, cap=cap, name=name)
         if kind == "matrix":
             spec = fields.FieldSpec.from_json(obj["field"])
-            if int(obj.get("aut_order", spec.k)) != spec.k:
+            if json_int(obj.get("aut_order", spec.k), "aut_order") != spec.k:
                 raise ValueError("aut_order must equal the field extension degree")
-            dim = int(obj["dim"])
+            dim = json_int(obj["dim"], "dim")
             if dim < 1:
                 raise ValueError("dim must be at least 1")
             gens = []
@@ -337,11 +338,15 @@ class GroupHandle:
                     raise ValueError("matrix shape mismatch")
                 mat = tuple(
                     tuple(
-                        spec.element(e if isinstance(e, list) else int(e)) for e in row
+                        spec.element(
+                            [json_int(c, "matrix entry") for c in e] if isinstance(e, list)
+                            else json_int(e, "matrix entry")
+                        )
+                        for e in row
                     )
                     for row in rows
                 )
-                elem = MatrixAutElement(spec, mat, int(gen.get("twist", 0)))
+                elem = MatrixAutElement(spec, mat, json_int(gen.get("twist", 0), "twist"))
                 _mat_inv(spec, elem.mat)  # reject singular generators
                 gens.append(elem)
             return cls(gens, cap=cap, name=name)

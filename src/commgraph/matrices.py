@@ -88,25 +88,24 @@ def _diag(zero, entries):
 
 
 def _mat_mul(zero, a, b):
-    """Square matrix product over any ring whose elements have `is_zero`."""
+    """Square matrix product over any ring whose elements have `is_zero`.
+
+    Each entry is tested for zero once: b's nonzero entries are listed by
+    row, and row i of the product adds a[i][k] times row k of b for each
+    nonzero a[i][k], in increasing k as a dot product would.
+    """
     dim = len(a)
+    b_rows = [[(j, y) for j, y in enumerate(row) if not y.is_zero()] for row in b]
     out = []
-    for i in range(dim):
-        row = []
-        arow = a[i]
-        for j in range(dim):
-            acc = None
-            for k in range(dim):
-                x = arow[k]
-                if x.is_zero():
-                    continue
-                y = b[k][j]
-                if y.is_zero():
-                    continue
+    for arow in a:
+        acc = [None] * dim
+        for x, brow in zip(arow, b_rows):
+            if not brow or x.is_zero():
+                continue
+            for j, y in brow:
                 term = x * y
-                acc = term if acc is None else acc + term
-            row.append(zero if acc is None else acc)
-        out.append(tuple(row))
+                acc[j] = term if acc[j] is None else acc[j] + term
+        out.append(tuple(zero if s is None else s for s in acc))
     return tuple(out)
 
 

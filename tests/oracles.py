@@ -449,6 +449,19 @@ def repeated_frobenius(a, i):
     return a
 
 
+def power_scan_primitive_element(spec):
+    """The least primitive element in coefficient order, testing every
+    candidate a by a^((p^k - 1)/l) != 1 for each prime l of p^k - 1, with
+    the primes from trial division."""
+    n = spec.size - 1
+    one = spec.one()
+    primes = list(trial_division_factorize(n))
+    for a in spec.elements():
+        if not a.is_zero() and all(a ** (n // ell) != one for ell in primes):
+            return a
+    raise AssertionError("no primitive element")
+
+
 # --- the diameter-8 witness: log-space references ---------------------------
 
 
@@ -549,3 +562,61 @@ def listed_centralizer_in_D(q, order_x, t, w):
         elif not rhs:
             out.extend((i, j) for j in range(t))
     return out
+
+
+# --- the diameter-8 witness: power forms and the matrix commutator chain ----
+
+
+def power_form_u_v(spec, r):
+    """The first pair (u, v) of elements of order r^2, in coefficient order,
+    with {u^r, u^-r, v^r, v^-r} a 4-set: the candidates h^k, gcd(k, r) = 1,
+    each taken as a power of the canonical element h of order r^2."""
+    from commgraph.fields import element_of_order
+
+    h = element_of_order(spec, r * r)
+    cands = sorted((h ** k for k in range(1, r * r) if k % r), key=lambda e: e.coeffs)
+    for u in cands:
+        for v in cands:
+            if len({(u ** r).coeffs, (u ** -r).coeffs, (v ** r).coeffs, (v ** -r).coeffs}) == 4:
+                return u, v
+    return None
+
+
+def power_form_mul(ctx, a, b):
+    """(i, h)(k, h') = (i + k, h^(q^k) h') in D's normal form, by a power."""
+    q = ctx.spec.p
+    return (a[0] + b[0]) % ctx.order_x, a[1] ** (q ** b[0]) * b[1]
+
+
+def power_form_centralizer(ctx, w, all_marker):
+    """C_D(w) as `_NormalForm.centralizer` describes it, with the right side
+    g^(q^i - 1) of h^(q^a - 1) = g^(q^i - 1) taken as a power at every i."""
+    a, g = w
+    q, t = ctx.spec.p, ctx.order_c
+    lhs = (pow(q, a, t) - 1) % t
+    out = []
+    for i in range(ctx.order_x):
+        rhs = g ** ((pow(q, i, t) - 1) % t)
+        if lhs:
+            out.append((i, rhs ** pow(lhs, -1, t)))
+        elif rhs == ctx.spec.one():
+            out.append((i, all_marker))
+    return out
+
+
+def matrix_commutator_chain(spec, nvars):
+    """The left-normed commutators [m0, m1], [[m0, m1], m2] and
+    [[[m0, m1], m2], m3] of generic F matrices on nvars = 16 variables, each
+    as a^-1 b^-1 a b by symbolic matrix products."""
+    from commgraph.diameter8 import _p_mat_mul, _p_unitriangular_inverse, generic_f_matrix
+
+    def commutator(a, b):
+        ainv = _p_unitriangular_inverse(spec, a)
+        binv = _p_unitriangular_inverse(spec, b)
+        return _p_mat_mul(_p_mat_mul(ainv, binv), _p_mat_mul(a, b))
+
+    ms = [generic_f_matrix(spec, nvars, 4 * i) for i in range(4)]
+    chain = [commutator(ms[0], ms[1])]
+    for m in ms[2:]:
+        chain.append(commutator(chain[-1], m))
+    return chain

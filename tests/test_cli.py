@@ -317,6 +317,27 @@ def test_paper_verify_matches_expected_report(capsys):
     assert out.encode() == expected.read_bytes()
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("report", sorted(p.name for p in GOLDEN.glob("paper_verify_*")))
+def test_paper_verify_matches_golden_report(capsys, report):
+    # one report per search-params --q-max 43 triple besides the default,
+    # in JSON and CSV
+    q, r, t = report[len("paper_verify_"):].partition(".")[0].split("_")
+    fmt = report.rpartition(".")[2]
+    code, out, _ = run(["paper-verify", "--q", q, "--r", r, "--t", t, "--format", fmt], capsys)
+    assert code == EXIT_OK
+    assert out.encode() == (GOLDEN / report).read_bytes()
+
+
+def test_golden_reports_cover_the_other_listed_triples():
+    triples = {p.name.partition(".")[0] for p in GOLDEN.glob("paper_verify_*")}
+    listed = {f"paper_verify_{p.q}_{p.r}_{p.t}" for p in diameter8.find_params(43)}
+    assert triples == listed - {"paper_verify_11_5_3221"}
+    assert len(list(GOLDEN.glob("paper_verify_*"))) == 2 * len(triples)
+
+
 def test_analyze_corpus_matches_expected_verdicts(capsys):
     expected = Path(__file__).resolve().parents[1] / "bench" / "expected" / "corpus_analyze.json"
     verdicts = json.loads(expected.read_text())
@@ -565,3 +586,57 @@ def test_analyze_whole_corpus_never_emits_sentinel(capsys):
     rows = json.loads(out)
     jsonschema.validate(rows, schema("analyze_report.schema.json"))
     assert all(r["kind"] != "DisconnectedOther" for r in rows)
+
+
+def _gf3_file(**changes):
+    """The group {1, -1} of GF(3), with the given keys (or field keys)
+    replaced."""
+    payload = _matrix_file(dict(GF3), 1, [[[2]]])
+    payload["field"].update(changes.pop("field", {}))
+    payload.update(changes)
+    return payload
+
+
+# every number a group file holds must be a JSON integer: a float or a
+# boolean is refused by name, not truncated or read as 0 and 1
+@pytest.mark.parametrize("payload, named", [
+    (_gf3_file(generators=[{"matrix": [[2.5]]}]), "matrix entry must be an integer, got 2.5"),
+    (_gf3_file(generators=[{"matrix": [[[2.0]]]}]), "matrix entry must be an integer, got 2.0"),
+    (_gf3_file(generators=[{"matrix": [[True]]}]), "matrix entry must be an integer, got True"),
+    (_gf3_file(dim=1.0), "dim must be an integer, got 1.0"),
+    (_gf3_file(generators=[{"twist": 0.0, "matrix": [[2]]}]),
+     "twist must be an integer, got 0.0"),
+    (_gf3_file(aut_order=True), "aut_order must be an integer, got True"),
+    (_gf3_file(field={"p": 3.0}), "p must be an integer, got 3.0"),
+    (_gf3_file(field={"k": "1"}), "k must be an integer, got '1'"),
+    (_gf3_file(field={"modulus": [0, 1.0]}), "modulus entry must be an integer, got 1.0"),
+    ({"type": "permutation", "degree": 3, "generators": [[1.0, 2.0, 0.0]]},
+     "permutation image must be an integer, got 1.0"),
+    ({"type": "permutation", "degree": 3, "generators": [[True, False, 2]]},
+     "permutation image must be an integer, got True"),
+    ({"type": "permutation", "degree": 3.0, "generators": [[1, 2, 0]]},
+     "degree must be an integer, got 3.0"),
+])
+@pytest.mark.parametrize("command", ["analyze", "graph-export"])
+def test_group_file_numbers_must_be_integers(tmp_path, capsys, command, payload, named):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run([command, str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert err == f"error: {path}: {named}\n"
+
+
+def test_group_file_with_integers_still_loads(tmp_path, capsys):
+    # the matrix file the cases above spoil, intact; and a 3-cycle with its
+    # transposition, whose images are integers
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(_gf3_file()))
+    from commgraph.corpus import load_group_file
+
+    assert load_group_file(path).materialize().order() == 2
+    path.write_text(json.dumps({
+        "type": "permutation", "degree": 3, "generators": [[1, 2, 0], [1, 0, 2]],
+    }))
+    code, out, _ = run(["analyze", str(path)], capsys)
+    assert code == EXIT_OK
+    assert json.loads(out)[0]["order"] == 6

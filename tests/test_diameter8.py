@@ -8,6 +8,10 @@ from oracles import (
     enumerated_fixed_set,
     evaluate,
     listed_centralizer_in_D,
+    matrix_commutator_chain,
+    power_form_centralizer,
+    power_form_mul,
+    power_form_u_v,
     scanned_count_with_relation,
     trial_division_factorize,
 )
@@ -19,6 +23,9 @@ from commgraph.diameter8 import (
     ParamTriple,
     _F_POSITIONS,
     _count_with_relation,
+    _f_commutator,
+    _f_coords,
+    _f_rows,
     _fixed_set,
     _p_commutator,
     _p_identity,
@@ -32,6 +39,7 @@ from commgraph.diameter8 import (
     fixed_points_in_F,
     generic_f_matrix,
     run_all_checks,
+    solved_fixed_points,
     validate_params,
     verify_d_structure,
     verify_f_class3,
@@ -216,6 +224,13 @@ def test_build_is_deterministic(example_group):
     assert again.d_elements == example_group.d_elements
 
 
+@pytest.mark.parametrize("triple", ["example_group", "example_31"])
+def test_u_v_match_the_power_form_choice(request, triple):
+    # the running products of h pick the same canonical (u, v) as powers
+    eg = request.getfixturevalue(triple)
+    assert (eg.u, eg.v) == power_form_u_v(eg.spec, eg.params.r)
+
+
 def test_x_orders(example_group):
     eg = example_group
     assert eg.x.twist == 1
@@ -397,6 +412,24 @@ def test_centralizer_description_matches_listed_oracle(request, triple):
         assert ctx.count(described) == len(listed)
 
 
+@pytest.mark.parametrize("triple", ["example_group", "example_31"])
+def test_normal_form_matches_power_forms(request, triple):
+    # the product and C_D(w) by Frobenius against h^(q^k) and g^(q^i - 1)
+    # as powers: on x, x^r, c and 20 seeded pairs
+    eg = request.getfixturevalue(triple)
+    ctx = eg.ctx
+    rng = random.Random(20 * eg.params.t)
+    witness = [ctx.from_matrix(m) for m in (eg.x, eg.xr, eg.c)]
+    seeded = [
+        (rng.randrange(ctx.order_x), eg.f ** rng.randrange(ctx.order_c)) for _ in range(40)
+    ]
+    pairs = list(itertools.product(witness, repeat=2)) + list(zip(seeded[::2], seeded[1::2]))
+    for a, b in pairs:
+        assert ctx.mul(a, b) == power_form_mul(ctx, a, b), (a, b)
+    for w in witness + seeded:
+        assert ctx.centralizer(w) == power_form_centralizer(ctx, w, ALL), w
+
+
 # --- fixed points and centralizers ----------------------------------------
 
 
@@ -565,7 +598,7 @@ def test_first_separation_family_is_c_f_of_c(example_group):
     spec = example_group.spec
     rng = random.Random(3)
     zero = spec.zero()
-    fam_a, _ = _separation_families(spec, example_group.g)
+    fam_a, _ = _separation_families(spec, example_group.g, example_group.g_inverse)
     for _ in range(4):
         a, b = _random_element(spec, rng), _random_element(spec, rng)
         expected = FCoords(a=a, b=zero, c=zero, d=zero, x=zero).to_matrix(spec).mat
@@ -579,7 +612,7 @@ def test_family_commutator_is_2ab_at_one_entry(q):
     spec = field_create(q, 1)
     zero, one = spec.zero(), spec.one()
     g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
-    comm = _p_commutator(spec, *_separation_families(spec, g))
+    comm = _p_commutator(spec, *_separation_families(spec, g, g.inverse()))
     ident = _p_identity(spec, 2)
     two_ab = Poly.variable(spec, 0, 2) * Poly.variable(spec, 1, 2) * 2
     for i in range(4):
@@ -675,6 +708,50 @@ def test_f_has_class_exactly_3(example_group):
     assert report.ok
 
 
+def test_f_group_law_matches_matrix_commutator_chain(example_group):
+    # the commutators in F's coordinates are the entries of the commutators
+    # of generic matrices, each a^-1 b^-1 a b by symbolic matrix products
+    spec = example_group.spec
+    nvars = 16
+    one, zero = Poly.constant(spec, 1, nvars), Poly.zero(spec, nvars)
+    gs = [_f_coords(generic_f_matrix(spec, nvars, 4 * i)) for i in range(4)]
+    coords = [_f_commutator(gs[0], gs[1])]
+    for g in gs[2:]:
+        coords.append(_f_commutator(coords[-1], g))
+    chain = matrix_commutator_chain(spec, nvars)
+    for level, matrix in zip(coords, chain):
+        assert _f_rows(one, zero, *level) == matrix
+    ident = _p_identity(spec, nvars)
+    report = verify_f_class3(example_group)
+    assert (report.derived_nontrivial, report.triple_nontrivial, report.quadruple_trivial) == (
+        chain[0] != ident, chain[1] != ident, chain[2] == ident,
+    )
+
+
+def _law_without_a1b2(g, h):
+    a1, b1, c1, d1, x1 = g
+    a2, b2, c2, d2, x2 = h
+    return (a1 + a2, b1 + b2 + x1 * a2, c1 + c2 + d1 * a2, d1 + d2 - a1 * x2, x1 + x2)
+
+
+def _inverse_without_a2x(g):
+    a, b, c, d, x = g
+    return (-a, x * a - b, a * d - a * b - c, -d - x * a, -x)
+
+
+@pytest.mark.parametrize("name, mutant", [
+    ("_f_mul", _law_without_a1b2), ("_f_inv", _inverse_without_a2x),
+])
+def test_f_class3_rejects_a_wrong_group_law(monkeypatch, example_group, name, mutant):
+    monkeypatch.setattr(diameter8, name, mutant)
+    with pytest.raises(SymbolicFailure):
+        verify_f_class3(example_group)
+    monkeypatch.setattr(diameter8, "build_example", lambda params: example_group)
+    statuses = {c["name"]: c["status"] for c in run_all_checks()["checks"]}
+    assert statuses.pop("f_class3") == "fail"
+    assert set(statuses.values()) == {"pass"}
+
+
 def test_not_frobenius_structure(example_group):
     assert verify_not_frobenius_structure(example_group)
 
@@ -700,6 +777,60 @@ def test_run_all_checks_passes_on_every_listed_triple(params):
     assert [c["name"] for c in report["checks"] if c["status"] != "pass"] == []
     assert len(report["checks"]) == 11
     assert report["group_order"] == str(example_group_order(params))
+
+
+def test_each_example_solves_each_fixed_point_set_once(monkeypatch):
+    # two examples in one process: each keeps its own C_F(w) reports, and
+    # run_all_checks solves C_F(w) once per element it asks about
+    solved = []
+    real = diameter8.fixed_points_in_F
+
+    def counted(eg, w):
+        solved.append((eg.params, w))
+        return real(eg, w)
+
+    monkeypatch.setattr(diameter8, "fixed_points_in_F", counted)
+    examples = [build_example(ParamTriple(11, 5, 3221)), build_example(ParamTriple(31, 5, 11))]
+    for eg in examples:
+        for w in (eg.xr, eg.x, eg.c, eg.c):
+            assert solved_fixed_points(eg, w) == real(eg, w)
+        assert set(eg.f_fixed_points) == {eg.xr, eg.x, eg.c}
+        assert eg.f_fixed_points[eg.c].count == eg.spec.size
+    assert examples[0].f_fixed_points is not examples[1].f_fixed_points
+    assert solved == [(eg.params, w) for eg in examples for w in (eg.xr, eg.x, eg.c)]
+
+    built = []
+    real_build = diameter8.build_example
+
+    def recorded(params):
+        built.append(real_build(params))
+        return built[-1]
+
+    monkeypatch.setattr(diameter8, "build_example", recorded)
+    solved.clear()
+    for q, r, t in ((11, 5, 3221), (31, 5, 11)):
+        assert first_failing_check(run_all_checks(q, r, t)) is None
+    assert [len(eg.f_fixed_points) for eg in built] == [3, 3]
+    assert solved == [(eg.params, w) for eg in built for w in (eg.xr, eg.x, eg.c)]
+
+
+def test_run_all_checks_product_budget(monkeypatch):
+    # polynomial products of the whole suite at (11, 5, 3221): norms and
+    # powers of q through Frobenius, F's commutators in coordinates, each
+    # C_F(w) solved once, factors in GF(p) as scalars and Frob^i as Frob
+    # after Frob^(i-1) took them from 3050 to 398
+    from commgraph import fields
+
+    products = []
+    real = fields._polmulmod
+
+    def counted(*args):
+        products.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fields, "_polmulmod", counted)
+    assert first_failing_check(run_all_checks()) is None
+    assert len(products) <= 398
 
 
 def test_run_all_checks_rejects_bad_params():

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     evaluate,
+    power_scan_primitive_element,
     repeated_frobenius,
     repeated_power,
     trial_division_factorize,
@@ -33,8 +34,10 @@ from commgraph.fields import (
     frobenius_map,
     is_prime,
     least_irreducible,
+    norm,
 )
-from commgraph.fields import _is_irreducible
+from commgraph.fields import _is_irreducible, _polmulmod
+from test_properties import FIELD_POOL
 
 
 def test_field_sizes(gf115):
@@ -269,6 +272,60 @@ def test_witness_field_frobenius_and_powers_match_oracles(gf115):
             assert frobenius_map(a, i) == repeated_frobenius(a, i), (a, i)
         for e in range(-30, 31):
             assert a ** e == repeated_power(a, e), (a, e)
+
+
+def _norm_exponent(spec):
+    return (spec.size - 1) // (spec.p - 1)
+
+
+@pytest.mark.parametrize("spec", FIELD_POOL, ids=repr)
+def test_norm_matches_power_and_lies_in_prime_field(spec):
+    e = _norm_exponent(spec)
+    for a in spec.elements():
+        n = norm(a)
+        assert n == repeated_power(a, e), a
+        assert n == spec.element(n.coeffs[0])  # in GF(p)
+
+
+def test_norm_matches_power_in_witness_field(gf115):
+    import random
+
+    rng = random.Random(161051)
+    e = _norm_exponent(gf115)
+    sample = [gf115.zero(), gf115.one(), gf115.element((0, 1, 0, 0, 0)),
+              gf115.primitive_element()]
+    sample += [gf115.element(tuple(rng.randrange(11) for _ in range(5))) for _ in range(40)]
+    for a in sample:
+        n = norm(a)
+        assert n == a ** e, a
+        assert not any(n.coeffs[1:])
+    assert norm(gf115.primitive_element()) != gf115.one()
+
+
+@pytest.mark.parametrize("spec", FIELD_POOL + [field_create(11, 5)], ids=repr)
+def test_prime_field_factors_match_the_general_product(spec):
+    # a product with a factor in GF(p) scales coefficients, and a power of
+    # an element of GF(p) is an integer power mod p: against the polynomial
+    # product and repeated multiplication
+    import random
+
+    rng = random.Random(spec.size)
+    sample = [spec.element(tuple(rng.randrange(spec.p) for _ in range(spec.k))) for _ in range(12)]
+    for s in (spec.element(v) for v in range(spec.p)):
+        for a in sample + [s]:
+            general = _polmulmod(a.coeffs, s.coeffs, spec.modulus, spec.p)
+            assert (a * s).coeffs == (s * a).coeffs == tuple(general), (a, s)
+        if not s.is_zero():
+            for e in (0, 1, 2, spec.p - 1, spec.p + 3, -1, -spec.p):
+                assert s ** e == repeated_power(s, e), (s, e)
+
+
+@pytest.mark.parametrize("p, k", [(s.p, s.k) for s in FIELD_POOL] + [(11, 5), (23, 11)])
+def test_primitive_element_matches_power_scan(p, k):
+    # fresh specs, so that neither side reads the other's cached element
+    spec = FieldSpec(p, k, least_irreducible(p, k))
+    expected = power_scan_primitive_element(FieldSpec(p, k, least_irreducible(p, k)))
+    assert spec.primitive_element().coeffs == expected.coeffs
 
 
 def test_frobenius_is_ring_hom_sampled(gf115):
