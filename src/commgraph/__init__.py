@@ -36,8 +36,7 @@ _HOME = {
                   "frobenius_map",
         "graph": "CommutingGraph DistanceReport build_graph diameter_and_components distance",
         "groups": "GroupHandle PermutationElement SubgroupHandle center centralizer "
-                  "fitting_subgroup generate_elements is_nilpotent is_soluble p_core "
-                  "quotient_group sylow_profile_cyclic_or_quaternion sylow_subgroup",
+                  "fitting_subgroup is_soluble p_core quotient_group sylow_subgroup",
         "matrices": "MatrixAutElement",
     }.items()
     for name in names.split()

@@ -592,7 +592,7 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
 
 
 # ---------------------------------------------------------------------------
-# separation and centre checks
+# separation, and the path
 
 
 SeparationReport = namedtuple("SeparationReport", "entry monomial")
@@ -668,72 +668,6 @@ def witness_path8(eg: ExampleGroup) -> PathReport:
     if any(e.is_identity() for e in path):
         raise PathBroken(-1, "identity appears on the path")
     return PathReport(labels=labels, elements=path)
-
-
-CenterOfFReport = namedtuple("CenterOfFReport", "forced_zero free order")
-
-
-def center_of_F(eg: ExampleGroup) -> CenterOfFReport:
-    """Solve symbolically for the F-coordinates commuting with generic F.
-
-    Works over 8 variables (one generic element per block); grouping the
-    entries of M*M' - M'*M by monomials in the first block yields constraint
-    polynomials in the second block, solved by repeatedly forcing variables
-    that appear as pure scalar monomials to zero.
-    """
-    spec = eg.spec
-    nvars = 8
-    m1 = generic_f_matrix(spec, nvars, 0)
-    m2 = generic_f_matrix(spec, nvars, 4)
-    diff = _p_mat_sub(_p_mat_mul(m1, m2), _p_mat_mul(m2, m1))
-
-    constraints = []
-    for i in range(4):
-        for j in range(4):
-            grouped: dict = {}
-            for exps, coeff in diff[i][j].terms.items():
-                un, pr = exps[:4], exps[4:]
-                grouped.setdefault(un, {})[pr] = coeff
-            for pr_terms in grouped.values():
-                constraints.append(Poly(spec, 4, pr_terms))
-
-    forced: set[int] = set()
-    changed = True
-    while changed:
-        changed = False
-        for poly in constraints:
-            reduced = _substitute_zero(poly, forced)
-            if reduced.is_zero():
-                continue
-            cert = reduced.monomial_certificate()
-            if cert is None:
-                continue
-            _, exps = cert
-            used = [i for i, e in enumerate(exps) if e]
-            if len(used) == 1 and used[0] not in forced:
-                forced.add(used[0])
-                changed = True
-    residue = [p for p in constraints if not _substitute_zero(p, forced).is_zero()]
-    if residue:
-        raise SymbolicFailure(f"{len(residue)} unresolved centre constraints")
-
-    names = ["a", "x", "d", "c"]
-    forced_names = sorted(names[i] for i in forced)
-    free_names = [n for i, n in enumerate(names) if i not in forced]
-    return CenterOfFReport(
-        forced_zero=forced_names,
-        free=free_names,
-        order=eg.spec.size ** len(free_names),
-    )
-
-
-def _substitute_zero(poly: Poly, zero_vars: set[int]) -> Poly:
-    terms = {
-        exps: coeff
-        for exps, coeff in poly.terms.items()
-        if all(exps[v] == 0 for v in zero_vars)
-    }
-    return Poly(poly.spec, poly.nvars, terms)
 
 
 class Class3Report(namedtuple(

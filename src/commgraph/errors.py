@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer check of the
+"""Exception types shared across the package, and the shape checks of the
 group-file readers."""
 
 
@@ -8,6 +8,23 @@ def json_int(value, name: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def json_list(value, name: str) -> list:
+    """value if it is a JSON array; otherwise a ValueError naming the field."""
+    if type(value) is not list:
+        raise ValueError(f"{name} must be a list, got {type(value).__name__}")
+    return value
+
+
+def json_field(obj, key: str, name: str):
+    """obj[key] if obj, called `name`, is a JSON object that holds key;
+    otherwise a ValueError naming both."""
+    if type(obj) is not dict:
+        raise ValueError(f"{name} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{name} lacks {key!r}")
+    return obj[key]
 
 
 class CommGraphError(Exception):

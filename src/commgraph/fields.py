@@ -26,7 +26,9 @@ from .errors import (
     NotPrime,
     SpecMismatch,
     ZeroElement,
+    json_field,
     json_int,
+    json_list,
 )
 from .primes import factorize, is_prime
 
@@ -317,11 +319,13 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> FieldSpec:
-        p, k = json_int(obj["p"], "p"), json_int(obj["k"], "k")
+        p = json_int(json_field(obj, "p", "field"), "p")
+        k = json_int(json_field(obj, "k", "field"), "k")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
-        modulus = [json_int(c, "modulus entry") for c in obj["modulus"]]
-        if modulus[-1] % p != 1 or not _is_irreducible([c % p for c in modulus], p):
+        modulus = [json_int(c, "modulus entry")
+                   for c in json_list(json_field(obj, "modulus", "field"), "modulus")]
+        if not modulus or modulus[-1] % p != 1 or not _is_irreducible([c % p for c in modulus], p):
             raise SpecMismatch("modulus is not monic irreducible over GF(p)")
         return cls(p, k, modulus)
 

@@ -35,7 +35,9 @@ from .errors import (
     CapExceeded,
     NotMember,
     NotNormal,
+    json_field,
     json_int,
+    json_list,
 )
 from .matrices import MatrixAutElement, _mat_inv
 from .primes import factorize, is_prime
@@ -136,12 +138,6 @@ def _schreier_tree(generators: Sequence, cap: int) -> tuple[list, dict, list, li
                 via.append(v)
             right[v].append(i)
     return ordered, index, parent, via, right
-
-
-def generate_elements(generators: Sequence, cap: int = DEFAULT_GROUP_CAP) -> list:
-    """Close a generating set under multiplication, breadth-first, in the
-    deterministic order of `_schreier_tree`."""
-    return _schreier_tree(generators, cap)[0]
 
 
 def _compose(i: int, tables: Sequence) -> int:
@@ -315,26 +311,29 @@ class GroupHandle:
 
     @classmethod
     def from_json(cls, obj: dict, cap: int = DEFAULT_GROUP_CAP, name: str = "") -> "GroupHandle":
-        kind = obj.get("type")
+        """The group a group file describes.  A file of the wrong shape (not
+        an object, a field missing, or a list that is something else) is a
+        ValueError that names the field."""
+        kind = json_field(obj, "type", "group file")
         if kind == "permutation":
-            degree = json_int(obj["degree"], "degree")
+            degree = json_int(json_field(obj, "degree", "group file"), "degree")
             gens = []
-            for images in obj["generators"]:
-                if len(images) != degree:
+            for images in json_list(json_field(obj, "generators", "group file"), "generators"):
+                if len(json_list(images, "generator")) != degree:
                     raise ValueError("generator degree mismatch")
                 gens.append(PermutationElement([json_int(i, "permutation image") for i in images]))
             return cls(gens, cap=cap, name=name)
         if kind == "matrix":
-            spec = fields.FieldSpec.from_json(obj["field"])
+            spec = fields.FieldSpec.from_json(json_field(obj, "field", "group file"))
             if json_int(obj.get("aut_order", spec.k), "aut_order") != spec.k:
                 raise ValueError("aut_order must equal the field extension degree")
-            dim = json_int(obj["dim"], "dim")
+            dim = json_int(json_field(obj, "dim", "group file"), "dim")
             if dim < 1:
                 raise ValueError("dim must be at least 1")
             gens = []
-            for gen in obj["generators"]:
-                rows = gen["matrix"]
-                if len(rows) != dim or any(len(r) != dim for r in rows):
+            for gen in json_list(json_field(obj, "generators", "group file"), "generators"):
+                rows = json_list(json_field(gen, "matrix", "generator"), "matrix")
+                if len(rows) != dim or any(len(json_list(r, "matrix row")) != dim for r in rows):
                     raise ValueError("matrix shape mismatch")
                 mat = tuple(
                     tuple(
@@ -463,11 +462,6 @@ def _index_closure(G: GroupHandle, gens: Sequence[int]) -> list[int]:
     return members
 
 
-def subgroup_closure(G: GroupHandle, seed: Iterable) -> SubgroupHandle:
-    """Subgroup of G generated by `seed`, a set of members of G."""
-    return SubgroupHandle(G, _index_closure(G, [G.index_of(x) for x in seed]))
-
-
 # ---------------------------------------------------------------------------
 # centralizers, centre, series
 
@@ -535,14 +529,6 @@ def is_soluble(G: GroupHandle) -> bool:
     )
 
 
-def is_nilpotent(G: GroupHandle | SubgroupHandle) -> bool:
-    if isinstance(G, SubgroupHandle):
-        G = G.as_group()
-    # gamma_{i+1} = [gamma_i, G], the normal closure of [n, x] over generators
-    xs = [G.index_of(g) for g in G.generators]
-    return _series_reaches_one(G, lambda gens: [_commutator_at(G, n, x) for n in gens for x in xs])
-
-
 # ---------------------------------------------------------------------------
 # normality, Sylow machinery, Fitting subgroup
 
@@ -560,12 +546,6 @@ def _normalizes(images: Sequence[list], inside, i: int) -> bool:
     """e_i conjugates into `inside` every element whose conjugation images
     are listed."""
     return all(img[i] in inside for img in images)
-
-
-def normalizer(G: GroupHandle, H: SubgroupHandle) -> SubgroupHandle:
-    inside = H.indices()
-    images = [G.conjugation_images(h) for h in H.generator_indices()]
-    return SubgroupHandle(G, [i for i in range(G.order()) if _normalizes(images, inside, i)])
 
 
 def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
@@ -684,23 +664,6 @@ def quotient_group(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
 # structural predicates
 
 
-def sylow_profile_cyclic_or_quaternion(H: SubgroupHandle) -> bool:
-    """True iff every Sylow subgroup of H is cyclic or generalized quaternion.
-
-    Generalized quaternion means: a 2-group of order >= 8 with a unique
-    involution and a cyclic subgroup of index 2.
-    """
-    Hg = H.as_group()
-    for p in factorize(Hg.order()):
-        S = sylow_subgroup(Hg, p).indices()
-        orders = [Hg.element_order_at(i) for i in S]
-        if len(S) in orders:
-            continue
-        if p != 2 or len(S) < 8 or orders.count(2) != 1 or len(S) // 2 not in orders:
-            return False
-    return True
-
-
 def is_metacyclic(G: GroupHandle) -> bool:
     """True iff G has a normal cyclic subgroup with cyclic quotient."""
     seen = set()
@@ -715,25 +678,3 @@ def is_metacyclic(G: GroupHandle) -> bool:
         if any(Q.element_order_at(j) == Q.order() for j in range(Q.order())):
             return True
     return False
-
-
-def find_frobenius_complement(G: GroupHandle, K: SubgroupHandle, max_order: int = 500):
-    """Search for a complement to K: a subgroup H with |H| = [G:K], H cap K = 1.
-
-    Exhaustive over one- and two-generator subgroups, first hit in canonical
-    order; diagnostics only, capped at |G| <= max_order.
-    """
-    if G.order() > max_order:
-        return None
-    m = G.order() // K.order()
-    inside = K.indices()
-    singles = [i for i in G.key_order() if i and i not in inside]
-    candidates = itertools.chain(
-        ([i] for i in singles if m % G.element_order_at(i) == 0),
-        itertools.combinations(singles, 2),
-    )
-    for gens in candidates:
-        H = SubgroupHandle(G, _index_closure(G, gens))
-        if H.order() == m and len(H.indices() & inside) == 1:
-            return H
-    return None

@@ -18,8 +18,10 @@ fixed-point equations on F by scanning every field element;
 centralizers in D are also listed element by element in exponent form.
 Powers, inverses, orders and the Frobenius map of field elements come from
 repeated multiplication or a scan of the field, and primality and
-factorization from trial division.  Two library helpers that only the tests
-call, the derived subgroup and polynomial evaluation, live here too.
+factorization from trial division.  Four library helpers that only the
+tests call live here too: the derived subgroup, the Sylow profile of a
+Frobenius complement, the search for a complement, and polynomial
+evaluation.
 """
 
 import functools
@@ -34,8 +36,11 @@ from commgraph.groups import (
     PermutationElement,
     SubgroupHandle,
     _commutator_at,
+    _index_closure,
     _normal_closure,
+    sylow_subgroup,
 )
+from commgraph.primes import factorize
 
 
 def naive_closure(generators):
@@ -183,6 +188,45 @@ def derived_subgroup(G, H=None):
     gens = H.generator_indices() if H is not None else [G.index_of(g) for g in G.generators]
     comms = [_commutator_at(G, a, b) for a, b in itertools.combinations(gens, 2)]
     return SubgroupHandle(G, _normal_closure(G, comms)[1])
+
+
+def sylow_profile_cyclic_or_quaternion(H: SubgroupHandle) -> bool:
+    """True iff every Sylow subgroup of H is cyclic or generalized quaternion.
+
+    Generalized quaternion means: a 2-group of order >= 8 with a unique
+    involution and a cyclic subgroup of index 2.
+    """
+    Hg = H.as_group()
+    for p in factorize(Hg.order()):
+        S = sylow_subgroup(Hg, p).indices()
+        orders = [Hg.element_order_at(i) for i in S]
+        if len(S) in orders:
+            continue
+        if p != 2 or len(S) < 8 or orders.count(2) != 1 or len(S) // 2 not in orders:
+            return False
+    return True
+
+
+def find_frobenius_complement(G: GroupHandle, K: SubgroupHandle, max_order: int = 500):
+    """Search for a complement to K: a subgroup H with |H| = [G:K], H cap K = 1.
+
+    Exhaustive over one- and two-generator subgroups, first hit in canonical
+    order; diagnostics only, capped at |G| <= max_order.
+    """
+    if G.order() > max_order:
+        return None
+    m = G.order() // K.order()
+    inside = K.indices()
+    singles = [i for i in G.key_order() if i and i not in inside]
+    candidates = itertools.chain(
+        ([i] for i in singles if m % G.element_order_at(i) == 0),
+        itertools.combinations(singles, 2),
+    )
+    for gens in candidates:
+        H = SubgroupHandle(G, _index_closure(G, gens))
+        if H.order() == m and len(H.indices() & inside) == 1:
+            return H
+    return None
 
 
 def evaluate(poly, values):

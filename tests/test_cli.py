@@ -626,6 +626,40 @@ def test_group_file_numbers_must_be_integers(tmp_path, capsys, command, payload,
     assert err == f"error: {path}: {named}\n"
 
 
+def _without(payload, key):
+    return {k: v for k, v in payload.items() if k != key}
+
+
+C3 = {"type": "permutation", "degree": 3, "generators": [[1, 2, 0]]}
+
+
+# a group file of the wrong shape is refused by the name of the field, not
+# with the message of the Python error it would raise
+@pytest.mark.parametrize("payload, named", [
+    ([C3], "group file must be an object, got list"),
+    ({}, "group file lacks 'type'"),
+    (_without(C3, "degree"), "group file lacks 'degree'"),
+    (_without(C3, "generators"), "group file lacks 'generators'"),
+    ({**C3, "generators": 5}, "generators must be a list, got int"),
+    ({**C3, "generators": [5]}, "generator must be a list, got int"),
+    (_without(_gf3_file(), "field"), "group file lacks 'field'"),
+    (_gf3_file(field={"p": 3, "k": 1, "modulus": 1}), "modulus must be a list, got int"),
+    ({**_gf3_file(), "field": [3, 1]}, "field must be an object, got list"),
+    ({**_gf3_file(), "field": {"k": 1, "modulus": [0, 1]}}, "field lacks 'p'"),
+    (_without(_gf3_file(), "dim"), "group file lacks 'dim'"),
+    (_gf3_file(generators=[{"twist": 0}]), "generator lacks 'matrix'"),
+    (_gf3_file(generators=[[[2]]]), "generator must be an object, got list"),
+    (_gf3_file(generators=[{"matrix": [2]}]), "matrix row must be a list, got int"),
+])
+@pytest.mark.parametrize("command", ["analyze", "graph-export"])
+def test_group_file_shapes_are_named(tmp_path, capsys, command, payload, named):
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run([command, str(path)], capsys)
+    assert code == EXIT_PARSE
+    assert err == f"error: {path}: {named}\n"
+
+
 def test_group_file_with_integers_still_loads(tmp_path, capsys):
     # the matrix file the cases above spoil, intact; and a 3-cycle with its
     # transposition, whose images are integers

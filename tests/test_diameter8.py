@@ -32,7 +32,6 @@ from commgraph.diameter8 import (
     _separation_families,
     build_example,
     centralizer_in_G,
-    center_of_F,
     example_group_order,
     find_params,
     first_failing_check,
@@ -57,7 +56,7 @@ from commgraph.fields import (
     frobenius_map,
     is_prime,
 )
-from commgraph.groups import MatrixAutElement, generate_elements
+from commgraph.groups import GroupHandle, MatrixAutElement
 
 
 def log_d_powers(log_d, e, n):
@@ -247,7 +246,7 @@ def test_x_orders(example_group):
 
 
 def test_z_generates_25_elements(example_group):
-    elems = generate_elements([example_group.z], cap=100)
+    elems = GroupHandle([example_group.z], cap=100).elements
     assert len(elems) == 25
 
 
@@ -671,10 +670,20 @@ def test_path_edges_satisfy_graph_adjacency_rule(example_group):
 
 
 def test_center_of_F(example_group):
-    report = center_of_F(example_group)
-    assert report.forced_zero == ["a", "d", "x"]
-    assert report.free == ["c"]
-    assert report.order == 161051  # q^r
+    # Z(F) is the c-line, of order q^r, read off the commutator [g, h] of
+    # generic g = (a, b, c, d, x) and h = (a', b', c', d', x') in coordinates
+    spec = example_group.spec
+    a, x, d, c, a_, x_ = (Poly.variable(spec, i, 8) for i in range(6))
+    zero = Poly.zero(spec, 8)
+    h = _f_coords(generic_f_matrix(spec, 8, 4))
+    comm = _f_commutator(_f_coords(generic_f_matrix(spec, 8, 0)), h)
+    # g's c occurs in no coordinate, so the c-line is central
+    assert not any(exps[3] for coord in comm for exps in coord.terms)
+    # the b-coordinate is x a' - a x', so a central g has a = x = 0 ...
+    assert comm[1] == x * a_ - a * x_
+    # ... and then [g, h] = (0, 0, 2 d a', 0, 0), so d = 0 as well
+    assert _f_commutator((zero, d, c, d, zero), h) == (zero, zero, 2 * d * a_, zero, zero)
+    assert spec.size == 11 ** 5 == 161051
 
 
 def test_center_of_F_numeric_oracle(example_group):

@@ -1,0 +1,60 @@
+"""The package's layout: every definition in `src/commgraph` has a caller
+in the program, and the lazy package exports resolve."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import commgraph
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "commgraph"
+
+# Definitions kept with no caller in the program, each with its reason.
+NO_CALLER_NEEDED = {
+    "groups.normal_closure": "the acceptance tests import it, and they are not edited",
+}
+
+# Names the package exported once and no longer does.
+DROPPED_EXPORTS = ("generate_elements", "is_nilpotent", "sylow_profile_cyclic_or_quaternion")
+
+
+def _referenced_names(paths):
+    """Every name, attribute and imported name that the code in `paths`
+    mentions; strings and docstrings do not count."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_every_src_definition_has_a_caller():
+    modules = sorted(SRC.glob("*.py"))
+    referenced = _referenced_names(
+        modules + sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    )
+    uncalled = []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if not (name.startswith("__") or name in referenced or name in commgraph._HOME):
+                uncalled.append(f"{path.stem}.{name}")
+    # an entry of the allowlist that gains a caller is dropped from it
+    assert sorted(uncalled) == sorted(NO_CALLER_NEEDED)
+
+
+def test_package_exports_resolve():
+    for name, module in commgraph._HOME.items():
+        assert getattr(commgraph, name) is getattr(getattr(commgraph, module), name)
+    for name in DROPPED_EXPORTS:
+        with pytest.raises(AttributeError):
+            getattr(commgraph, name)
