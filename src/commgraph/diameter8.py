@@ -11,9 +11,11 @@ from x to its conjugate y.
 
 The arithmetic follows the closed forms of the field: q = p, so a power
 h^(q^k) is Frob^k(h), a cached linear map, and the Hilbert-90 test takes a
-norm as the product of conjugates; F's commutators are taken in its five
-coordinates, by a group law checked once against the matrix product; and
-each C_F(w) is solved once per example.
+norm as the product of conjugates; x^r is diagonal, so the order and every
+power of x are read off x^r and x^1 .. x^(r-1); F's commutators, for the
+family separation and for class 3, are taken in its five coordinates, by a
+group law checked once per example against the matrix product; and each
+C_F(w) is solved once per example.
 
 The distance lower bound d(x, y) >= 8 itself rests on a combinatorial case
 analysis over these verified facts; the graph of the full group (order about
@@ -32,6 +34,7 @@ from .errors import (
     CheckFailed,
     CommGraphError,
     EigenvalueClash,
+    NoSuchOrder,
     NoSuchParams,
     NotInD,
     NotNormalizing,
@@ -48,8 +51,7 @@ from .fields import (
     frobenius_map,
     norm,
 )
-from .matrices import MatrixAutElement, _diag, _mat_mul, conjugate, cyclic_powers
-from .matrices import element_order as group_element_order
+from .matrices import MatrixAutElement, _diag, _mat_mul, conjugate
 from .params import ParamTriple, example_group_order, find_params, validate_params  # noqa: F401
 
 ALL = "all"  # marker for a solution set equal to the whole field, or to all of <f>
@@ -69,10 +71,6 @@ class FCoords(namedtuple("FCoords", "a b c d x")):
         if x * a != b - d:
             raise ValueError("FCoords relation x*a = b - d violated")
         return super().__new__(cls, a, b, c, d, x)
-
-    @classmethod
-    def from_free(cls, a, x, d, c):
-        return cls(a=a, b=d + x * a, c=c, d=d, x=x)
 
     def to_matrix(self, spec: FieldSpec) -> MatrixAutElement:
         rows = _f_rows(spec.one(), spec.zero(), self.a, self.b, self.c, self.d, self.x)
@@ -113,6 +111,16 @@ def _is_symplectic(zero, J, mat) -> bool:
     return _mat_mul(zero, _mat_mul(zero, mat, J), _transpose(mat)) == J
 
 
+def _is_diagonal(w: MatrixAutElement) -> bool:
+    """w's matrix has no nonzero entry off the diagonal; w may have a twist."""
+    return all(w.mat[i][j].is_zero() for i in range(w.dim) for j in range(w.dim) if i != j)
+
+
+def _diagonal_order(w: MatrixAutElement) -> int:
+    """The order of a diagonal w with no twist: the lcm of its entries' orders."""
+    return math.lcm(*(element_order(w.mat[i][i]) for i in range(w.dim)))
+
+
 # ---------------------------------------------------------------------------
 # D = <x, c> in normal form
 
@@ -128,12 +136,23 @@ class _NormalForm:
     relation and that the two orders are coprime, so <c> is normal, <x>
     meets it trivially and every element of D has exactly one normal form:
     |D| = ord(x) * ord(c).
+
+    x has twist 1 over GF(q^r), so x^n has twist n mod r and x^n = 1 needs
+    r | n: ord(x) = r * ord(x^r).  x^1 .. x^r are formed by products; x^r
+    is diagonal, so its order is read off its entries, and x^n for
+    n = m r + j is (x^r)^m x^j, a diagonal of field powers times x^j.
     """
 
     def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement, f: FieldElement):
         self.spec = spec
-        self.x_powers = cyclic_powers(x)  # the matrices x^i, i < ord(x)
-        self.order_x = len(self.x_powers)
+        r = spec.k
+        powers = [x.identity()]
+        for _ in range(r):
+            powers.append(powers[-1] * x)
+        self.x_powers, self.xr = powers[:r], powers[r]  # x^j for j < r, and x^r
+        if self.xr.twist or not _is_diagonal(self.xr):
+            raise NoSuchParams("x^r is not diagonal: D has no metacyclic normal form")
+        self.order_x = r * _diagonal_order(self.xr)
         self.order_c = element_order(f)
         self.order = self.order_x * self.order_c
         if math.gcd(self.order_x, self.order_c) != 1:
@@ -156,26 +175,33 @@ class _NormalForm:
     def mul(self, a, b):
         return ((a[0] + b[0]) % self.order_x, frobenius_map(a[1], b[0]) * b[1])
 
-    def to_matrix(self, e) -> MatrixAutElement:
-        return self.x_powers[e[0]] * self.c_matrix(e[1])
+    def x_power(self, n: int) -> MatrixAutElement:
+        """x^n, as (x^r)^m x^j for n = m r + j with j < r."""
+        m, j = divmod(n % self.order_x, self.spec.k)
+        xr_m = [self.xr.mat[i][i] ** m for i in range(self.xr.dim)]
+        return MatrixAutElement(self.spec, _diag(self.spec.zero(), xr_m), 0) * self.x_powers[j]
 
     def from_matrix(self, elem: MatrixAutElement):
         """The normal form of elem, or None if elem is not in D."""
-        # x^i carries twist i mod k; if elem = x^i c_h then x^{-i} elem = c_h
+        # x^i carries twist i mod r; if elem = x^i c_h then x^{-i} elem = c_h
         for i in range(elem.twist, self.order_x, self.spec.k):
-            rest = self.x_powers[-i % self.order_x] * elem
+            rest = self.x_power(-i) * elem
             h = rest.mat[0][0]
             if h ** self.order_c == self.one and rest == self.c_matrix(h):
                 return (i, h)
         return None
 
     def powers(self, e):
+        """[1, e, e^2, ...] up to e's order, which divides |D|; raises
+        NoSuchOrder if the products do not return to 1 within |D| steps."""
         out = [self.identity()]
         acc = e
-        while acc != self.identity():
+        for _ in range(self.order):
+            if acc == out[0]:
+                return out
             out.append(acc)
             acc = self.mul(acc, e)
-        return out
+        raise NoSuchOrder(f"the powers of {e} do not return to 1 within |D| = {self.order}")
 
     def centralizer(self, w) -> list:
         """C_D(w) as a description: for each i < ord(x) at which some x^i c_h
@@ -242,6 +268,14 @@ class ExampleGroup(namedtuple("ExampleGroup", "params spec u v f z c x xr g ctx"
         return {}
 
     @cached_property
+    def f_law(self) -> bool:
+        """True once `_check_f_law` has checked F's coordinate law against
+        the symbolic matrix product, once per example; reading it raises
+        SymbolicFailure while the law differs."""
+        _check_f_law(self.spec)
+        return True
+
+    @cached_property
     def d_elements(self) -> list:
         """Every element of D in normal form; built only when asked for."""
         c_powers = self.ctx.powers(self.ctx.c)
@@ -304,13 +338,12 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     c = MatrixAutElement(spec, _diag(zero, [f, f, f.inverse(), f.inverse()]), 0)
     x = MatrixAutElement(spec, z.mat, 1)
     ctx = _NormalForm(spec, x, c, f)
-    xr = ctx.x_powers[r % ctx.order_x]
     one = spec.one()
     g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
 
     return ExampleGroup(
         params=params, spec=spec,
-        u=u, v=v, f=f, z=z, c=c, x=x, xr=xr, g=g, ctx=ctx,
+        u=u, v=v, f=f, z=z, c=c, x=x, xr=ctx.xr, g=g, ctx=ctx,
     )
 
 
@@ -324,36 +357,6 @@ def _p_identity(spec, nvars):
 
 def _p_mat_mul(a, b):
     return _mat_mul(Poly.zero(a[0][0].spec, a[0][0].nvars), a, b)
-
-
-def _p_mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _p_unitriangular_inverse(spec, m):
-    """Inverse of I + L with L strictly lower triangular: I - L + L^2 - L^3."""
-    nvars = m[0][0].nvars
-    ident = _p_identity(spec, nvars)
-    L = _p_mat_sub(m, ident)
-    for i in range(4):
-        for j in range(i, 4):
-            if not L[i][j].is_zero():
-                raise SymbolicFailure("matrix is not lower unitriangular")
-    L2 = _p_mat_mul(L, L)
-    L3 = _p_mat_mul(L2, L)
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            row.append(ident[i][j] - L[i][j] + L2[i][j] - L3[i][j])
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _p_commutator(spec, a, b):
-    """[a, b] = a^-1 b^-1 a b, as (ba)^-1 (ab)."""
-    ab = _p_mat_mul(a, b)
-    return _p_mat_mul(_p_unitriangular_inverse(spec, _p_mat_mul(b, a)), ab)
 
 
 def generic_f_matrix(spec: FieldSpec, nvars: int, base: int):
@@ -394,16 +397,15 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
         raise CheckFailed("xr-exponent", f"{nsum} != {r} mod r^2")
     if eg.xr.twist != 0:
         raise CheckFailed("xr-diagonal", "x^r carries a twist")
-    zero = spec.zero()
-    if any(eg.xr.mat[i][j] != zero for i in range(4) for j in range(4) if i != j):
+    if not _is_diagonal(eg.xr):
         raise CheckFailed("xr-diagonal", "x^r is not diagonal")
     nu, nv = norm(eg.u), norm(eg.v)
-    expected = _diag(zero, [nu, nv, nv.inverse(), nu.inverse()])
+    expected = _diag(spec.zero(), [nu, nv, nv.inverse(), nu.inverse()])
     if eg.xr.mat != expected:
         raise CheckFailed("xr-exponent", "x^r != z^(1+q+...+q^(r-1))")
     if any(frobenius_map(eg.xr.mat[i][i]) != eg.xr.mat[i][i] for i in range(4)):
         raise CheckFailed("xr-ground-field", "x^r entries not Frobenius-fixed")
-    xr_order = group_element_order(eg.xr)
+    xr_order = _diagonal_order(eg.xr)
     report["xr_order"] = xr_order
     if xr_order != r:
         raise CheckFailed("xr-order", f"order {xr_order} != {r}")
@@ -456,10 +458,9 @@ def fixed_points_in_F(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport
     x*a = b - d.
     """
     spec = eg.spec
-    zero = spec.zero()
     if w.is_identity():
         raise NotNormalizing("fixed points of the identity are all of F")
-    if any(w.mat[i][j] != zero for i in range(4) for j in range(4) if i != j):
+    if not _is_diagonal(w):
         raise NotNormalizing("w must be diagonal to normalize F entry-wise")
     lam = [w.mat[i][i] for i in range(4)]
     entry_sets = {
@@ -598,28 +599,32 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
 SeparationReport = namedtuple("SeparationReport", "entry monomial")
 
 
-def _separation_families(spec, g, g_inverse):
-    """C_F(c) = {FCoords(a, 0, 0, 0, 0)} on variable a, and its g-conjugate on
-    variable b, as matrices over the polynomials in (a, b)."""
-    one, zero = Poly.constant(spec, 1, 2), Poly.zero(spec, 2)
-    fam_a, fam_b = (
-        _f_rows(one, zero, Poly.variable(spec, i, 2), zero, zero, zero, zero) for i in range(2)
-    )
-    return fam_a, _mat_mul(zero, _mat_mul(zero, g_inverse.mat, fam_b), g.mat)
+def _separation_families(spec, g):
+    """C_F(c) = {(a, 0, 0, 0, 0)} on variable a, and its conjugate by the F
+    element g on variable b, in F's coordinates over the polynomials in
+    (a, b)."""
+    zero = Poly.zero(spec, 2)
+    w, w_b = ((Poly.variable(spec, i, 2), zero, zero, zero, zero) for i in range(2))
+    h = _f_coords(g.mat)
+    return w, _f_mul(_f_mul(_f_inv(h), w_b), h)
 
 
 def verify_family_separation(eg: ExampleGroup) -> SeparationReport:
     """No member of C_F(c)^# commutes with any member of (C_F(c)^g)^#.
 
-    Computes the commutator of the two symbolic one-parameter families and
-    exhibits an entry that is a nonzero scalar multiple of a monomial a^i b^j
-    with i, j >= 1; such an entry cannot vanish for nonzero a, b because a
-    field has no zero divisors.  For every odd q the commutator differs from
-    the identity only at (3, 0), by 2*a*b, so the certificate always exists
-    for valid parameters; if none is found, raises SymbolicFailure.
+    Computes the commutator of the two symbolic one-parameter families in
+    F's coordinates, under the law `ExampleGroup.f_law` checks, and exhibits
+    an entry of its matrix that is a nonzero scalar multiple of a monomial
+    a^i b^j with i, j >= 1; such an entry cannot vanish for nonzero a, b
+    because a field has no zero divisors.  For every odd q the commutator
+    differs from the identity only at (3, 0), by 2*a*b, so the certificate
+    always exists for valid parameters; if none is found, raises
+    SymbolicFailure.
     """
+    eg.f_law  # raises SymbolicFailure unless the law is the matrix product's
     spec = eg.spec
-    comm = _p_commutator(spec, *_separation_families(spec, eg.g, eg.g_inverse))
+    one, zero = Poly.constant(spec, 1, 2), Poly.zero(spec, 2)
+    comm = _f_rows(one, zero, *_f_commutator(*_separation_families(spec, eg.g)))
     ident = _p_identity(spec, 2)
     for i in range(4):
         for j in range(4):
@@ -719,11 +724,11 @@ def _check_f_law(spec):
 def verify_f_class3(eg: ExampleGroup) -> Class3Report:
     """F has nilpotency class exactly 3, by generic left-normed commutators.
 
-    The commutators are taken in F's coordinates, by a group law that is
-    first checked against the symbolic matrix product.
+    The commutators are taken in F's coordinates, under the law
+    `ExampleGroup.f_law` checks.
     """
+    eg.f_law  # raises SymbolicFailure unless the law is the matrix product's
     spec = eg.spec
-    _check_f_law(spec)
     nvars = 16
     gs = [_f_coords(generic_f_matrix(spec, nvars, 4 * i)) for i in range(4)]
     comm2 = _f_commutator(gs[0], gs[1])

@@ -231,11 +231,6 @@ class FieldSpec:
             raise SpecMismatch(f"expected {self.k} coefficients, got {len(t)}")
         return _element(self, t)
 
-    def elements(self):
-        """All field elements in canonical (coefficient-lexicographic) order."""
-        for coeffs in itertools.product(range(self.p), repeat=self.k):
-            yield _element(self, coeffs)
-
     # -- multiplicative structure
 
     def _unit_primes(self) -> list[int]:
@@ -604,12 +599,6 @@ class Poly:
         return _poly(self.spec, self.nvars, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        result = Poly.constant(self.spec, 1, self.nvars)
-        for _ in range(e):
-            result = result * self
-        return result
 
     def is_zero(self) -> bool:
         return not self.terms

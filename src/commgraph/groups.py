@@ -398,52 +398,6 @@ class SubgroupHandle:
     def is_trivial(self) -> bool:
         return len(self._indices) == 1
 
-    def generator_indices(self) -> list[int]:
-        """Indices of a greedy generating set: each member, in key order,
-        that falls outside the closure of those before it."""
-        G = self.parent
-        gens: list = []
-        current = {0}
-        for i in G.key_order():
-            if i in self._indices and i not in current:
-                gens.append(i)
-                current = set(_index_closure(G, gens))
-                if len(current) == len(self._indices):
-                    break
-        return gens
-
-    def as_group(self) -> GroupHandle:
-        """View this subgroup as a standalone materialized handle.
-
-        The walk of `_schreier_tree` over the generating set, with each
-        product a lookup along a generator's Schreier word in the parent's
-        tables: the same elements, tree and tables as a walk of its own,
-        with no product, so the parent may be an index group.  The key
-        order is the parent's, restricted.
-        """
-        G = self.parent
-        gens = self.generator_indices() or [0]
-        words = [G.right_tables(g) for g in gens]
-        members, local = [0], {0: 0}
-        parent, via, right = [-1], [-1], [[] for _ in gens]
-        for p, i in enumerate(members):
-            for v, w in enumerate(words):
-                j = _compose(i, w)
-                n = local.get(j)
-                if n is None:
-                    n = local[j] = len(members)
-                    members.append(j)
-                    parent.append(p)
-                    via.append(v)
-                right[v].append(n)
-        assert len(members) == len(self._indices)
-        H = GroupHandle([G.elements[i] for i in gens], cap=G.cap)
-        H._elements = [G.elements[i] for i in members]
-        H._index = {e: n for n, e in enumerate(H._elements)}
-        H._parent, H._via, H._right = parent, via, right
-        H._key_order = [local[i] for i in G.key_order() if i in local]
-        return H
-
     def __repr__(self):
         return f"Subgroup(order={len(self._indices)})"
 

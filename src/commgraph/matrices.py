@@ -6,9 +6,10 @@ family in `diameter8` builds its matrices from it directly.  The square
 matrix helpers work over any ring whose elements have `is_zero`, so the
 symbolic checks reuse them on polynomial entries.  The field layer is
 reached through the lazy `fields` module, so importing this module, as
-`groups` does, compiles no field code.  `conjugate`, `cyclic_powers` and
-`element_order` multiply, for callers that hold bare elements of either
-backend.
+`groups` does, compiles no field code.  `conjugate` multiplies, for callers
+that hold bare elements of either backend.  Nothing here multiplies until a
+product returns to the identity: the witness family reads the order of x
+off the diagonal x^r.
 """
 
 from __future__ import annotations
@@ -141,17 +142,3 @@ def _mat_inv(spec, a):
 def conjugate(x, g):
     """x^g = g^{-1} x g."""
     return g.inverse() * x * g
-
-
-def cyclic_powers(x) -> list:
-    """[1, x, x^2, ..., x^(n-1)] for n the order of x."""
-    out = [x.identity()]
-    acc = x
-    while not acc.is_identity():
-        out.append(acc)
-        acc = acc * x
-    return out
-
-
-def element_order(x) -> int:
-    return len(cyclic_powers(x))

@@ -18,10 +18,13 @@ fixed-point equations on F by scanning every field element;
 centralizers in D are also listed element by element in exponent form.
 Powers, inverses, orders and the Frobenius map of field elements come from
 repeated multiplication or a scan of the field, and primality and
-factorization from trial division.  Four library helpers that only the
-tests call live here too: the derived subgroup, the Sylow profile of a
-Frobenius complement, the search for a complement, and polynomial
-evaluation.
+factorization from trial division.  The powers and order of a group
+element come from multiplying until the identity returns, and the inverse
+of a symbolic unitriangular matrix from its alternating series.  Six
+library helpers that only the tests call live here too: a greedy
+generating set of a subgroup, a subgroup as a group of its own, the
+derived subgroup, the Sylow profile of a Frobenius complement, the search
+for a complement, and polynomial evaluation.
 """
 
 import functools
@@ -30,12 +33,13 @@ import math
 from collections import deque
 from types import SimpleNamespace
 
-from commgraph.errors import EmptyGraph, SpecMismatch
+from commgraph.errors import EmptyGraph, SpecMismatch, SymbolicFailure
 from commgraph.groups import (
     GroupHandle,
     PermutationElement,
     SubgroupHandle,
     _commutator_at,
+    _compose,
     _index_closure,
     _normal_closure,
     sylow_subgroup,
@@ -177,7 +181,56 @@ def all_pairs_adjacency(graph):
     ]
 
 
+def cyclic_powers(x) -> list:
+    """[1, x, x^2, ..., x^(n-1)] for n the order of x."""
+    out = [x.identity()]
+    acc = x
+    while not acc.is_identity():
+        out.append(acc)
+        acc = acc * x
+    return out
+
+
+def group_element_order(x) -> int:
+    """The order of a group element, by multiplying until 1 comes back."""
+    return len(cyclic_powers(x))
+
+
 # --- library helpers that only the tests call -------------------------------
+
+
+def generator_indices(H):
+    """Indices in H's parent of a greedy generating set of the subgroup H:
+    each member, in key order, that falls outside the closure of those
+    before it."""
+    G = H.parent
+    gens: list = []
+    current = {0}
+    for i in G.key_order():
+        if i in H.indices() and i not in current:
+            gens.append(i)
+            current = set(_index_closure(G, gens))
+            if len(current) == H.order():
+                break
+    return gens
+
+
+def as_group(H):
+    """The subgroup H as a group of its own, by a walk over its members.
+
+    The members of a subgroup of an index group are coset numbers, with no
+    product of their own, so there the walk is over the permutations by
+    which a generating set multiplies H on the right.
+    """
+    G = H.parent
+    if not isinstance(G.identity, int):
+        return GroupHandle(list(H.members)).materialize()
+    members = sorted(H.indices())
+    position = {i: n for n, i in enumerate(members)}
+    return GroupHandle([
+        PermutationElement([position[_compose(j, G.right_tables(g))] for j in members])
+        for g in generator_indices(H) or [0]
+    ]).materialize()
 
 
 def derived_subgroup(G, H=None):
@@ -185,7 +238,7 @@ def derived_subgroup(G, H=None):
     engine, as a subgroup of G: the normal closure in G of the commutators
     of the generators.  H has to be normal in G, since H' is then normal in
     G and equals that closure; the only caller passes G'."""
-    gens = H.generator_indices() if H is not None else [G.index_of(g) for g in G.generators]
+    gens = generator_indices(H) if H is not None else [G.index_of(g) for g in G.generators]
     comms = [_commutator_at(G, a, b) for a, b in itertools.combinations(gens, 2)]
     return SubgroupHandle(G, _normal_closure(G, comms)[1])
 
@@ -196,7 +249,7 @@ def sylow_profile_cyclic_or_quaternion(H: SubgroupHandle) -> bool:
     Generalized quaternion means: a 2-group of order >= 8 with a unique
     involution and a cyclic subgroup of index 2.
     """
-    Hg = H.as_group()
+    Hg = as_group(H)
     for p in factorize(Hg.order()):
         S = sylow_subgroup(Hg, p).indices()
         orders = [Hg.element_order_at(i) for i in S]
@@ -312,13 +365,6 @@ def exhaustive_normal_closure(group, x):
     return _closure_with_identity(group, {g.inverse() * x * g for g in group.elements})
 
 
-def _order(x):
-    n, acc = 1, x
-    while not acc.is_identity():
-        acc, n = acc * x, n + 1
-    return n
-
-
 def _is_p_power(n, p):
     while n % p == 0:
         n //= p
@@ -334,7 +380,7 @@ def exhaustive_p_core(group, p):
     """
     seed, seen = set(), set()
     for x in group.elements:
-        if x in seen or not _is_p_power(_order(x), p):
+        if x in seen or not _is_p_power(group_element_order(x), p):
             continue
         seen |= {g.inverse() * x * g for g in group.elements}
         closure = exhaustive_normal_closure(group, x)
@@ -426,6 +472,11 @@ def unfiltered_least_irreducible(p, k, is_irreducible):
 # --- GF(p^k): references by repeated multiplication -------------------------
 
 
+def field_elements(spec):
+    """Every element of GF(p^k), in coefficient-lexicographic order."""
+    return (spec.element(coeffs) for coeffs in itertools.product(range(spec.p), repeat=spec.k))
+
+
 def trial_division_is_prime(n):
     """Primality by trial division up to the square root."""
     if n < 2:
@@ -463,7 +514,7 @@ def scanned_inverse(a):
     """The b with a*b = 1, found by scanning the field; kept per element, as
     a scan of GF(11^5) takes about a second."""
     one = a.spec.one()
-    return next(b for b in a.spec.elements() if a * b == one)
+    return next(b for b in field_elements(a.spec) if a * b == one)
 
 
 def repeated_power(a, e):
@@ -500,7 +551,7 @@ def power_scan_primitive_element(spec):
     n = spec.size - 1
     one = spec.one()
     primes = list(trial_division_factorize(n))
-    for a in spec.elements():
+    for a in field_elements(spec):
         if not a.is_zero() and all(a ** (n // ell) != one for ell in primes):
             return a
     raise AssertionError("no primitive element")
@@ -648,19 +699,64 @@ def power_form_centralizer(ctx, w, all_marker):
     return out
 
 
+def _p_mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def _p_unitriangular_inverse(spec, m):
+    """Inverse of I + L with L strictly lower triangular: I - L + L^2 - L^3."""
+    from commgraph.diameter8 import _p_identity, _p_mat_mul
+
+    nvars = m[0][0].nvars
+    ident = _p_identity(spec, nvars)
+    L = _p_mat_sub(m, ident)
+    for i in range(4):
+        for j in range(i, 4):
+            if not L[i][j].is_zero():
+                raise SymbolicFailure("matrix is not lower unitriangular")
+    L2 = _p_mat_mul(L, L)
+    L3 = _p_mat_mul(L2, L)
+    out = []
+    for i in range(4):
+        row = []
+        for j in range(4):
+            row.append(ident[i][j] - L[i][j] + L2[i][j] - L3[i][j])
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def matrix_commutator(spec, a, b):
+    """[a, b] = a^-1 b^-1 a b of two symbolic F matrices, by matrix products
+    and unitriangular inverses."""
+    from commgraph.diameter8 import _p_mat_mul
+
+    ainv = _p_unitriangular_inverse(spec, a)
+    binv = _p_unitriangular_inverse(spec, b)
+    return _p_mat_mul(_p_mat_mul(ainv, binv), _p_mat_mul(a, b))
+
+
+def matrix_separation_families(spec, g):
+    """C_F(c) = {I + a(E21 - E43)} on variable a, and its conjugate by the F
+    matrix g on variable b, as matrices over the polynomials in (a, b)."""
+    from commgraph.diameter8 import _f_rows
+    from commgraph.fields import Poly
+    from commgraph.matrices import _mat_mul
+
+    one, zero = Poly.constant(spec, 1, 2), Poly.zero(spec, 2)
+    fam_a, fam_b = (
+        _f_rows(one, zero, Poly.variable(spec, i, 2), zero, zero, zero, zero) for i in range(2)
+    )
+    return fam_a, _mat_mul(zero, _mat_mul(zero, g.inverse().mat, fam_b), g.mat)
+
+
 def matrix_commutator_chain(spec, nvars):
     """The left-normed commutators [m0, m1], [[m0, m1], m2] and
     [[[m0, m1], m2], m3] of generic F matrices on nvars = 16 variables, each
     as a^-1 b^-1 a b by symbolic matrix products."""
-    from commgraph.diameter8 import _p_mat_mul, _p_unitriangular_inverse, generic_f_matrix
-
-    def commutator(a, b):
-        ainv = _p_unitriangular_inverse(spec, a)
-        binv = _p_unitriangular_inverse(spec, b)
-        return _p_mat_mul(_p_mat_mul(ainv, binv), _p_mat_mul(a, b))
+    from commgraph.diameter8 import generic_f_matrix
 
     ms = [generic_f_matrix(spec, nvars, 4 * i) for i in range(4)]
-    chain = [commutator(ms[0], ms[1])]
+    chain = [matrix_commutator(spec, ms[0], ms[1])]
     for m in ms[2:]:
-        chain.append(commutator(chain[-1], m))
+        chain.append(matrix_commutator(spec, chain[-1], m))
     return chain

@@ -5,10 +5,15 @@ import pytest
 from oracles import (
     LogSpaceD,
     LogTables,
+    cyclic_powers,
     enumerated_fixed_set,
     evaluate,
+    field_elements,
+    group_element_order,
     listed_centralizer_in_D,
+    matrix_commutator,
     matrix_commutator_chain,
+    matrix_separation_families,
     power_form_centralizer,
     power_form_mul,
     power_form_u_v,
@@ -27,7 +32,6 @@ from commgraph.diameter8 import (
     _f_coords,
     _f_rows,
     _fixed_set,
-    _p_commutator,
     _p_identity,
     _separation_families,
     build_example,
@@ -47,7 +51,14 @@ from commgraph.diameter8 import (
     verify_symplectic,
     witness_path8,
 )
-from commgraph.errors import CapExceeded, NoSuchParams, NotInD, NotNormalizing, SymbolicFailure
+from commgraph.errors import (
+    CapExceeded,
+    NoSuchOrder,
+    NoSuchParams,
+    NotInD,
+    NotNormalizing,
+    SymbolicFailure,
+)
 from commgraph.fields import (
     Poly,
     element_order,
@@ -64,6 +75,11 @@ def log_d_powers(log_d, e, n):
     for _ in range(n - 1):
         out.append(log_d.mul(out[-1], e))
     return out
+
+
+def as_matrix(ctx, e):
+    """The matrix x^i c_h of the normal form (i, h)."""
+    return ctx.x_power(e[0]) * ctx.c_matrix(e[1])
 
 
 def expanded(ctx, description):
@@ -233,16 +249,33 @@ def test_u_v_match_the_power_form_choice(request, triple):
 def test_x_orders(example_group):
     eg = example_group
     assert eg.x.twist == 1
+    assert group_element_order(eg.x) == eg.ctx.order_x == 25
+    assert group_element_order(eg.xr) == 5
 
-    def order_of(e):
-        n, acc = 1, e
-        while not acc.is_identity():
-            acc = acc * e
-            n += 1
-        return n
 
-    assert order_of(eg.x) == 25
-    assert order_of(eg.xr) == 5
+@pytest.mark.parametrize("params", [
+    ParamTriple(11, 5, 3221), ParamTriple(31, 5, 11), ParamTriple(43, 7, 5839),
+    ParamTriple(23, 11, 3937230404603),
+], ids=str)
+def test_x_powers_match_the_oracle(params):
+    # ord(x) = r * ord(x^r) and x^n = (x^r)^m x^j, against the powers of x
+    # multiplied out until the identity returns
+    eg = build_example(params)
+    ctx = eg.ctx
+    powers = cyclic_powers(eg.x)
+    assert ctx.order_x == len(powers) == params.r * params.r
+    assert [ctx.x_power(n) for n in range(ctx.order_x)] == powers
+    assert ctx.x_power(-1) == powers[-1] and ctx.x_power(ctx.order_x) == powers[0]
+    assert eg.xr == powers[params.r]
+
+
+def test_powers_stop_after_the_order_of_D(monkeypatch, example_31):
+    # a law whose products never return to the identity ends in a named
+    # error after |D| steps, not in a hang
+    ctx = example_31.ctx
+    monkeypatch.setattr(type(ctx), "mul", lambda self, a, b: (a[0] + b[0], a[1] * b[1]))
+    with pytest.raises(NoSuchOrder):
+        ctx.powers(ctx.x)
 
 
 def test_z_generates_25_elements(example_group):
@@ -268,9 +301,7 @@ def test_fcoords_relation(example_group):
     one, zero = spec.one(), spec.zero()
     with pytest.raises(ValueError):
         FCoords(a=one, b=zero, c=zero, d=zero, x=one)  # x*a != b - d
-    coords = FCoords.from_free(a=one, x=one, d=zero, c=zero)
-    assert coords.b == one
-    mat = coords.to_matrix(spec)
+    mat = FCoords(a=one, b=one, c=zero, d=zero, x=one).to_matrix(spec)
     from commgraph.diameter8 import _form_matrix, _is_symplectic
 
     assert _is_symplectic(spec.zero(), _form_matrix(spec), mat.mat)
@@ -305,7 +336,7 @@ def test_generic_f_matrix_evaluates_to_fcoords(example_group):
     generic = generic_f_matrix(spec, 4, 0)
     for _ in range(4):
         a, x, d, c = (_random_element(spec, rng) for _ in range(4))
-        expected = FCoords.from_free(a=a, x=x, d=d, c=c).to_matrix(spec).mat
+        expected = FCoords(a, d + x * a, c, d, x).to_matrix(spec).mat
         assert _evaluate(generic, [a, x, d, c]) == expected
 
 
@@ -359,12 +390,12 @@ def test_normal_form_product_matches_matrices(example_group, log_d, log_image):
         (rng.randrange(ctx.order_x), f ** rng.randrange(ctx.order_c)) for _ in range(9)
     ]
     for a, b in zip(sample, sample[1:] + sample[:1]):
-        assert ctx.to_matrix(ctx.mul(a, b)) == ctx.to_matrix(a) * ctx.to_matrix(b)
+        assert as_matrix(ctx, ctx.mul(a, b)) == as_matrix(ctx, a) * as_matrix(ctx, b)
     for a in sample:
-        mat = ctx.to_matrix(a)
+        mat = as_matrix(ctx, a)
         assert ctx.from_matrix(mat) == a
         assert log_d.from_matrix(mat) == log_image(a)
-    assert ctx.to_matrix(ctx.x) == eg.x and ctx.to_matrix(ctx.c) == eg.c
+    assert as_matrix(ctx, ctx.x) == eg.x and as_matrix(ctx, ctx.c) == eg.c
 
 
 def test_normal_form_is_a_bijection_onto_log_space_closure(example_group, log_image, log_closure):
@@ -433,14 +464,14 @@ def test_normal_form_matches_power_forms(request, triple):
 
 
 def _closed_as_coeffs(spec, sols):
-    return {e.coeffs for e in spec.elements()} if sols is ALL else {m.coeffs for m in sols}
+    return {e.coeffs for e in field_elements(spec)} if sols is ALL else {m.coeffs for m in sols}
 
 
 def test_fixed_set_matches_enumeration_in_toy_field():
     spec = field_create(3, 5)
     tables = LogTables(spec)
     lines = 0
-    for mu in spec.elements():
+    for mu in field_elements(spec):
         if mu.is_zero():
             continue
         for twist in range(spec.k):
@@ -465,7 +496,7 @@ def test_count_with_relation_matches_scan_in_gf9():
     # every mix of the whole field, {0} and a GF(3)-line for a, x, b and d,
     # with the whole field or {0} for c
     spec = field_create(3, 2)
-    everything = list(spec.elements())
+    everything = list(field_elements(spec))
     zero, root = spec.zero(), spec.element((0, 1))
     choices = [ALL, {zero}, {root * m for m in range(3)}]
     counted = refused = 0
@@ -512,7 +543,7 @@ def test_fixed_points_c_family_commutes(example_group):
     spec = eg.spec
     one, zero = spec.one(), spec.zero()
     for val in (one, spec.element((3, 1, 4, 1, 5))):
-        m = FCoords.from_free(a=val, x=zero, d=zero, c=zero).to_matrix(spec)
+        m = FCoords(a=val, b=zero, c=zero, d=zero, x=zero).to_matrix(spec)
         assert m * eg.c == eg.c * m
     outside = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
     assert outside * eg.c != eg.c * outside
@@ -570,17 +601,17 @@ def test_centralizer_consistency_sampled(example_group):
     spec = eg.spec
     one, zero = spec.one(), spec.zero()
     samples = [
-        FCoords.from_free(a=one, x=zero, d=zero, c=zero),
-        FCoords.from_free(a=zero, x=one, d=zero, c=zero),
-        FCoords.from_free(a=zero, x=zero, d=zero, c=one),
-        FCoords.from_free(a=one, x=one, d=one, c=one),
+        FCoords(a=one, b=zero, c=zero, d=zero, x=zero),
+        FCoords(a=zero, b=zero, c=zero, d=zero, x=one),
+        FCoords(a=zero, b=zero, c=one, d=zero, x=zero),
+        FCoords(a=one, b=one + one, c=one, d=one, x=one),
     ]
     for coords in samples:
         fmat = coords.to_matrix(spec)
         assert fmat * eg.x != eg.x * fmat  # C_F(x) = 1, none of these commute
     rep = centralizer_in_G(eg, eg.x)
     for compact in rep.d_part[:10]:
-        d_elem = eg.ctx.to_matrix(compact)
+        d_elem = as_matrix(eg.ctx, compact)
         assert d_elem * eg.x == eg.x * d_elem
 
 
@@ -594,24 +625,43 @@ def test_family_separation_certificate(example_group):
 
 
 def test_first_separation_family_is_c_f_of_c(example_group):
-    spec = example_group.spec
+    # at seeded points the first family is C_F(c), and the second its
+    # conjugate by g, as matrices
+    eg = example_group
+    spec = eg.spec
     rng = random.Random(3)
     zero = spec.zero()
-    fam_a, _ = _separation_families(spec, example_group.g, example_group.g_inverse)
+    w, w_star = _separation_families(spec, eg.g)
     for _ in range(4):
         a, b = _random_element(spec, rng), _random_element(spec, rng)
-        expected = FCoords(a=a, b=zero, c=zero, d=zero, x=zero).to_matrix(spec).mat
-        assert _evaluate(fam_a, [a, b]) == expected
+        assert tuple(evaluate(e, [a, b]) for e in w) == FCoords(a, zero, zero, zero, zero)
+        conjugate = eg.g_inverse * FCoords(b, zero, zero, zero, zero).to_matrix(spec) * eg.g
+        assert FCoords(*(evaluate(e, [a, b]) for e in w_star)).to_matrix(spec) == conjugate
+
+
+def _coordinate_commutator_rows(spec, g):
+    """The commutator of the separation families, taken in F's coordinates,
+    as a matrix over the polynomials in (a, b)."""
+    one, zero = Poly.constant(spec, 1, 2), Poly.zero(spec, 2)
+    return _f_rows(one, zero, *_f_commutator(*_separation_families(spec, g)))
+
+
+def test_family_commutator_matches_the_matrix_commutator_at_the_witness(example_group):
+    spec, g = example_group.spec, example_group.g
+    comm = _coordinate_commutator_rows(spec, g)
+    assert comm == matrix_commutator(spec, *matrix_separation_families(spec, g))
 
 
 @pytest.mark.parametrize("q", [11, 29, 31, 41, 43])
 def test_family_commutator_is_2ab_at_one_entry(q):
     # g and both families have integer entries, so GF(q) gives the same
-    # commutator as GF(q^r)
+    # commutator as GF(q^r); the commutator in coordinates is the symbolic
+    # matrix commutator a^-1 b^-1 a b
     spec = field_create(q, 1)
     zero, one = spec.zero(), spec.one()
     g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
-    comm = _p_commutator(spec, *_separation_families(spec, g, g.inverse()))
+    comm = _coordinate_commutator_rows(spec, g)
+    assert comm == matrix_commutator(spec, *matrix_separation_families(spec, g))
     ident = _p_identity(spec, 2)
     two_ab = Poly.variable(spec, 0, 2) * Poly.variable(spec, 1, 2) * 2
     for i in range(4):
@@ -636,7 +686,7 @@ def test_family_separation_numeric_spot_checks(example_group):
     one, zero = spec.one(), spec.zero()
 
     def m_a(val):
-        return FCoords.from_free(a=val, x=zero, d=zero, c=zero).to_matrix(spec)
+        return FCoords(a=val, b=zero, c=zero, d=zero, x=zero).to_matrix(spec)
 
     g, gi = eg.g, eg.g.inverse()
     # a = 0: the commutator degenerates to the identity
@@ -696,16 +746,14 @@ def test_center_of_F_numeric_oracle(example_group):
 
     def rand_elem():
         pick = lambda: spec.element(tuple(rng.randrange(11) for _ in range(5)))
-        return FCoords.from_free(a=pick(), x=pick(), d=pick(), c=pick()).to_matrix(spec)
+        a, x, d, c = pick(), pick(), pick(), pick()
+        return FCoords(a, d + x * a, c, d, x).to_matrix(spec)
 
-    central = FCoords.from_free(
-        a=spec.zero(), x=spec.zero(), d=spec.zero(), c=spec.element((1, 2, 3, 0, 7))
-    ).to_matrix(spec)
+    zero = spec.zero()
+    central = FCoords(zero, zero, spec.element((1, 2, 3, 0, 7)), zero, zero).to_matrix(spec)
     witnesses = [rand_elem() for _ in range(8)]
     assert all(central * m == m * central for m in witnesses)
-    off_centre = FCoords.from_free(
-        a=spec.one(), x=spec.zero(), d=spec.zero(), c=spec.zero()
-    ).to_matrix(spec)
+    off_centre = FCoords(spec.one(), zero, zero, zero, zero).to_matrix(spec)
     assert any(off_centre * m != m * off_centre for m in witnesses)
 
 
@@ -752,12 +800,16 @@ def _inverse_without_a2x(g):
     ("_f_mul", _law_without_a1b2), ("_f_inv", _inverse_without_a2x),
 ])
 def test_f_class3_rejects_a_wrong_group_law(monkeypatch, example_group, name, mutant):
+    # both checks that take commutators in F's coordinates read the one law
+    # check, so both fail; the copies keep no law check cached
     monkeypatch.setattr(diameter8, name, mutant)
     with pytest.raises(SymbolicFailure):
-        verify_f_class3(example_group)
-    monkeypatch.setattr(diameter8, "build_example", lambda params: example_group)
+        verify_f_class3(example_group._replace())
+    with pytest.raises(SymbolicFailure):
+        verify_family_separation(example_group._replace())
+    monkeypatch.setattr(diameter8, "build_example", lambda params: example_group._replace())
     statuses = {c["name"]: c["status"] for c in run_all_checks()["checks"]}
-    assert statuses.pop("f_class3") == "fail"
+    assert statuses.pop("f_class3") == statuses.pop("family_separation") == "fail"
     assert set(statuses.values()) == {"pass"}
 
 
@@ -827,19 +879,28 @@ def test_run_all_checks_product_budget(monkeypatch):
     # polynomial products of the whole suite at (11, 5, 3221): norms and
     # powers of q through Frobenius, F's commutators in coordinates, each
     # C_F(w) solved once, factors in GF(p) as scalars and Frob^i as Frob
-    # after Frob^(i-1) took them from 3050 to 398
+    # after Frob^(i-1) took them from 3050 to 398; the family separation in
+    # F's coordinates and the order of x read off x^r, to 334.  Matrix
+    # products: the r products x^1 .. x^r, two per x^-i c_h tried by
+    # `from_matrix`, and the path's conjugates and commuting tests.  F's
+    # law is checked once.
     from commgraph import fields
 
-    products = []
-    real = fields._polmulmod
+    counts = {"poly": 0, "matrix": 0, "law": 0}
 
-    def counted(*args):
-        products.append(1)
-        return real(*args)
+    def counting(key, real):
+        def counted(*args):
+            counts[key] += 1
+            return real(*args)
+        return counted
 
-    monkeypatch.setattr(fields, "_polmulmod", counted)
+    monkeypatch.setattr(fields, "_polmulmod", counting("poly", fields._polmulmod))
+    monkeypatch.setattr(MatrixAutElement, "__mul__", counting("matrix", MatrixAutElement.__mul__))
+    monkeypatch.setattr(diameter8, "_check_f_law", counting("law", diameter8._check_f_law))
     assert first_failing_check(run_all_checks()) is None
-    assert len(products) <= 398
+    assert counts["poly"] <= 334
+    assert counts["matrix"] == 49
+    assert counts["law"] == 1
 
 
 def test_run_all_checks_rejects_bad_params():

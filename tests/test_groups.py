@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
+    as_group,
     brute_center,
     brute_centralizer,
     brute_is_normal,
@@ -16,6 +17,8 @@ from oracles import (
     exhaustive_normal_closure,
     exhaustive_p_core,
     find_frobenius_complement,
+    generator_indices,
+    group_element_order,
     naive_closure,
     permutation_quotient,
     sylow_profile_cyclic_or_quaternion,
@@ -41,7 +44,7 @@ from commgraph.groups import (
     sylow_subgroup,
 )
 from commgraph.groups import _compose
-from commgraph.matrices import _mat_frob, _mat_mul, conjugate, element_order
+from commgraph.matrices import _mat_frob, _mat_mul, conjugate
 
 
 def P(*images):
@@ -165,13 +168,13 @@ def test_fitting(sym3, sym4):
     assert fitting_subgroup(d8).order() == 8  # nilpotent group is its own Fitting
     assert fitting_subgroup(sym4).member_set == V4
     f3 = fitting_subgroup(sym3)
-    assert f3.order() == 3 and all(element_order(g) in (1, 3) for g in f3)
+    assert f3.order() == 3 and all(group_element_order(g) in (1, 3) for g in f3)
 
 
 def test_fitting_is_nilpotent_normal(sym3, sym4):
     for G in (sym3, sym4):
         F = fitting_subgroup(G)
-        assert exhaustive_is_nilpotent(F.as_group())
+        assert exhaustive_is_nilpotent(as_group(F))
         assert is_normal(G, F)
 
 
@@ -234,7 +237,7 @@ def _assert_quotient_matches_permutation_quotient(G, N):
     parent, via = Q.schreier_tree()
     for c in range(1, Q.order()):
         assert perm[c] == perm[parent[c]] * P.generators[via[c]]
-    assert [Q.element_order_at(c) for c in range(Q.order())] == [element_order(p) for p in perm]
+    assert [Q.element_order_at(c) for c in range(Q.order())] == [group_element_order(p) for p in perm]
     assert [Q.inverse_at(c) for c in range(Q.order())] == [number[p.inverse()] for p in perm]
     # the structure the classification reads off Q
     assert fitting_subgroup(Q).order() == fitting_subgroup(P).order()
@@ -251,17 +254,18 @@ def _assert_quotient_matches_permutation_quotient(G, N):
 
 @pytest.mark.parametrize("name", list_corpus())
 def test_as_group_matches_a_walk_of_its_own(corpus, name):
-    # the view read off the parent's tables is the handle a walk over the
-    # same generators builds: elements, tree, tables and key order
+    # the tests view a subgroup as a group by a walk over its members; a walk
+    # over the greedy generating set that `derived_subgroup` takes builds the
+    # same group, with the parent's element orders
     G = corpus[name]
     for H in (G.trivial_subgroup(), center(G), fitting_subgroup(G), sylow_subgroup(G, 2),
               G.whole()):
-        view = H.as_group()
-        walked = GroupHandle(view.generators).materialize()
-        assert view.elements == walked.elements
-        assert view.schreier_tree() == walked.schreier_tree()
-        assert view._right == walked._right
-        assert view.key_order() == walked.key_order()
+        view = as_group(H)
+        gens = [G.elements[i] for i in generator_indices(H)] or [G.identity]
+        walked = GroupHandle(gens).materialize()
+        assert set(view.elements) == set(walked.elements) == H.member_set
+        orders = {g: G.element_order_at(G.index_of(g)) for g in H.members}
+        assert {g: view.element_order_at(view.index_of(g)) for g in view.elements} == orders
 
 
 @pytest.mark.parametrize("name", ["agl1_13", "s4xs3"])
