@@ -15,7 +15,8 @@ norm as the product of conjugates; x^r is diagonal, so the order and every
 power of x are read off x^r and x^1 .. x^(r-1); F's commutators, for the
 family separation and for class 3, are taken in its five coordinates, by a
 group law checked once per example against the matrix product; and each
-C_F(w) is solved once per example.
+C_F(w), the product of four coordinates' solution sets, is solved once per
+example.
 
 The distance lower bound d(x, y) >= 8 itself rests on a combinatorial case
 analysis over these verified facts; the graph of the full group (order about
@@ -116,11 +117,6 @@ def _is_diagonal(w: MatrixAutElement) -> bool:
     return all(w.mat[i][j].is_zero() for i in range(w.dim) for j in range(w.dim) if i != j)
 
 
-def _diagonal_order(w: MatrixAutElement) -> int:
-    """The order of a diagonal w with no twist: the lcm of its entries' orders."""
-    return math.lcm(*(element_order(w.mat[i][i]) for i in range(w.dim)))
-
-
 # ---------------------------------------------------------------------------
 # D = <x, c> in normal form
 
@@ -139,8 +135,8 @@ class _NormalForm:
 
     x has twist 1 over GF(q^r), so x^n has twist n mod r and x^n = 1 needs
     r | n: ord(x) = r * ord(x^r).  x^1 .. x^r are formed by products; x^r
-    is diagonal, so its order is read off its entries, and x^n for
-    n = m r + j is (x^r)^m x^j, a diagonal of field powers times x^j.
+    is diagonal, so its order, `order_xr`, is read off its entries, and x^n
+    for n = m r + j is (x^r)^m x^j, a diagonal of field powers times x^j.
     """
 
     def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement, f: FieldElement):
@@ -152,7 +148,8 @@ class _NormalForm:
         self.x_powers, self.xr = powers[:r], powers[r]  # x^j for j < r, and x^r
         if self.xr.twist or not _is_diagonal(self.xr):
             raise NoSuchParams("x^r is not diagonal: D has no metacyclic normal form")
-        self.order_x = r * _diagonal_order(self.xr)
+        self.order_xr = math.lcm(*(element_order(self.xr.mat[i][i]) for i in range(self.xr.dim)))
+        self.order_x = r * self.order_xr
         self.order_c = element_order(f)
         self.order = self.order_x * self.order_c
         if math.gcd(self.order_x, self.order_c) != 1:
@@ -388,37 +385,29 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
     q, r, t = eg.params.q, eg.params.r, eg.params.t
     report: dict = {}
 
-    # (i) x^r is diagonal of order r: (u*beta)^r = u^(1 + q + ... + q^(r-1)),
-    # the norm N(u), and the exponent sum is congruent to r mod r^2, landing
-    # in GF(q)
+    # (i) x^r, diagonal as `_NormalForm` checked, has order r: (u*beta)^r =
+    # u^(1 + q + ... + q^(r-1)), the norm N(u), and the exponent sum is
+    # congruent to r mod r^2, landing in GF(q)
     nsum = sum(q ** i for i in range(r))
     report["exponent_sum"] = nsum
     if nsum % (r * r) != r:
         raise CheckFailed("xr-exponent", f"{nsum} != {r} mod r^2")
-    if eg.xr.twist != 0:
-        raise CheckFailed("xr-diagonal", "x^r carries a twist")
-    if not _is_diagonal(eg.xr):
-        raise CheckFailed("xr-diagonal", "x^r is not diagonal")
     nu, nv = norm(eg.u), norm(eg.v)
     expected = _diag(spec.zero(), [nu, nv, nv.inverse(), nu.inverse()])
     if eg.xr.mat != expected:
         raise CheckFailed("xr-exponent", "x^r != z^(1+q+...+q^(r-1))")
     if any(frobenius_map(eg.xr.mat[i][i]) != eg.xr.mat[i][i] for i in range(4)):
         raise CheckFailed("xr-ground-field", "x^r entries not Frobenius-fixed")
-    xr_order = _diagonal_order(eg.xr)
-    report["xr_order"] = xr_order
-    if xr_order != r:
-        raise CheckFailed("xr-order", f"order {xr_order} != {r}")
+    report["xr_order"] = ctx.order_xr
+    if ctx.order_xr != r:
+        raise CheckFailed("xr-order", f"order {ctx.order_xr} != {r}")
 
     # (ii) [x^r, c] = 1
     if eg.xr * eg.c != eg.c * eg.xr:
         raise CheckFailed("xr-commutes-c")
 
-    # (iii) x^{-1} c x = c^q != c
-    c_to_q = ctx.c_matrix(eg.f ** q)
-    if conjugate(eg.c, eg.x) != c_to_q:
-        raise CheckFailed("conj-c-by-x", "x^{-1} c x != c^q")
-    if c_to_q == eg.c:
+    # (iii) c^q != c; `_NormalForm` checked x^{-1} c x = c^q
+    if ctx.c_matrix(eg.f ** q) == eg.c:
         raise CheckFailed("conj-c-by-x", "c^q == c")
 
     # (iv) |D| = r^2 t, and Z(D) = <x^r>
@@ -432,14 +421,14 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
     return report
 
 
-_F_POSITIONS = (
-    # (row, col, coordinate, sign): the matrix entry at (row, col) is sign*coord
-    (1, 0, "a", 1),
-    (2, 0, "b", 1),
-    (2, 1, "x", 1),
-    (3, 0, "c", 1),
-    (3, 1, "d", 1),
-    (3, 2, "a", -1),
+# the matrix entry of each coordinate of F; the entry -a at (3, 2) has a's
+# equation whenever w normalizes F
+_F_ENTRIES = (
+    ("a", 1, 0),
+    ("b", 2, 0),
+    ("x", 2, 1),
+    ("d", 3, 1),
+    ("c", 3, 0),
 )
 
 
@@ -447,15 +436,17 @@ FixedPointReport = namedtuple("FixedPointReport", "count coord_sizes free_coords
 
 
 def fixed_points_in_F(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport:
-    """Solve C_F(w) for a diagonal-with-twist element w.
+    """Solve C_F(w) for a diagonal-with-twist element w that normalizes F.
 
-    Conjugation by w maps the entry m at (j, l) to beta^i(lam_l/lam_j * m)
-    where lam is w's diagonal and i its twist, so each entry satisfies an
-    independent semilinear equation mu * m^(q^i) = m, solved in closed form
-    by `_fixed_set`.  Each solution set is a GF(q)-subspace, hence closed
-    under negation, so the entry -a at (3, 2) constrains a by its own set.
-    The per-entry sets are then intersected with the defining relation
-    x*a = b - d.
+    Conjugation by w maps the entry m at (j, l) to mu * sigma(m), where
+    sigma = Frob^i for w's twist i and mu = sigma(lam_l / lam_j) for w's
+    diagonal lam, so each coordinate solves its own semilinear equation
+    mu * sigma(m) = m, in closed form by `_fixed_set`; each solution set is
+    a GF(q)-subspace.  The multipliers satisfy mu_x mu_a = mu_b for every
+    such w, and w normalizes F exactly when lam_0 lam_3 = lam_1 lam_2, in
+    which case -a at (3, 2) has a's multiplier and d has b's.  Then for a,
+    x and d in their solution sets, b = d + x*a lies in b's, so
+    |C_F(w)| = |S_a| |S_x| |S_d| |S_c|.
     """
     spec = eg.spec
     if w.is_identity():
@@ -463,24 +454,18 @@ def fixed_points_in_F(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport
     if not _is_diagonal(w):
         raise NotNormalizing("w must be diagonal to normalize F entry-wise")
     lam = [w.mat[i][i] for i in range(4)]
-    entry_sets = {
-        (row, col): _fixed_set(spec, frobenius_map(lam[col] / lam[row], w.twist), w.twist)
-        for row, col, _, _ in _F_POSITIONS
+    if lam[0] * lam[3] != lam[1] * lam[2]:
+        raise NotNormalizing("w does not normalize F: lam_0 lam_3 != lam_1 lam_2")
+    sets = {
+        name: _fixed_set(spec, frobenius_map(lam[col] / lam[row], w.twist), w.twist)
+        for name, row, col in _F_ENTRIES
     }
-
-    s_a = _intersect(entry_sets[(1, 0)], entry_sets[(3, 2)])
-    s_b = entry_sets[(2, 0)]
-    s_x = entry_sets[(2, 1)]
-    s_c = entry_sets[(3, 0)]
-    s_d = entry_sets[(3, 1)]
-
-    count = _count_with_relation(spec, s_a, s_x, s_b, s_d, s_c)
-    sizes = {
-        name: (spec.size if s is ALL else len(s))
-        for name, s in (("a", s_a), ("b", s_b), ("x", s_x), ("d", s_d), ("c", s_c))
-    }
-    free = [name for name, s in (("a", s_a), ("b", s_b), ("x", s_x), ("d", s_d), ("c", s_c)) if s is ALL]
-    return FixedPointReport(count=count, coord_sizes=sizes, free_coords=free)
+    sizes = {name: spec.size if s is ALL else len(s) for name, s in sets.items()}
+    return FixedPointReport(
+        count=sizes["a"] * sizes["x"] * sizes["d"] * sizes["c"],
+        coord_sizes=sizes,
+        free_coords=[name for name, s in sets.items() if s is ALL],
+    )
 
 
 def solved_fixed_points(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport:
@@ -518,49 +503,6 @@ def _fixed_set(spec: FieldSpec, mu: FieldElement, i: int):
         if not m0.is_zero():
             return {m0 * a for a in range(spec.p)}
     raise AssertionError("Hilbert-90 sum vanished on a basis")  # excluded by Dedekind
-
-
-def _intersect(s1, s2):
-    if s1 is ALL:
-        return s2
-    if s2 is ALL:
-        return s1
-    return s1 & s2
-
-
-def _count_with_relation(spec, s_a, s_x, s_b, s_d, s_c) -> int:
-    """|{(a,b,c,d,x) in the per-entry sets : x*a = b - d}|."""
-    size = spec.size
-    c_factor = size if s_c is ALL else len(s_c)
-
-    def pairs_with_difference(rhs):
-        # pairs (b, d) with b - d = rhs
-        if s_b is ALL and s_d is ALL:
-            return size
-        if s_b is ALL:
-            return len(s_d)
-        if s_d is ALL:
-            return len(s_b)
-        return sum(1 for d in s_d if d + rhs in s_b)
-
-    if s_a is ALL and s_x is ALL:
-        raise NotNormalizing("both a and x unconstrained: count not supported")
-    if s_x is ALL:
-        s_a, s_x = s_x, s_a  # x*a symmetric
-    total = 0
-    for xv in s_x:
-        if xv.is_zero():
-            n_a = size if s_a is ALL else len(s_a)
-            total += n_a * pairs_with_difference(xv)
-        elif s_a is ALL:
-            # a -> x*a is a bijection of the field: sum over all differences
-            nb = size if s_b is ALL else len(s_b)
-            nd = size if s_d is ALL else len(s_d)
-            total += nb * nd
-        else:
-            for av in s_a:
-                total += pairs_with_difference(xv * av)
-    return total * c_factor
 
 
 # d_part is C_D(w) as described by _NormalForm.centralizer, f_part C_F(w)

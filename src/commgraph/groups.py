@@ -17,9 +17,7 @@ normal closures, the series, centralizers, normalizers, Sylow subgroups,
 p-cores and F(G) are read off the tables, in G's key order where a choice
 is made.  A quotient G/N is an index group whose element c is coset number
 c: its Schreier tree and tables are G's, read through the coset labels, so
-it needs no walk; a subgroup viewed as a group of its own is closed over
-its parent's tables in the same way.  Everything is meant for desk-scale
-groups.
+it needs no walk.  Everything is meant for desk-scale groups.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ Frobenius tests check every kernel element against every element of the
 pool, and project every element of G onto G/K.  The
 diameter-8 references work in log space: D = <x, c> by closure, and
 fixed-point equations on F by scanning every field element;
-centralizers in D are also listed element by element in exponent form.
+centralizers in D are also listed element by element in exponent form,
+and C_F(w) is counted entry by entry, summing over the solution sets to
+impose x*a = b - d.
 Powers, inverses, orders and the Frobenius map of field elements come from
 repeated multiplication or a scan of the field, and primality and
 factorization from trial division.  The powers and order of a group
@@ -33,7 +35,7 @@ import math
 from collections import deque
 from types import SimpleNamespace
 
-from commgraph.errors import EmptyGraph, SpecMismatch, SymbolicFailure
+from commgraph.errors import EmptyGraph, NotNormalizing, SpecMismatch, SymbolicFailure
 from commgraph.groups import (
     GroupHandle,
     PermutationElement,
@@ -596,6 +598,97 @@ def scanned_count_with_relation(s_a, s_x, s_b, s_d, s_c):
     return len(s_c) * sum(
         1 for a, x, b, d in itertools.product(s_a, s_x, s_b, s_d) if x * a == b - d
     )
+
+
+# (row, col, coordinate, sign): the matrix entry at (row, col) is sign*coord
+_F_POSITIONS = (
+    (1, 0, "a", 1),
+    (2, 0, "b", 1),
+    (2, 1, "x", 1),
+    (3, 0, "c", 1),
+    (3, 1, "d", 1),
+    (3, 2, "a", -1),
+)
+
+
+def entrywise_fixed_points_in_F(eg, w):
+    """C_F(w) for a diagonal-with-twist w, entry by entry: one solution set
+    per matrix entry of F, the two entries of a intersected, and the
+    relation x*a = b - d imposed by summing over the solution sets."""
+    from commgraph.diameter8 import ALL, FixedPointReport, _fixed_set, _is_diagonal
+    from commgraph.fields import frobenius_map
+
+    spec = eg.spec
+    if w.is_identity():
+        raise NotNormalizing("fixed points of the identity are all of F")
+    if not _is_diagonal(w):
+        raise NotNormalizing("w must be diagonal to normalize F entry-wise")
+    lam = [w.mat[i][i] for i in range(4)]
+    entry_sets = {
+        (row, col): _fixed_set(spec, frobenius_map(lam[col] / lam[row], w.twist), w.twist)
+        for row, col, _, _ in _F_POSITIONS
+    }
+
+    s_a = _intersect(entry_sets[(1, 0)], entry_sets[(3, 2)])
+    s_b = entry_sets[(2, 0)]
+    s_x = entry_sets[(2, 1)]
+    s_c = entry_sets[(3, 0)]
+    s_d = entry_sets[(3, 1)]
+
+    count = intersected_count_with_relation(spec, s_a, s_x, s_b, s_d, s_c)
+    sizes = {
+        name: (spec.size if s is ALL else len(s))
+        for name, s in (("a", s_a), ("b", s_b), ("x", s_x), ("d", s_d), ("c", s_c))
+    }
+    free = [name for name, s in (("a", s_a), ("b", s_b), ("x", s_x), ("d", s_d), ("c", s_c)) if s is ALL]
+    return FixedPointReport(count=count, coord_sizes=sizes, free_coords=free)
+
+
+def _intersect(s1, s2):
+    from commgraph.diameter8 import ALL
+
+    if s1 is ALL:
+        return s2
+    if s2 is ALL:
+        return s1
+    return s1 & s2
+
+
+def intersected_count_with_relation(spec, s_a, s_x, s_b, s_d, s_c) -> int:
+    """|{(a,b,c,d,x) in the per-entry sets : x*a = b - d}|."""
+    from commgraph.diameter8 import ALL
+
+    size = spec.size
+    c_factor = size if s_c is ALL else len(s_c)
+
+    def pairs_with_difference(rhs):
+        # pairs (b, d) with b - d = rhs
+        if s_b is ALL and s_d is ALL:
+            return size
+        if s_b is ALL:
+            return len(s_d)
+        if s_d is ALL:
+            return len(s_b)
+        return sum(1 for d in s_d if d + rhs in s_b)
+
+    if s_a is ALL and s_x is ALL:
+        raise NotNormalizing("both a and x unconstrained: count not supported")
+    if s_x is ALL:
+        s_a, s_x = s_x, s_a  # x*a symmetric
+    total = 0
+    for xv in s_x:
+        if xv.is_zero():
+            n_a = size if s_a is ALL else len(s_a)
+            total += n_a * pairs_with_difference(xv)
+        elif s_a is ALL:
+            # a -> x*a is a bijection of the field: sum over all differences
+            nb = size if s_b is ALL else len(s_b)
+            nd = size if s_d is ALL else len(s_d)
+            total += nb * nd
+        else:
+            for av in s_a:
+                total += pairs_with_difference(xv * av)
+    return total * c_factor
 
 
 class LogSpaceD:

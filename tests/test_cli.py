@@ -251,7 +251,7 @@ def test_tracer_round_trip_restores_every_namespace():
     # modules are rebound, and remove() then leaves no wrapper behind.  It
     # counts matrix products through groups.MatrixAutElement, which is the
     # class that matrices defines and diameter8 builds the witness from:
-    # 49 for paper-verify, as test_diameter8's product budget pins.
+    # 47 for paper-verify, as test_diameter8's product budget pins.
     root = Path(__file__).resolve().parents[1]
     probe = (
         "import sys\n"
@@ -282,7 +282,7 @@ def test_tracer_round_trip_restores_every_namespace():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")])),
     )
-    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 49 []\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 47 []\n"), done.stderr
 
 
 def test_analyze_csv(capsys):

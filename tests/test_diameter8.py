@@ -6,10 +6,12 @@ from oracles import (
     LogSpaceD,
     LogTables,
     cyclic_powers,
+    entrywise_fixed_points_in_F,
     enumerated_fixed_set,
     evaluate,
     field_elements,
     group_element_order,
+    intersected_count_with_relation,
     listed_centralizer_in_D,
     matrix_commutator,
     matrix_commutator_chain,
@@ -26,8 +28,6 @@ from commgraph.diameter8 import (
     ALL,
     FCoords,
     ParamTriple,
-    _F_POSITIONS,
-    _count_with_relation,
     _f_commutator,
     _f_coords,
     _f_rows,
@@ -68,6 +68,7 @@ from commgraph.fields import (
     is_prime,
 )
 from commgraph.groups import GroupHandle, MatrixAutElement
+from commgraph.matrices import _diag
 
 
 def log_d_powers(log_d, e, n):
@@ -484,17 +485,20 @@ def test_fixed_set_matches_enumeration_in_toy_field():
 def test_fixed_set_matches_enumeration_on_witness_entries(example_group, log_tables):
     eg = example_group
     spec = eg.spec
+    # the six entries of F below the diagonal, (3, 2) holding -a
+    entries = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
     for w in (eg.x, eg.xr, eg.c):
         lam = [w.mat[i][i] for i in range(4)]
-        for row, col, _, _ in _F_POSITIONS:
+        for row, col in entries:
             mu = frobenius_map(lam[col] / lam[row], w.twist)
             closed = _fixed_set(spec, mu, w.twist)
             assert _closed_as_coeffs(spec, closed) == enumerated_fixed_set(log_tables, mu, w.twist)
 
 
 def test_count_with_relation_matches_scan_in_gf9():
-    # every mix of the whole field, {0} and a GF(3)-line for a, x, b and d,
-    # with the whole field or {0} for c
+    # the entrywise oracle's counter against a scan: every mix of the whole
+    # field, {0} and a GF(3)-line for a, x, b and d, with the whole field or
+    # {0} for c
     spec = field_create(3, 2)
     everything = list(field_elements(spec))
     zero, root = spec.zero(), spec.element((0, 1))
@@ -505,11 +509,12 @@ def test_count_with_relation_matches_scan_in_gf9():
             sets = (s_a, s_x, s_b, s_d, s_c)
             if s_a is ALL and s_x is ALL:
                 with pytest.raises(NotNormalizing):
-                    _count_with_relation(spec, *sets)
+                    intersected_count_with_relation(spec, *sets)
                 refused += 1
                 continue
             listed = [everything if s is ALL else s for s in sets]
-            assert _count_with_relation(spec, *sets) == scanned_count_with_relation(*listed), sets
+            by_oracle = intersected_count_with_relation(spec, *sets)
+            assert by_oracle == scanned_count_with_relation(*listed), sets
             counted += 1
     assert (counted, refused) == (144, 18)
 
@@ -549,9 +554,73 @@ def test_fixed_points_c_family_commutes(example_group):
     assert outside * eg.c != eg.c * outside
 
 
+def _diagonal(spec, entries, twist=0):
+    return MatrixAutElement(spec, _diag(spec.zero(), entries), twist)
+
+
 def test_fixed_points_rejects_non_normalizing(example_group):
+    # g is not diagonal; diag(1, 1, 1, 2) has lam_0 lam_3 = 2 != 1 = lam_1 lam_2
+    spec = example_group.spec
+    one = spec.one()
+    for w in (example_group.g, _diagonal(spec, [one, one, one, one + one])):
+        with pytest.raises(NotNormalizing):
+            fixed_points_in_F(example_group, w)
+
+
+def test_fixed_points_of_minus_one_are_all_of_F(example_group):
+    # -1 is central; the entrywise counter refused it, with a and x both free
+    eg = example_group
+    minus_one = _diagonal(eg.spec, [-eg.spec.one()] * 4)
+    report = fixed_points_in_F(eg, minus_one)
+    assert report.count == eg.f_order() == 11 ** 20
+    assert report.free_coords == ["a", "b", "x", "d", "c"]
     with pytest.raises(NotNormalizing):
-        fixed_points_in_F(example_group, example_group.g)  # not diagonal
+        entrywise_fixed_points_in_F(eg, minus_one)
+
+
+def test_fixed_points_match_the_entrywise_oracle_on_D(example_31):
+    eg = example_31
+    ctx = eg.ctx
+    elements = [
+        ctx.x_power(i) * ctx.c_matrix(h) for i, h in eg.d_elements if (i, h) != ctx.identity()
+    ]
+    assert len(elements) == 274
+    for w in elements:
+        assert fixed_points_in_F(eg, w) == entrywise_fixed_points_in_F(eg, w), w
+
+
+@pytest.mark.parametrize("triple", ["example_31", "example_group"])
+def test_fixed_points_match_the_entrywise_oracle_on_seeded_diagonals(request, triple):
+    # symplectic diagonals diag(al, be, be^-1, al^-1) with a seeded twist;
+    # al and be are +-1, z^(q-1) for a seeded z (norm 1, so that a twisted
+    # multiplier can give a GF(q)-line) or z itself, so a, x, d and c take
+    # the sizes 1, q and q^r in many combinations
+    eg = request.getfixturevalue(triple)
+    spec = eg.spec
+    q, r = eg.params.q, eg.params.r
+    one = spec.one()
+    rng = random.Random(q * eg.params.t)
+
+    def seeded():
+        z = spec.element([rng.randrange(q) for _ in range(r)])
+        return one if z.is_zero() else z
+
+    draws = (lambda: one, lambda: -one, lambda: seeded() ** (q - 1), seeded)
+    lines, seen = set(), set()
+    checked = 0
+    while checked < 120:
+        al, be = rng.choice(draws)(), rng.choice(draws)()
+        twist = rng.randrange(r)
+        if twist == 0 and al == be and be * be == one:
+            continue  # 1 and -1: C_F is all of F, which the oracle refuses
+        w = _diagonal(spec, [al, be, be.inverse(), al.inverse()], twist)
+        report = fixed_points_in_F(eg, w)
+        assert report == entrywise_fixed_points_in_F(eg, w), (al, be, twist)
+        lines.update(name for name, size in report.coord_sizes.items() if size == q)
+        seen.update(report.coord_sizes.values())
+        checked += 1
+    assert {"a", "x", "d", "c"} <= lines
+    assert seen == {1, q, q ** r}
 
 
 def test_centralizer_of_x(example_group):
@@ -880,8 +949,9 @@ def test_run_all_checks_product_budget(monkeypatch):
     # powers of q through Frobenius, F's commutators in coordinates, each
     # C_F(w) solved once, factors in GF(p) as scalars and Frob^i as Frob
     # after Frob^(i-1) took them from 3050 to 398; the family separation in
-    # F's coordinates and the order of x read off x^r, to 334.  Matrix
-    # products: the r products x^1 .. x^r, two per x^-i c_h tried by
+    # F's coordinates and the order of x read off x^r, to 334; one solution
+    # set per coordinate of F, and each relation of D checked once, to 320.
+    # Matrix products: the r products x^1 .. x^r, two per x^-i c_h tried by
     # `from_matrix`, and the path's conjugates and commuting tests.  F's
     # law is checked once.
     from commgraph import fields
@@ -898,8 +968,8 @@ def test_run_all_checks_product_budget(monkeypatch):
     monkeypatch.setattr(MatrixAutElement, "__mul__", counting("matrix", MatrixAutElement.__mul__))
     monkeypatch.setattr(diameter8, "_check_f_law", counting("law", diameter8._check_f_law))
     assert first_failing_check(run_all_checks()) is None
-    assert counts["poly"] <= 334
-    assert counts["matrix"] == 49
+    assert counts["poly"] <= 320
+    assert counts["matrix"] == 47
     assert counts["law"] == 1
 
 

@@ -1,6 +1,6 @@
-"""The package's layout: every definition in `src/commgraph`, and every
-method of a class the package does not export, has a caller in the
-program, and the lazy package exports resolve."""
+"""The package's layout: every definition and module-level constant in
+`src/commgraph`, and every method of a class the package does not export,
+has a reader in the program, and the lazy package exports resolve."""
 
 import ast
 from pathlib import Path
@@ -23,18 +23,27 @@ DROPPED_EXPORTS = ("generate_elements", "is_nilpotent", "sylow_profile_cyclic_or
 
 
 def _referenced_names(paths):
-    """Every name, attribute and imported name that the code in `paths`
-    mentions; strings and docstrings do not count."""
+    """Every name read, attribute and imported name that the code in `paths`
+    mentions; assignments, strings and docstrings do not count."""
     names = set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names.update(alias.name.rpartition(".")[2] for alias in node.names)
     return names
+
+
+def _assigned_names(node):
+    """The names a module-level assignment binds, tuple targets unpacked."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    return [
+        leaf.id for target in targets for leaf in ast.walk(target)
+        if isinstance(leaf, ast.Name) and isinstance(leaf.ctx, ast.Store)
+    ]
 
 
 def test_every_src_definition_has_a_caller():
@@ -45,6 +54,12 @@ def test_every_src_definition_has_a_caller():
     uncalled = []
     for path in modules:
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                # a constant nothing reads
+                uncalled += [
+                    f"{path.stem}.{name}" for name in _assigned_names(node)
+                    if not (name.startswith("__") or name in referenced or name in commgraph._HOME)
+                ]
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = node.name
