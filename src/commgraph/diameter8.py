@@ -133,21 +133,21 @@ class _NormalForm:
     meets it trivially and every element of D has exactly one normal form:
     |D| = ord(x) * ord(c).
 
-    x has twist 1 over GF(q^r), so x^n has twist n mod r and x^n = 1 needs
-    r | n: ord(x) = r * ord(x^r).  x^1 .. x^r are formed by products; x^r
-    is diagonal, so its order, `order_xr`, is read off its entries, and x^n
+    x is diagonal, as the constructor checks, with twist 1 over GF(q^r), so
+    x^n has twist n mod r and x^n = 1 needs r | n: ord(x) = r * ord(x^r).
+    x^1 .. x^r are formed by products, `order_xr` is read off x^r, and x^n
     for n = m r + j is (x^r)^m x^j, a diagonal of field powers times x^j.
     """
 
     def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement, f: FieldElement):
         self.spec = spec
         r = spec.k
+        if not _is_diagonal(x):
+            raise NoSuchParams("x is not diagonal: D has no metacyclic normal form")
         powers = [x.identity()]
         for _ in range(r):
             powers.append(powers[-1] * x)
         self.x_powers, self.xr = powers[:r], powers[r]  # x^j for j < r, and x^r
-        if self.xr.twist or not _is_diagonal(self.xr):
-            raise NoSuchParams("x^r is not diagonal: D has no metacyclic normal form")
         self.order_xr = math.lcm(*(element_order(self.xr.mat[i][i]) for i in range(self.xr.dim)))
         self.order_x = r * self.order_xr
         self.order_c = element_order(f)
@@ -172,20 +172,25 @@ class _NormalForm:
     def mul(self, a, b):
         return ((a[0] + b[0]) % self.order_x, frobenius_map(a[1], b[0]) * b[1])
 
-    def x_power(self, n: int) -> MatrixAutElement:
-        """x^n, as (x^r)^m x^j for n = m r + j with j < r."""
-        m, j = divmod(n % self.order_x, self.spec.k)
-        xr_m = [self.xr.mat[i][i] ** m for i in range(self.xr.dim)]
-        return MatrixAutElement(self.spec, _diag(self.spec.zero(), xr_m), 0) * self.x_powers[j]
-
     def from_matrix(self, elem: MatrixAutElement):
-        """The normal form of elem, or None if elem is not in D."""
-        # x^i carries twist i mod r; if elem = x^i c_h then x^{-i} elem = c_h
-        for i in range(elem.twist, self.order_x, self.spec.k):
-            rest = self.x_power(-i) * elem
-            h = rest.mat[0][0]
-            if h ** self.order_c == self.one and rest == self.c_matrix(h):
-                return (i, h)
+        """The normal form of elem, or None if elem is not in D.
+
+        For i = m r + j, x^i c_h has twist j and the diagonal d of (x^r)^m x^j
+        times Frob^-j of c_h's.  So elem = x^i c_h exactly when elem is
+        diagonal, its diagonal e over d is (h', h', h'^-1, h'^-1), and
+        h = Frob^j(h') has h^t = 1; no matrix is multiplied.
+        """
+        if not _is_diagonal(elem):
+            return None
+        j = elem.twist
+        e, xr, d = ([w.mat[n][n] for n in range(4)] for w in (elem, self.xr, self.x_powers[j]))
+        for i in range(j, self.order_x, self.spec.k):
+            h = e[0] / d[0]
+            if (e[1], e[2] * h, e[3] * h) == (h * d[1], d[2], d[3]):
+                h = frobenius_map(h, j)
+                if h ** self.order_c == self.one:
+                    return (i, h)
+            d = [a * b for a, b in zip(d, xr)]
         return None
 
     def powers(self, e):

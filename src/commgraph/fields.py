@@ -7,10 +7,11 @@ An element is a :class:`FieldElement` holding its reduced coefficient tuple,
 and its operators are the one interface to field arithmetic.  A negative
 power is the inverse of a positive one, by one extended Euclid; a factor in
 GF(p) scales the other's coefficients, and a power of an element of GF(p)
-is an integer power mod p.  The
-Frobenius map is GF(p)-linear, so `frobenius_map` applies a k x k matrix
-over GF(p) that each spec builds once per power and keeps, and `norm` is
-the product of an element's k conjugates under it.
+is an integer power mod p.  The Frobenius map is GF(p)-linear, so
+`frobenius_map` applies a k x k matrix over GF(p) that each spec builds
+once per power and keeps, and `norm` is the product of an element's k
+conjugates under it.  Rabin's irreducibility test reads X^(p^i) off the
+same matrix of a candidate modulus and tests coprimality by the Euclid.
 """
 
 from __future__ import annotations
@@ -89,8 +90,8 @@ def _polpowmod(a, e, modulus, p):
 
 
 def _polinvmod(a, modulus, p):
-    """Inverse of a nonzero residue a modulo the irreducible modulus, by the
-    extended Euclidean algorithm."""
+    """Inverse of the residue a modulo any monic modulus, by the extended
+    Euclidean algorithm, or None when gcd(a, modulus) != 1, as for a = 0."""
     k = len(modulus) - 1
     r0, r1 = list(modulus), list(a) + [0]
     s0, s1 = [0] * (k + 1), [1] + [0] * k
@@ -105,46 +106,41 @@ def _polinvmod(a, modulus, p):
             d0 = _poldeg(r0)
         r0, r1 = r1, r0
         s0, s1 = s1, s0
+    if _poldeg(r1) < 0:  # the last nonzero remainder, the gcd, is not a unit
+        return None
     c = pow(r1[0], p - 2, p)
     return [x * c % p for x in s1[:k]]
 
 
-def _polgcd(a, b, p):
-    a, b = list(a), list(b)
-    while _poldeg(b) >= 0:
-        da, db = _poldeg(a), _poldeg(b)
-        if da < db:
-            a, b = b, a
-            continue
-        inv = pow(b[db], p - 2, p)
-        while _poldeg(a) >= db:
-            da = _poldeg(a)
-            c = a[da] * inv % p
-            for j in range(db + 1):
-                a[da - db + j] = (a[da - db + j] - c * b[j]) % p
-        a, b = b, a
-    return a
+def _frobenius_rows(modulus, p):
+    """The rows X^(jp) mod f, j < k, of the matrix of Frob: a -> a^p on
+    GF(p)[X]/(f) for a monic f of degree k >= 2 (Berlekamp's Q-matrix).
+    Frob is linear and multiplicative, so row j is Y^j for Y = X^p."""
+    k = len(modulus) - 1
+    y = _polpowmod([0, 1] + [0] * (k - 2), p, modulus, p)
+    rows = [[1] + [0] * (k - 1), y]
+    while len(rows) < k:
+        rows.append(_polmulmod(rows[-1], y, modulus, p))
+    return rows
 
 
 def _is_irreducible(modulus, p):
-    """Deterministic irreducibility test for a monic polynomial over GF(p)."""
+    """Rabin's test (SIAM J. Comput. 9, 1980): a monic f of degree k over
+    GF(p) is irreducible iff X^(p^k) = X mod f and X^(p^(k/d)) - X is a unit
+    mod f for each prime d of k.  X^(p^i) is Frob of X^(p^(i-1)), one
+    product with the Q-matrix's columns.  A constant is not irreducible."""
     k = len(modulus) - 1
-    if k == 1:
-        return True
+    if k <= 1:
+        return k == 1
+    cols = list(zip(*_frobenius_rows(modulus, p)))
     x = [0, 1] + [0] * (k - 2)
-    t = list(x)
+    powers = [x]  # X^(p^i) for i = 0 .. k
     for _ in range(k):
-        t = _polpowmod(t, p, modulus, p)
-    if t != x:
-        return False
-    for d in factorize(k):
-        t = list(x)
-        for _ in range(k // d):
-            t = _polpowmod(t, p, modulus, p)
-        diff = [(t[i] - x[i]) % p for i in range(k)]
-        if _poldeg(_polgcd(list(modulus), diff, p)) != 0:
-            return False
-    return True
+        powers.append([sum(map(mul, powers[-1], col)) % p for col in cols])
+    return powers[k] == x and all(
+        _polinvmod([(a - b) % p for a, b in zip(powers[k // d], x)], modulus, p) is not None
+        for d in factorize(k)
+    )
 
 
 def _has_root(poly, p) -> bool:
@@ -271,10 +267,8 @@ class FieldSpec:
     def _frobenius_columns(self, i: int) -> tuple:
         """The matrix of Frob^i, for 0 < i < k, as its k columns.
 
-        Frob is GF(p)-linear and multiplicative, so it sends X^j to Y^j for
-        Y = X^p: row j of its matrix is Y^j, from one power of X and k - 2
-        products.  Column l then gives coefficient l of Frob(a) as a dot
-        product with a's coefficients (Berlekamp's Q-matrix).  Frob^i is
+        Frob's rows come from `_frobenius_rows`; column l gives coefficient
+        l of Frob(a) as a dot product with a's coefficients.  Frob^i is
         Frob after Frob^(i-1), so for i > 1 row j is Frob of row j of
         Frob^(i-1), with no product in the field.  Built once per i and kept.
         """
@@ -282,10 +276,7 @@ class FieldSpec:
         if cols is None:
             p = self.p
             if i == 1:
-                y = _polpowmod([0, 1] + [0] * (self.k - 2), p, self.modulus, p)
-                rows = [[1] + [0] * (self.k - 1), y]
-                while len(rows) < self.k:
-                    rows.append(_polmulmod(rows[-1], y, self.modulus, p))
+                rows = _frobenius_rows(self.modulus, p)
             else:
                 frob = self._frobenius_columns(1)
                 rows = [
@@ -318,6 +309,8 @@ class FieldSpec:
         k = json_int(json_field(obj, "k", "field"), "k")
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        if k < 1:
+            raise SpecMismatch("k must be at least 1")
         modulus = [json_int(c, "modulus entry")
                    for c in json_list(json_field(obj, "modulus", "field"), "modulus")]
         if not modulus or modulus[-1] % p != 1 or not _is_irreducible([c % p for c in modulus], p):

@@ -19,14 +19,16 @@ centralizers in D are also listed element by element in exponent form,
 and C_F(w) is counted entry by entry, summing over the solution sets to
 impose x*a = b - d.
 Powers, inverses, orders and the Frobenius map of field elements come from
-repeated multiplication or a scan of the field, and primality and
-factorization from trial division.  The powers and order of a group
-element come from multiplying until the identity returns, and the inverse
-of a symbolic unitriangular matrix from its alternating series.  Six
-library helpers that only the tests call live here too: a greedy
-generating set of a subgroup, a subgroup as a group of its own, the
+repeated multiplication or a scan of the field, and primality,
+factorization and irreducibility from trial division; the irreducibility
+test also has its older form by repeated p-th powers and a gcd.  The
+powers and order of a group element come from multiplying until the
+identity returns, the normal form of an element of D from matrix products,
+and the inverse of a symbolic unitriangular matrix from its alternating
+series.  Seven library helpers that only the tests call live here too: a
+greedy generating set of a subgroup, a subgroup as a group of its own, the
 derived subgroup, the Sylow profile of a Frobenius complement, the search
-for a complement, and polynomial evaluation.
+for a complement, polynomial evaluation, and x^n in D's normal form.
 """
 
 import functools
@@ -36,6 +38,7 @@ from collections import deque
 from types import SimpleNamespace
 
 from commgraph.errors import EmptyGraph, NotNormalizing, SpecMismatch, SymbolicFailure
+from commgraph.fields import _poldeg, _polpowmod
 from commgraph.groups import (
     GroupHandle,
     PermutationElement,
@@ -46,6 +49,7 @@ from commgraph.groups import (
     _normal_closure,
     sylow_subgroup,
 )
+from commgraph.matrices import MatrixAutElement, _diag
 from commgraph.primes import factorize
 
 
@@ -471,6 +475,74 @@ def unfiltered_least_irreducible(p, k, is_irreducible):
     raise AssertionError("no irreducible polynomial found")
 
 
+def monic_polynomials(p, d):
+    """Every monic polynomial of degree d over GF(p), as a coefficient list
+    low degree first."""
+    return ([*coeffs, 1] for coeffs in itertools.product(range(p), repeat=d))
+
+
+def divides(g, f, p):
+    """The monic g divides f over GF(p), by long division."""
+    r = [c % p for c in f]
+    dg = len(g) - 1
+    for i in range(len(r) - 1, dg - 1, -1):
+        c = r[i]
+        if c:
+            for j in range(dg + 1):
+                r[i - dg + j] = (r[i - dg + j] - c * g[j]) % p
+    return not any(r[:dg])
+
+
+def trial_division_is_irreducible(modulus, p):
+    """A monic f of degree k >= 1 over GF(p) is irreducible iff no monic
+    polynomial of degree 1 .. k/2 divides it."""
+    k = len(modulus) - 1
+    return k >= 1 and not any(
+        divides(g, modulus, p) for d in range(1, k // 2 + 1) for g in monic_polynomials(p, d)
+    )
+
+
+def _polgcd(a, b, p):
+    """A gcd of a and b over GF(p), not made monic, by plain remainders."""
+    a, b = list(a), list(b)
+    while _poldeg(b) >= 0:
+        da, db = _poldeg(a), _poldeg(b)
+        if da < db:
+            a, b = b, a
+            continue
+        inv = pow(b[db], p - 2, p)
+        while _poldeg(a) >= db:
+            da = _poldeg(a)
+            c = a[da] * inv % p
+            for j in range(db + 1):
+                a[da - db + j] = (a[da - db + j] - c * b[j]) % p
+        a, b = b, a
+    return a
+
+
+def powering_is_irreducible(modulus, p):
+    """Rabin's test with X^(p^i) reached by repeated p-th powers and the
+    coprimality by a plain gcd: the library's test before it read the
+    powers off the Frobenius matrix."""
+    k = len(modulus) - 1
+    if k == 1:
+        return True
+    x = [0, 1] + [0] * (k - 2)
+    t = list(x)
+    for _ in range(k):
+        t = _polpowmod(t, p, modulus, p)
+    if t != x:
+        return False
+    for d in factorize(k):
+        t = list(x)
+        for _ in range(k // d):
+            t = _polpowmod(t, p, modulus, p)
+        diff = [(t[i] - x[i]) % p for i in range(k)]
+        if _poldeg(_polgcd(list(modulus), diff, p)) != 0:
+            return False
+    return True
+
+
 # --- GF(p^k): references by repeated multiplication -------------------------
 
 
@@ -790,6 +862,26 @@ def power_form_centralizer(ctx, w, all_marker):
         elif rhs == ctx.spec.one():
             out.append((i, all_marker))
     return out
+
+
+def x_power(ctx, n):
+    """x^n in D's normal form `ctx`, as (x^r)^m x^j for n = m r + j with
+    j < r: one matrix product."""
+    m, j = divmod(n % ctx.order_x, ctx.spec.k)
+    xr_m = [ctx.xr.mat[i][i] ** m for i in range(ctx.xr.dim)]
+    return MatrixAutElement(ctx.spec, _diag(ctx.spec.zero(), xr_m), 0) * ctx.x_powers[j]
+
+
+def product_form_from_matrix(ctx, elem):
+    """The normal form (i, h) of elem in D, or None: x^-i elem tried by
+    matrix products for every i < ord(x) with elem's twist, until it is
+    some c_h with h^t = 1."""
+    for i in range(elem.twist, ctx.order_x, ctx.spec.k):
+        rest = x_power(ctx, -i) * elem
+        h = rest.mat[0][0]
+        if h ** ctx.order_c == ctx.one and rest == ctx.c_matrix(h):
+            return (i, h)
+    return None
 
 
 def _p_mat_sub(a, b):

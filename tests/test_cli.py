@@ -251,7 +251,7 @@ def test_tracer_round_trip_restores_every_namespace():
     # modules are rebound, and remove() then leaves no wrapper behind.  It
     # counts matrix products through groups.MatrixAutElement, which is the
     # class that matrices defines and diameter8 builds the witness from:
-    # 47 for paper-verify, as test_diameter8's product budget pins.
+    # 33 for paper-verify, as test_diameter8's product budget pins.
     root = Path(__file__).resolve().parents[1]
     probe = (
         "import sys\n"
@@ -282,7 +282,7 @@ def test_tracer_round_trip_restores_every_namespace():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")])),
     )
-    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 47 []\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 33 []\n"), done.stderr
 
 
 def test_analyze_csv(capsys):
@@ -651,6 +651,8 @@ C3 = {"type": "permutation", "degree": 3, "generators": [[1, 2, 0]]}
     (_gf3_file(generators=[{"twist": 0}]), "generator lacks 'matrix'"),
     (_gf3_file(generators=[[[2]]]), "generator must be an object, got list"),
     (_gf3_file(generators=[{"matrix": [2]}]), "matrix row must be a list, got int"),
+    (_gf3_file(field={"k": 0, "modulus": [1]}), "k must be at least 1"),
+    (_gf3_file(field={"modulus": [1]}), "modulus is not monic irreducible over GF(p)"),
 ])
 @pytest.mark.parametrize("command", ["analyze", "graph-export"])
 def test_group_file_shapes_are_named(tmp_path, capsys, command, payload, named):

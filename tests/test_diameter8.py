@@ -19,8 +19,10 @@ from oracles import (
     power_form_centralizer,
     power_form_mul,
     power_form_u_v,
+    product_form_from_matrix,
     scanned_count_with_relation,
     trial_division_factorize,
+    x_power,
 )
 
 from commgraph import diameter8
@@ -80,7 +82,7 @@ def log_d_powers(log_d, e, n):
 
 def as_matrix(ctx, e):
     """The matrix x^i c_h of the normal form (i, h)."""
-    return ctx.x_power(e[0]) * ctx.c_matrix(e[1])
+    return x_power(ctx, e[0]) * ctx.c_matrix(e[1])
 
 
 def expanded(ctx, description):
@@ -265,8 +267,8 @@ def test_x_powers_match_the_oracle(params):
     ctx = eg.ctx
     powers = cyclic_powers(eg.x)
     assert ctx.order_x == len(powers) == params.r * params.r
-    assert [ctx.x_power(n) for n in range(ctx.order_x)] == powers
-    assert ctx.x_power(-1) == powers[-1] and ctx.x_power(ctx.order_x) == powers[0]
+    assert [x_power(ctx, n) for n in range(ctx.order_x)] == powers
+    assert x_power(ctx, -1) == powers[-1] and x_power(ctx, ctx.order_x) == powers[0]
     assert eg.xr == powers[params.r]
 
 
@@ -582,7 +584,7 @@ def test_fixed_points_match_the_entrywise_oracle_on_D(example_31):
     eg = example_31
     ctx = eg.ctx
     elements = [
-        ctx.x_power(i) * ctx.c_matrix(h) for i, h in eg.d_elements if (i, h) != ctx.identity()
+        x_power(ctx, i) * ctx.c_matrix(h) for i, h in eg.d_elements if (i, h) != ctx.identity()
     ]
     assert len(elements) == 274
     for w in elements:
@@ -649,6 +651,20 @@ def test_centralizer_of_c(example_group, log_d, log_image):
     assert rep.order == 5 * 3221 * 161051 == 2593726355
     sub = log_d.closure([log_d.from_matrix(eg.c), log_d.from_matrix(eg.xr)])
     assert {log_image(e) for e in expanded(eg.ctx, rep.d_part)} == sub
+
+
+def test_from_matrix_matches_the_product_form(example_31):
+    # the normal form read off the diagonals, against x^-i elem tried by
+    # matrix products, on all of D and on elements of G outside it
+    eg = example_31
+    ctx = eg.ctx
+    elements = [as_matrix(ctx, e) for e in eg.d_elements]
+    assert len(elements) == 275
+    assert [ctx.from_matrix(w) for w in elements] == eg.d_elements
+    outside = [eg.z, eg.g, eg.y, ctx.c_matrix(eg.spec.primitive_element())]
+    for w in elements + outside:
+        assert ctx.from_matrix(w) == product_form_from_matrix(ctx, w), w
+    assert [ctx.from_matrix(w) for w in outside] == [None] * 4
 
 
 def test_centralizer_requires_membership(example_group):
@@ -950,10 +966,12 @@ def test_run_all_checks_product_budget(monkeypatch):
     # C_F(w) solved once, factors in GF(p) as scalars and Frob^i as Frob
     # after Frob^(i-1) took them from 3050 to 398; the family separation in
     # F's coordinates and the order of x read off x^r, to 334; one solution
-    # set per coordinate of F, and each relation of D checked once, to 320.
-    # Matrix products: the r products x^1 .. x^r, two per x^-i c_h tried by
-    # `from_matrix`, and the path's conjugates and commuting tests.  F's
-    # law is checked once.
+    # set per coordinate of F, and each relation of D checked once, to 320;
+    # Rabin's test on the Frobenius matrix, and normal forms read off the
+    # diagonals with h^t tested only on a match, to 294.  Matrix products:
+    # the r products x^1 .. x^r, and the path's conjugates and commuting
+    # tests; `from_matrix` makes none (47 when it made two per x^-i c_h
+    # tried, now 33).  F's law is checked once.
     from commgraph import fields
 
     counts = {"poly": 0, "matrix": 0, "law": 0}
@@ -968,8 +986,8 @@ def test_run_all_checks_product_budget(monkeypatch):
     monkeypatch.setattr(MatrixAutElement, "__mul__", counting("matrix", MatrixAutElement.__mul__))
     monkeypatch.setattr(diameter8, "_check_f_law", counting("law", diameter8._check_f_law))
     assert first_failing_check(run_all_checks()) is None
-    assert counts["poly"] <= 320
-    assert counts["matrix"] == 47
+    assert counts["poly"] <= 294
+    assert counts["matrix"] == 33
     assert counts["law"] == 1
 
 

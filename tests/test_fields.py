@@ -1,15 +1,20 @@
+import itertools
 import json
 import math
 
 import pytest
 
 from oracles import (
+    divides,
     evaluate,
     field_elements,
+    monic_polynomials,
     power_scan_primitive_element,
+    powering_is_irreducible,
     repeated_frobenius,
     repeated_power,
     trial_division_factorize,
+    trial_division_is_irreducible,
     trial_division_is_prime,
     unfiltered_least_irreducible,
 )
@@ -37,7 +42,7 @@ from commgraph.fields import (
     least_irreducible,
     norm,
 )
-from commgraph.fields import _is_irreducible, _polmulmod
+from commgraph.fields import _is_irreducible, _polinvmod, _polmulmod
 from test_properties import FIELD_POOL
 
 
@@ -57,6 +62,83 @@ def test_least_irreducible_matches_unfiltered_search():
     assert len(cases) == 711
     for p, k in cases:
         assert least_irreducible(p, k) == unfiltered_least_irreducible(p, k, _is_irreducible), (p, k)
+
+
+# every monic polynomial of degree 2-8 over GF(2), 2-6 over GF(3), 2-4 over
+# GF(5) and 2-3 over GF(7), reducible or not
+IRREDUCIBILITY_POOL = [
+    (p, f) for p, top in ((2, 8), (3, 6), (5, 4), (7, 3))
+    for k in range(2, top + 1) for f in monic_polynomials(p, k)
+]
+
+
+def test_is_irreducible_matches_trial_division():
+    assert len(IRREDUCIBILITY_POOL) == 2764
+    for p, f in IRREDUCIBILITY_POOL:
+        assert _is_irreducible(f, p) == trial_division_is_irreducible(f, p), (p, f)
+    # degree 1 is irreducible, a constant is not
+    assert _is_irreducible([0, 1], 2) and _is_irreducible([3, 1], 5)
+    assert not _is_irreducible([1], 3)
+
+
+@pytest.mark.parametrize("p, k", [(11, 5), (23, 11), (29, 7), (31, 5), (41, 5), (43, 7)])
+def test_least_irreducible_matches_the_powering_test(p, k):
+    # the fields of the six search-params --q-max 43 triples: every candidate
+    # before the modulus fails the powering test, with no root pre-filter; a
+    # candidate with constant term 0 has the factor X, so the scan starts at 1
+    found = list(least_irreducible(p, k))
+    for coeffs in itertools.product(range(1, p), *[range(p)] * (k - 1)):
+        cand = [*coeffs, 1]
+        if cand == found:
+            break
+        assert not powering_is_irreducible(cand, p), cand
+    assert powering_is_irreducible(found, p)
+
+
+# the moduli of the fields of the 14 search-params --q-max 79 triples, as
+# found with the powering test, as {degree: coefficient}
+LISTED_MODULI = {
+    (11, 5): {0: 1, 4: 2, 5: 1},
+    (23, 11): {0: 1, 9: 1, 10: 22, 11: 1},
+    (29, 7): {0: 1, 6: 2, 7: 1},
+    (31, 5): {0: 1, 4: 3, 5: 1},
+    (41, 5): {0: 1, 4: 2, 5: 1},
+    (43, 7): {0: 1, 5: 1, 6: 2, 7: 1},
+    (47, 23): {0: 1, 21: 1, 23: 1},
+    (53, 13): {0: 1, 12: 1, 13: 1},
+    (59, 29): {0: 1, 27: 2, 28: 22, 29: 1},
+    (61, 5): {0: 1, 4: 5, 5: 1},
+    (67, 11): {0: 1, 10: 7, 11: 1},
+    (71, 5): {0: 1, 4: 6, 5: 1},
+    (71, 7): {0: 1, 6: 1, 7: 1},
+    (79, 13): {0: 1, 11: 1, 12: 11, 13: 1},
+}
+
+
+def test_least_irreducible_of_the_listed_triples():
+    for (p, k), terms in LISTED_MODULI.items():
+        assert least_irreducible(p, k) == tuple(terms.get(i, 0) for i in range(k + 1)), (p, k)
+
+
+def test_polinvmod_inverts_exactly_the_residues_prime_to_the_modulus():
+    # every residue a modulo every monic f of degree 2-4 over GF(2), 2-3 over
+    # GF(3) and 2 over GF(5), reducible f included: an inverse, checked by a
+    # product, exactly when no monic divisor of f of degree >= 1 divides a
+    for p, top in ((2, 4), (3, 3), (5, 2)):
+        for k in range(2, top + 1):
+            one = [1] + [0] * (k - 1)
+            for f in monic_polynomials(p, k):
+                factors = [g for d in range(1, k + 1) for g in monic_polynomials(p, d)
+                           if divides(g, f, p)]
+                for a in itertools.product(range(p), repeat=k):
+                    inv = _polinvmod(a, f, p)
+                    coprime = not any(divides(g, a, p) for g in factors)
+                    assert (inv is not None) == coprime, (p, f, a)
+                    assert inv is None or _polmulmod(list(a), inv, f, p) == one, (p, f, a)
+    # zero, and a residue sharing the factor X + 1 with X^2 - 1 over GF(3)
+    assert _polinvmod([0, 0], [2, 0, 1], 3) is None
+    assert _polinvmod([1, 1], [2, 0, 1], 3) is None
+    assert _polinvmod([1, 2], [2, 0, 1], 3) is None  # X - 1 divides X^2 - 1 too
 
 
 def test_is_prime_matches_trial_division():
