@@ -11,6 +11,11 @@ values of j's conjugation images, so the test is index lookups with no
 element product.  G is 2-Frobenius iff G/K is Frobenius (with kernel L/K)
 and L is Frobenius with kernel K.  G/K is an index group whose element c is
 coset number c, so L is the elements of G whose coset label lies in F(G/K).
+
+`classify_group` reaches its Frobenius verdicts only through `is_frobenius`
+and `is_two_frobenius`; each starts from F(G), which the handle keeps.  A
+2-Frobenius verdict's `gk_metacyclic`, whether G/K is metacyclic, is read
+off L/K by `groups.is_metacyclic`.
 """
 
 from __future__ import annotations
@@ -86,21 +91,17 @@ def _kernel_condition(G: GroupHandle, kernel: SubgroupHandle, pool) -> bool:
     return True
 
 
-def _frobenius_kernel(G: GroupHandle, J: SubgroupHandle) -> SubgroupHandle | None:
-    """J = F(G) if G is Frobenius with kernel J, else None."""
+def is_frobenius(G: GroupHandle) -> SubgroupHandle | None:
+    """The Frobenius kernel F(G) if G is Frobenius, else None."""
+    J = fitting_subgroup(G.materialize())
     if J.is_trivial() or J.order() == G.order():
         return None
     return J if _kernel_condition(G, J, range(G.order())) else None
 
 
-def is_frobenius(G: GroupHandle) -> SubgroupHandle | None:
-    """The Frobenius kernel F(G) if G is Frobenius, else None."""
-    G.materialize()
-    return _frobenius_kernel(G, fitting_subgroup(G))
-
-
-def _two_frobenius(G: GroupHandle, K: SubgroupHandle):
-    """(K, L, G/K) for K = F(G) when G is 2-Frobenius, else None."""
+def is_two_frobenius(G: GroupHandle):
+    """(K, L) with K = F(G), L the preimage of F(G/K), when G is 2-Frobenius."""
+    K = fitting_subgroup(G.materialize())
     if K.is_trivial() or K.order() == G.order():
         return None
     # G/K Frobenius with kernel F(G/K) = L/K
@@ -110,16 +111,7 @@ def _two_frobenius(G: GroupHandle, K: SubgroupHandle):
         return None
     L = SubgroupHandle(G, [i for i, c in enumerate(Q.coset_index_of) if c in FQ.indices()])
     # L Frobenius with kernel K
-    if not _kernel_condition(G, K, L.indices()):
-        return None
-    return K, L, Q
-
-
-def is_two_frobenius(G: GroupHandle):
-    """(K, L) with K = F(G), L the preimage of F(G/K), when G is 2-Frobenius."""
-    G.materialize()
-    two = _two_frobenius(G, fitting_subgroup(G))
-    return None if two is None else two[:2]
+    return (K, L) if _kernel_condition(G, K, L.indices()) else None
 
 
 def classify_group(G: GroupHandle) -> ClassificationVerdict:
@@ -135,14 +127,13 @@ def classify_group(G: GroupHandle) -> ClassificationVerdict:
         return ClassificationVerdict(KIND_HAS_CENTRE, order)
     if not is_soluble(G):
         return ClassificationVerdict(KIND_NOT_SOLUBLE, order)
-    F = fitting_subgroup(G)
-    kernel = _frobenius_kernel(G, F)
+    kernel = is_frobenius(G)
     if kernel is not None:
         return ClassificationVerdict(KIND_FROBENIUS, order, kernel=kernel)
-    two = _two_frobenius(G, F)
+    two = is_two_frobenius(G)
     if two is not None:
-        K, L, Q = two
-        meta = is_metacyclic(Q)
+        K, L = two
+        meta = is_metacyclic(G, K, L)
         return ClassificationVerdict(KIND_TWO_FROBENIUS, order, K=K, L=L, gk_metacyclic=meta)
     graph = build_graph(G)
     res = diameter_and_components(graph)

@@ -15,9 +15,12 @@ gives left multiplication by one element, or the conjugates of one element
 by all of G, at one lookup per entry.  Subgroups are index sets: closures,
 normal closures, the series, centralizers, normalizers, Sylow subgroups,
 p-cores and F(G) are read off the tables, in G's key order where a choice
-is made.  A quotient G/N is an index group whose element c is coset number
-c: its Schreier tree and tables are G's, read through the coset labels, so
-it needs no walk.  Everything is meant for desk-scale groups.
+is made; the handle keeps F(G), so it is computed once per group.  A
+quotient G/N is an index group whose element c is coset number c: its
+Schreier tree and tables are G's, read through the coset labels, so it
+needs no walk.  Whether a Frobenius quotient G/K with kernel L/K is
+metacyclic is read off the element orders of L, with no quotient at all.
+Everything is meant for desk-scale groups.
 """
 
 from __future__ import annotations
@@ -112,8 +115,6 @@ def _schreier_tree(generators: Sequence, cap: int) -> tuple[list, dict, list, li
     discovery order (BFS level, frontier position, generator position).
     Raises CapExceeded as soon as more than `cap` elements are seen.
     """
-    if not generators:
-        raise ValueError("empty generating set")
     ambient = generators[0].ambient()
     for g in generators[1:]:
         if g.ambient() != ambient:
@@ -148,7 +149,7 @@ def _compose(i: int, tables: Sequence) -> int:
 class GroupHandle:
     """A finite group given by generators, with a lazily materialized element
     list, its Schreier tree and right-multiplication tables, and lazily built
-    conjugation tables, key order and element orders."""
+    conjugation tables, key order, element orders and Fitting subgroup."""
 
     def __init__(self, generators: Sequence, cap: int = DEFAULT_GROUP_CAP, name: str = ""):
         if not generators:
@@ -164,6 +165,7 @@ class GroupHandle:
         self._conj: list | None = None
         self._key_order: list | None = None
         self._orders: dict = {}
+        self._fitting: SubgroupHandle | None = None
 
     def materialize(self) -> "GroupHandle":
         if self._elements is None:
@@ -461,24 +463,18 @@ def _normal_closure(G: GroupHandle, seeds: Iterable[int]) -> tuple[list, set]:
     return gens, members
 
 
-def _series_reaches_one(G: GroupHandle, step) -> bool:
-    """Whether the series from G whose next term is the normal closure in G
-    of step(generators of the current term) reaches 1."""
+def is_soluble(G: GroupHandle) -> bool:
+    """Whether the derived series of G reaches 1."""
     gens, order = [G.index_of(g) for g in G.generators], G.order()
     while order > 1:
-        gens, members = _normal_closure(G, step(gens))
+        # G^(i+1) is characteristic in G^(i), which is normal in G, so it is
+        # the normal closure in G of the commutators of G^(i)'s generators
+        gens, members = _normal_closure(
+            G, [_commutator_at(G, a, b) for a, b in itertools.combinations(gens, 2)])
         if len(members) == order:
             return False
         order = len(members)
     return True
-
-
-def is_soluble(G: GroupHandle) -> bool:
-    # G^(i+1) is characteristic in G^(i), which is normal in G, so it is the
-    # normal closure in G of the commutators of G^(i)'s generators
-    return _series_reaches_one(
-        G, lambda gens: [_commutator_at(G, a, b) for a, b in itertools.combinations(gens, 2)]
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -561,18 +557,21 @@ def p_core(G: GroupHandle, p: int) -> SubgroupHandle:
 
 
 def fitting_subgroup(G: GroupHandle) -> SubgroupHandle:
-    """F(G) as the product of the p-cores over primes dividing |G|.
+    """F(G) as the product of the p-cores over primes dividing |G|; kept on
+    the handle.
 
     The p-cores are normal with pairwise coprime orders, so their product is
     the set of products a*c, all distinct; a*c is a looked up along c's
     Schreier word, one word per member of F.
     """
-    members = [0]
-    for p in factorize(G.order()):
-        words = [G.right_tables(c) for c in p_core(G, p).indices()]
-        if len(words) > 1:
-            members = [_compose(a, w) for a in members for w in words]
-    return SubgroupHandle(G, members)
+    if G._fitting is None:
+        members = [0]
+        for p in factorize(G.order()):
+            words = [G.right_tables(c) for c in p_core(G, p).indices()]
+            if len(words) > 1:
+                members = [_compose(a, w) for a in members for w in words]
+        G._fitting = SubgroupHandle(G, members)
+    return G._fitting
 
 
 # ---------------------------------------------------------------------------
@@ -616,17 +615,17 @@ def quotient_group(G: GroupHandle, N: SubgroupHandle) -> GroupHandle:
 # structural predicates
 
 
-def is_metacyclic(G: GroupHandle) -> bool:
-    """True iff G has a normal cyclic subgroup with cyclic quotient."""
-    seen = set()
-    for i in range(G.order()):
-        H = SubgroupHandle(G, _index_closure(G, [i]))
-        if H.indices() in seen:
-            continue
-        seen.add(H.indices())
-        if not is_normal(G, H):
-            continue
-        Q = quotient_group(G, H)
-        if any(Q.element_order_at(j) == Q.order() for j in range(Q.order())):
-            return True
-    return False
+def is_metacyclic(G: GroupHandle, K: SubgroupHandle, L: SubgroupHandle) -> bool:
+    """Whether G/K is metacyclic, where G/K is Frobenius with kernel L/K and
+    |L:K| is prime to |K|.
+
+    In a Frobenius group Q with kernel N, a normal cyclic M with cyclic
+    quotient contains Q'.  Q' contains N, because n -> [n, h] is injective
+    on N for 1 != h in a complement; so N is cyclic.  Conversely, a cyclic N
+    makes the complement embed in the abelian Aut(N).  An abelian Frobenius
+    complement is cyclic, so Q/N is cyclic and M = N works.  So G/K is
+    metacyclic iff L/K is cyclic.  Since |L:K| is prime to |K|, that holds
+    iff L has an element of order |L:K|.
+    """
+    index = L.order() // K.order()
+    return any(G.element_order_at(i) == index for i in L.indices())

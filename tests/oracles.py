@@ -12,7 +12,9 @@ element or every pair of elements of the group, and the cosets of a
 quotient are formed by products, which also give the quotient as a
 permutation group of degree [G:N], materialized by its own walk.  The
 Frobenius tests check every kernel element against every element of the
-pool, and project every element of G onto G/K.  The
+pool, and project every element of G onto G/K.  Metacyclicity comes from
+a search of every cyclic subgroup: each normal one's quotient is built and
+scanned for a generator.  The
 diameter-8 references work in log space: D = <x, c> by closure, and
 fixed-point equations on F by scanning every field element;
 centralizers in D are also listed element by element in exponent form,
@@ -47,6 +49,8 @@ from commgraph.groups import (
     _compose,
     _index_closure,
     _normal_closure,
+    is_normal,
+    quotient_group,
     sylow_subgroup,
 )
 from commgraph.matrices import MatrixAutElement, _diag
@@ -461,6 +465,22 @@ def exhaustive_is_two_frobenius(group):
     if not _exhaustive_kernel_condition(FQ, quotient.elements):
         return None
     return K, L
+
+
+def searched_is_metacyclic(G: GroupHandle) -> bool:
+    """True iff G has a normal cyclic subgroup with cyclic quotient."""
+    seen = set()
+    for i in range(G.order()):
+        H = SubgroupHandle(G, _index_closure(G, [i]))
+        if H.indices() in seen:
+            continue
+        seen.add(H.indices())
+        if not is_normal(G, H):
+            continue
+        Q = quotient_group(G, H)
+        if any(Q.element_order_at(j) == Q.order() for j in range(Q.order())):
+            return True
+    return False
 
 
 def unfiltered_least_irreducible(p, k, is_irreducible):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from extra_groups import EXTRA_GROUPS, oracle_group
+from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
 from oracles import (
     as_group,
     exhaustive_is_frobenius,
@@ -11,6 +11,7 @@ from oracles import (
     exhaustive_is_two_frobenius,
     find_frobenius_complement,
     group_element_order,
+    searched_is_metacyclic,
     sylow_profile_cyclic_or_quaternion,
 )
 
@@ -32,8 +33,11 @@ from commgraph.groups import (
     PermutationElement,
     center,
     fitting_subgroup,
+    is_metacyclic,
     is_soluble,
+    quotient_group,
 )
+from commgraph.primes import factorize
 
 V4 = {
     PermutationElement([0, 1, 2, 3]),
@@ -290,24 +294,36 @@ def test_frobenius_tests_match_oracles_on_s6_subgroups(a, b):
 # --- element products made by the classification ----------------------------
 
 
-def _gf8_mul(a, b):
-    """Product in GF(8) = GF(2)[X] / (X^3 + X + 1), an element a0 + a1 X + a2 X^2
-    written as the bits a0 + 2 a1 + 4 a2."""
+def _gf2_mul(a, b, modulus):
+    """Product in GF(2^k) = GF(2)[X] / (modulus), an element a0 + a1 X + ...
+    written as the bits a0 + 2 a1 + ..., and the modulus as the bits of its
+    coefficients, X^k included."""
+    top = 1 << (modulus.bit_length() - 1)
     out = 0
     while b:
         if b & 1:
             out ^= a
         b >>= 1
         a <<= 1
-        if a & 8:
-            a ^= 0b1011
+        if a & top:
+            a ^= modulus
     return out
 
 
-# AGammaL(1, 8) on the 8 points of GF(8): translation by 1, multiplication by
-# X and the Frobenius map x -> x^2; order 168, 2-Frobenius
-AGAML1_8_PERM = [[x ^ 1 for x in range(8)], [_gf8_mul(2, x) for x in range(8)],
-                 [_gf8_mul(x, x) for x in range(8)]]
+def _affine_gf2(modulus, frobenius):
+    """AGL(1, 2^k) on the points of GF(2^k) = GF(2)[X] / (modulus), for X
+    primitive: translation by 1 and multiplication by X; with the Frobenius
+    map x -> x^2 as well, AGammaL(1, 2^k)."""
+    n = 1 << (modulus.bit_length() - 1)
+    gens = [[x ^ 1 for x in range(n)], [_gf2_mul(2, x, modulus) for x in range(n)]]
+    if frobenius:
+        gens.append([_gf2_mul(x, x, modulus) for x in range(n)])
+    return gens
+
+
+# AGammaL(1, 8) on the 8 points of GF(8) = GF(2)[X] / (X^3 + X + 1): order
+# 168, 2-Frobenius
+AGAML1_8_PERM = _affine_gf2(0b1011, frobenius=True)
 
 BUDGET_CASES = {
     "agl1_13": (lambda: EXTRA_GROUPS["agl1_13"](), KIND_FROBENIUS),
@@ -320,8 +336,9 @@ BUDGET_CASES = {
 def test_classify_group_product_budget(monkeypatch, name):
     gens, kind = BUDGET_CASES[name]
     G = GroupHandle(gens(), name=name).materialize()
-    products, quotients = [], []
-    real_mul, real_quotient = PermutationElement.__mul__, groups.quotient_group
+    products, quotients, cores = [], [], []
+    real_mul, real_quotient, real_core = (
+        PermutationElement.__mul__, groups.quotient_group, groups.p_core)
 
     def counted(a, b):
         products.append(1)
@@ -331,12 +348,79 @@ def test_classify_group_product_budget(monkeypatch, name):
         quotients.append(real_quotient(*args))
         return quotients[-1]
 
+    def recorded_core(X, p):
+        cores.append((X, p))
+        return real_core(X, p)
+
     monkeypatch.setattr(PermutationElement, "__mul__", counted)
+    monkeypatch.setattr(groups, "p_core", recorded_core)
     monkeypatch.setattr(groups, "quotient_group", recorded)
     monkeypatch.setattr(classify, "quotient_group", recorded)
     assert classify_group(G).kind == kind
     # after materialization nothing multiplies: the series, F(G), the
     # quotient G/F(G), which reads its tree and tables off G's, the kernel
-    # tests and the graph are table lookups
-    assert bool(quotients) == (name != "agl1_13")
+    # tests, the metacyclic test and the graph are table lookups; G/F(G) is
+    # the one quotient, and a Frobenius G needs none
+    assert len(quotients) == (0 if name == "agl1_13" else 1)
     assert not products
+    # is_frobenius(G) and is_two_frobenius(G) both start from F(G), which the
+    # handle keeps: one p-core per prime of |G|, then one per prime of |G/K|
+    assert cores == [(X, p) for X in [G, *quotients] for p in factorize(X.order())]
+
+
+# --- whether G/K is metacyclic, against a search of its cyclic subgroups -----
+
+
+def _perm_group(gens):
+    return GroupHandle([PermutationElement(g) for g in gens])
+
+
+# name -> (group, whether G/K is metacyclic, None where G is neither Frobenius
+# nor 2-Frobenius)
+METACYCLIC_CASES = {
+    "agl1_8": (lambda: _perm_group(_affine_gf2(0b1011, frobenius=False)), False),
+    # AGL(1, 9) is AGammaL(1, 9) without its Frobenius twist
+    "agl1_9": (lambda: GroupHandle.from_json(
+        {**AGAML1_9, "generators": AGAML1_9["generators"][:2]}), False),
+    "agl1_16": (lambda: _perm_group(_affine_gf2(0b10011, frobenius=False)), False),
+    # C3^2 : Q8, for Q8 = <i, j> in SL(2, 3) acting fixed-point-freely on GF(3)^2
+    "c3sq_q8": (lambda: GroupHandle([
+        _affine_gf3(lambda x, y: (x + 1, y)),
+        _affine_gf3(lambda x, y: (-y, x)),
+        _affine_gf3(lambda x, y: (x + y, x - y)),
+    ]), False),
+    # G/K = C31 : C5
+    "agaml1_32": (lambda: _perm_group(_affine_gf2(0b100101, frobenius=True)), True),
+    # G/K = C7 : C3
+    "agaml1_8_perm": (lambda: _perm_group(AGAML1_8_PERM), True),
+    # G/K = GammaL(1, 9) is a 2-group, so not Frobenius
+    "agaml1_9": (lambda: GroupHandle.from_json(AGAML1_9), None),
+}
+
+
+def _metacyclic_and_searched(G):
+    """is_metacyclic(G, K, L) and the search on G/K, for K = 1 and L = F(G)
+    when G is Frobenius and for is_two_frobenius's (K, L) when G is
+    2-Frobenius; None otherwise."""
+    kernel = is_frobenius(G)
+    if kernel is not None:
+        return is_metacyclic(G, G.trivial_subgroup(), kernel), searched_is_metacyclic(G)
+    two = is_two_frobenius(G)
+    if two is None:
+        return None
+    K, L = two
+    return is_metacyclic(G, K, L), searched_is_metacyclic(quotient_group(G, K))
+
+
+def test_is_metacyclic_matches_the_search(corpus):
+    answers = set()
+    for name in list_corpus() + sorted(EXTRA_GROUPS):
+        both = _metacyclic_and_searched(oracle_group(corpus, name))
+        if both is not None:
+            assert both[0] == both[1], name
+            answers.add(both[0])
+    for name, (build, expected) in METACYCLIC_CASES.items():
+        both = _metacyclic_and_searched(build().materialize())
+        assert both == (None if expected is None else (expected, expected)), name
+        answers.add(expected)
+    assert answers >= {True, False}

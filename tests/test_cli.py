@@ -285,6 +285,35 @@ def test_tracer_round_trip_restores_every_namespace():
     assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 33 []\n"), done.stderr
 
 
+def test_tracer_sees_the_public_frobenius_tests():
+    # classify_group reaches its verdicts through is_frobenius(G) and
+    # is_two_frobenius(G), so the traced run times both G-level tests.  S4 is
+    # 2-Frobenius: is_frobenius runs on G and on G/K, F(G) is asked for twice
+    # (the second answer kept on the handle) and F(G/K) once, G/K is the one
+    # quotient, and gk_metacyclic is one is_metacyclic call.
+    root = Path(__file__).resolve().parents[1]
+    probe = (
+        "import collections, os\n"
+        "from commgraph.cli import main\n"
+        "import spans\n"
+        "tracer = spans.Tracer()\n"
+        "tracer.install()\n"
+        "try:\n"
+        f"    code = main(['analyze', {data_path('sym4')!r}, '--out', os.devnull])\n"
+        "finally:\n"
+        "    tracer.remove()\n"
+        "calls = collections.Counter(span.name for span in tracer.spans)\n"
+        "print(code, [calls[name] for name in ('classify.is_frobenius',\n"
+        "      'classify.is_two_frobenius', 'groups.fitting_subgroup',\n"
+        "      'groups.quotient_group', 'groups.is_metacyclic')])\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")])),
+    )
+    assert (done.returncode, done.stdout) == (0, "0 [2, 1, 3, 1, 1]\n"), done.stderr
+
+
 def test_analyze_csv(capsys):
     code, out, _ = run(["analyze", data_path("sym4"), data_path("sym3"), "--format", "csv"], capsys)
     assert code == EXIT_OK
@@ -653,6 +682,8 @@ C3 = {"type": "permutation", "degree": 3, "generators": [[1, 2, 0]]}
     (_gf3_file(generators=[{"matrix": [2]}]), "matrix row must be a list, got int"),
     (_gf3_file(field={"k": 0, "modulus": [1]}), "k must be at least 1"),
     (_gf3_file(field={"modulus": [1]}), "modulus is not monic irreducible over GF(p)"),
+    ({**C3, "generators": []}, "a group handle needs at least one generator"),
+    (_gf3_file(generators=[]), "a group handle needs at least one generator"),
 ])
 @pytest.mark.parametrize("command", ["analyze", "graph-export"])
 def test_group_file_shapes_are_named(tmp_path, capsys, command, payload, named):
