@@ -11,12 +11,14 @@ from x to its conjugate y.
 
 The arithmetic follows the closed forms of the field: q = p, so a power
 h^(q^k) is Frob^k(h), a cached linear map, and the Hilbert-90 test takes a
-norm as the product of conjugates; x^r is diagonal, so the order and every
-power of x are read off x^r and x^1 .. x^(r-1); F's commutators, for the
-family separation and for class 3, are taken in its five coordinates, by a
-group law checked once per example against the matrix product; and each
-C_F(w), the product of four coordinates' solution sets, is solved once per
-example.
+norm as the product of conjugates; x is diagonal with twist 1, so the
+diagonals of x^1 .. x^r are running products of Frobenius conjugates, and
+the order and every power of x are read off them; each element order comes
+from a known multiple of it (r^2, t or q - 1), so q^r - 1 is never
+factored; F's commutators, for the family separation and for class 3, are
+taken in its five coordinates, by a group law checked once per example
+against the matrix product; and each C_F(w), the product of four
+coordinates' solution sets, is solved once per example.
 
 The distance lower bound d(x, y) >= 8 itself rests on a combinatorial case
 analysis over these verified facts; the graph of the full group (order about
@@ -135,26 +137,32 @@ class _NormalForm:
 
     x is diagonal, as the constructor checks, with twist 1 over GF(q^r), so
     x^n has twist n mod r and x^n = 1 needs r | n: ord(x) = r * ord(x^r).
-    x^1 .. x^r are formed by products, `order_xr` is read off x^r, and x^n
-    for n = m r + j is (x^r)^m x^j, a diagonal of field powers times x^j.
+    x^(j+1) = x^j x has the diagonal of x^j times Frob^-j of x's, so the
+    diagonals of x^1 .. x^r are running products, with no matrix product.
+    x^r's entries lie in GF(q), so `order_xr` is the lcm of their orders
+    from the multiple q - 1, and ord(c) comes from the multiple t; an entry
+    outside GF(q), or f^t != 1, raises NoSuchOrder.  x^n for n = m r + j is
+    (x^r)^m x^j, a diagonal of field powers times x^j.
     """
 
-    def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement, f: FieldElement):
+    def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement,
+                 f: FieldElement, t: int):
         self.spec = spec
-        r = spec.k
+        r, q = spec.k, spec.p
         if not _is_diagonal(x):
             raise NoSuchParams("x is not diagonal: D has no metacyclic normal form")
-        powers = [x.identity()]
-        for _ in range(r):
-            powers.append(powers[-1] * x)
-        self.x_powers, self.xr = powers[:r], powers[r]  # x^j for j < r, and x^r
-        self.order_xr = math.lcm(*(element_order(self.xr.mat[i][i]) for i in range(self.xr.dim)))
+        x_diag = [x.mat[i][i] for i in range(x.dim)]
+        diags = [[spec.one()] * x.dim]
+        for j in range(r):
+            diags.append([a * frobenius_map(b, -j) for a, b in zip(diags[-1], x_diag)])
+        self.x_powers = diags[:r]  # the diagonal of x^j for j < r
+        self.xr = MatrixAutElement(spec, _diag(spec.zero(), diags[r]), 0)
+        self.order_xr = math.lcm(*(element_order(e, q - 1) for e in diags[r]))
         self.order_x = r * self.order_xr
-        self.order_c = element_order(f)
+        self.order_c = element_order(f, t)
         self.order = self.order_x * self.order_c
         if math.gcd(self.order_x, self.order_c) != 1:
             raise NoSuchParams(f"ord(x) = {self.order_x} and ord(c) = {self.order_c} not coprime")
-        q = spec.p
         if conjugate(c, x) != self.c_matrix(f ** q):
             raise NoSuchParams("x^{-1} c x != c^q: D has no metacyclic normal form")
         # h has order dividing ord(c), so h^(q^k) = h^(q^k mod ord(c))
@@ -183,7 +191,8 @@ class _NormalForm:
         if not _is_diagonal(elem):
             return None
         j = elem.twist
-        e, xr, d = ([w.mat[n][n] for n in range(4)] for w in (elem, self.xr, self.x_powers[j]))
+        e, xr = ([w.mat[n][n] for n in range(4)] for w in (elem, self.xr))
+        d = self.x_powers[j]
         for i in range(j, self.order_x, self.spec.k):
             h = e[0] / d[0]
             if (e[1], e[2] * h, e[3] * h) == (h * d[1], d[2], d[3]):
@@ -339,7 +348,7 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     z = MatrixAutElement(spec, _diag(zero, [u, v, h_pows[-kv % n], h_pows[-ku % n]]), 0)
     c = MatrixAutElement(spec, _diag(zero, [f, f, f.inverse(), f.inverse()]), 0)
     x = MatrixAutElement(spec, z.mat, 1)
-    ctx = _NormalForm(spec, x, c, f)
+    ctx = _NormalForm(spec, x, c, f, t)
     one = spec.one()
     g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
 

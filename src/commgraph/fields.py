@@ -33,12 +33,14 @@ from .errors import (
 )
 from .primes import factorize, is_prime
 
-# Largest field field_create builds.  Nothing enumerates the field, but the
-# canonical primitive element is found by a scan in coefficient order whose
-# length grows with p; each candidate is tested through its norm for the
-# primes of p - 1.  Finding it takes 0.012 s in GF(23^11), about 9.5e14 and
-# the largest field of a witness triple with q <= 43, and would take 0.75 s
-# in GF(10061^5), which the cap refuses (2 vCPU, CPython 3.11.7).
+# Largest field field_create builds.  Nothing enumerates the field or
+# factors p^k - 1, but least_irreducible and element_of_order scan in
+# coefficient order, the last coefficient fastest, so their cost grows with
+# p: element_of_order(spec, r^2) in a witness field GF(p^r) may test all
+# p - 1 multiples c*X^(r-1), which share one norm test.  run_all_checks
+# takes 0.04 s at (23, 11), 23^11 about 9.5e14 and the largest field of a
+# witness triple with q <= 43, and would take 0.58 s at (10061, 5), which
+# the cap refuses, nearly all of it in that scan (2 vCPU, CPython 3.11.7).
 FIELD_CAP = 2 ** 50
 # Discrete-log tables are only built for fields small enough to enumerate.
 LOG_TABLE_CAP = 2 ** 21
@@ -176,14 +178,12 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """A concrete GF(p^k): prime p, degree k and the reducing polynomial.
 
-    Instances are immutable.  A spec builds elements, lists the field and
-    finds the canonical primitive element; all element arithmetic is on
-    :class:`FieldElement`.  The canonical primitive element, the primes
-    dividing p^k - 1 and the matrix of each power of Frobenius are computed
-    on first use and kept.
+    Instances are immutable.  A spec builds elements; all element
+    arithmetic is on :class:`FieldElement`.  The matrix of each power of
+    Frobenius is computed on first use and kept.
     """
 
-    __slots__ = ("p", "k", "modulus", "size", "_hash", "_primitive", "_primes", "_frobenius")
+    __slots__ = ("p", "k", "modulus", "size", "_hash", "_frobenius")
 
     def __init__(self, p: int, k: int, modulus: Sequence[int]):
         self.p = p
@@ -193,8 +193,6 @@ class FieldSpec:
             raise SpecMismatch(f"modulus degree {len(modulus) - 1} != k={k}")
         self.size = p ** k
         self._hash = hash((p, k, self.modulus))
-        self._primitive = None
-        self._primes = None
         self._frobenius = {}
 
     def __eq__(self, other):
@@ -227,43 +225,6 @@ class FieldSpec:
             raise SpecMismatch(f"expected {self.k} coefficients, got {len(t)}")
         return _element(self, t)
 
-    # -- multiplicative structure
-
-    def _unit_primes(self) -> list[int]:
-        """The primes dividing p^k - 1, factored once per field."""
-        if self._primes is None:
-            self._primes = list(factorize(self.size - 1))
-        return self._primes
-
-    def primitive_element(self) -> FieldElement:
-        """Least primitive element under coefficient-vector lexicographic order.
-
-        a is primitive iff a^((p^k - 1)/l) != 1 for every prime l of
-        p^k - 1.  When l divides p - 1 that power is N(a)^((p - 1)/l) for
-        the norm N(a) = a^((p^k - 1)/(p - 1)) in GF(p), an integer power mod
-        p; the other primes keep the power in the field.
-        """
-        if self._primitive is None:
-            n, p = self.size - 1, self.p
-            one = self.one().coeffs
-            by_norm, by_power = [], []
-            for ell in self._unit_primes():
-                (by_norm if (p - 1) % ell == 0 else by_power).append(ell)
-            for coeffs in itertools.product(range(p), repeat=self.k):
-                if not any(coeffs):
-                    continue
-                if by_norm:
-                    n_a = norm(_element(self, coeffs)).coeffs[0]
-                    if any(pow(n_a, (p - 1) // ell, p) == 1 for ell in by_norm):
-                        continue
-                if all(
-                    tuple(_polpowmod(coeffs, n // ell, self.modulus, p)) != one
-                    for ell in by_power
-                ):
-                    self._primitive = _element(self, coeffs)
-                    break
-        return self._primitive
-
     def _frobenius_columns(self, i: int) -> tuple:
         """The matrix of Frob^i, for 0 < i < k, as its k columns.
 
@@ -287,10 +248,10 @@ class FieldSpec:
         return cols
 
     def log_table(self) -> tuple[list, dict]:
-        """(exp, log): discrete-log tables w.r.t. the canonical primitive element."""
+        """(exp, log): discrete-log tables w.r.t. the least primitive element."""
         if self.size > LOG_TABLE_CAP:
             raise CapExceeded(f"field of size {self.size} exceeds log-table cap {LOG_TABLE_CAP}")
-        g = self.primitive_element().coeffs
+        g = element_of_order(self, self.size - 1).coeffs
         exp = []
         log = {}
         acc = self.one().coeffs
@@ -445,29 +406,52 @@ def field_create(p: int, k: int) -> FieldSpec:
     return FieldSpec(p, k, least_irreducible(p, k))
 
 
-def element_order(a: FieldElement) -> int:
-    """Least n >= 1 with a^n = 1: divide p^k - 1 by each prime while the
-    power stays 1."""
+def element_order(a: FieldElement, multiple: int) -> int:
+    """Least n >= 1 with a^n = 1, given a multiple of it with a^multiple = 1:
+    divide `multiple` by each of its primes while the power stays 1.  Raises
+    NoSuchOrder when a^multiple != 1."""
     if a.is_zero():
         raise ZeroElement("order of zero is undefined")
     one = a.spec.one()
-    o = a.spec.size - 1
-    for ell in a.spec._unit_primes():
+    if multiple < 1 or a ** multiple != one:
+        raise NoSuchOrder(f"{a!r} has no order dividing {multiple}")
+    o = multiple
+    for ell in factorize(multiple):
         while o % ell == 0 and a ** (o // ell) == one:
             o //= ell
     return o
 
 
 def element_of_order(spec: FieldSpec, n: int) -> FieldElement:
-    """Deterministic element of exact multiplicative order n.
+    """Deterministic element of exact multiplicative order n dividing p^k - 1.
 
-    Takes the canonical primitive element to the power (p^k - 1)/n.
+    The first a^((p^k - 1)/n) of order n, over the nonzero a in coefficient
+    order (low degree first, as the least primitive element is defined).
+    That power has order dividing n, which is exactly n iff its (n/l)-th
+    power a^((p^k - 1)/l) is not 1 for each prime l of n, so only n is
+    factored.  When l divides p - 1 that power is N(a)^((p - 1)/l) for the
+    norm N(a) in GF(p), an integer power mod p; the other primes take the
+    power in the field.  For n = p^k - 1 the exponent is 1 and the result is
+    the least primitive element.
     """
-    size = spec.size - 1
+    size, p, one = spec.size - 1, spec.p, spec.one()
     if n < 1 or size % n != 0:
         raise NoSuchOrder(f"{n} does not divide {size}")
-    g = spec.primitive_element()
-    return g ** (size // n)
+    by_norm, by_power = [], []
+    for ell in factorize(n):
+        (by_norm if (p - 1) % ell == 0 else by_power).append(ell)
+    for coeffs in itertools.product(range(p), repeat=spec.k):
+        if not any(coeffs):
+            continue
+        a = _element(spec, coeffs)
+        if by_norm:
+            n_a = norm(a).coeffs[0]
+            if any(pow(n_a, (p - 1) // ell, p) == 1 for ell in by_norm):
+                continue
+        e = a ** (size // n)
+        if all(e ** (n // ell) != one for ell in by_power):
+            return e
+    raise AssertionError("no element of order n")  # unreachable: the units are cyclic
 
 
 def frobenius_map(a: FieldElement, i: int = 1) -> FieldElement:

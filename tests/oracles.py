@@ -655,12 +655,13 @@ def power_scan_primitive_element(spec):
 
 
 class LogTables:
-    """Discrete logs of a field's nonzero elements to its canonical primitive
-    element, built by repeated multiplication."""
+    """Discrete logs of a field's nonzero elements to its least primitive
+    element, found by `power_scan_primitive_element`, built by repeated
+    multiplication."""
 
     def __init__(self, spec):
         self.spec = spec
-        g = spec.primitive_element()
+        g = power_scan_primitive_element(spec)
         self.exp, self.log = [], {}
         acc = spec.one()
         for i in range(spec.size - 1):
@@ -787,7 +788,7 @@ class LogSpaceD:
     """Diagonal-with-twist 4x4 matrices in log space.
 
     An element is (twist, l1, l2, l3, l4): the diagonal entries are g^l_i for
-    the canonical primitive element g.  Multiplication mirrors the
+    the least primitive element g.  Multiplication mirrors the
     MatrixAutElement rule (A, i)(B, j) = (A * beta^{-i}(B), i + j).
     """
 
@@ -886,10 +887,12 @@ def power_form_centralizer(ctx, w, all_marker):
 
 def x_power(ctx, n):
     """x^n in D's normal form `ctx`, as (x^r)^m x^j for n = m r + j with
-    j < r: one matrix product."""
+    j < r, x^j built from its diagonal and twist j: one matrix product."""
     m, j = divmod(n % ctx.order_x, ctx.spec.k)
+    zero = ctx.spec.zero()
     xr_m = [ctx.xr.mat[i][i] ** m for i in range(ctx.xr.dim)]
-    return MatrixAutElement(ctx.spec, _diag(ctx.spec.zero(), xr_m), 0) * ctx.x_powers[j]
+    x_j = MatrixAutElement(ctx.spec, _diag(zero, ctx.x_powers[j]), j)
+    return MatrixAutElement(ctx.spec, _diag(zero, xr_m), 0) * x_j
 
 
 def product_form_from_matrix(ctx, elem):

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -251,7 +252,7 @@ def test_tracer_round_trip_restores_every_namespace():
     # modules are rebound, and remove() then leaves no wrapper behind.  It
     # counts matrix products through groups.MatrixAutElement, which is the
     # class that matrices defines and diameter8 builds the witness from:
-    # 33 for paper-verify, as test_diameter8's product budget pins.
+    # 28 for paper-verify, as test_diameter8's product budget pins.
     root = Path(__file__).resolve().parents[1]
     probe = (
         "import sys\n"
@@ -282,7 +283,7 @@ def test_tracer_round_trip_restores_every_namespace():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")])),
     )
-    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 33 []\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 28 []\n"), done.stderr
 
 
 def test_tracer_sees_the_public_frobenius_tests():
@@ -378,6 +379,77 @@ def test_analyze_corpus_matches_expected_verdicts(capsys):
     assert [row.pop("file") for row in rows] == [data_path(n) for n in names]
     assert rows == [verdicts[n] for n in names]
     assert sorted(list_corpus()) == names
+
+
+def _bench_ladder():
+    """bench/ladder.py, the benchmark's seeded group ladder, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # dataclasses look the module up in sys.modules
+    return module
+
+
+LADDER = _bench_ladder()
+CORPUS_DIR = str(resources.files("commgraph") / "data")
+
+
+def _gate_runs(rungs: Path) -> dict:
+    """{golden stem: argv} of the analyze and graph-export golden gate: both
+    formats of analyze over the corpus and over the seed-1 analyze rungs, and
+    graph-export of each corpus file and each seed-1 graph rung, with the
+    rungs written under `rungs`."""
+    corpus_files = [data_path(n) for n in sorted(list_corpus())]
+    analyze_rungs = [str(rungs / "analyze" / f"{r.name}.json") for r in LADDER.ANALYZE_RUNGS]
+    runs = {}
+    for fmt in ("json", "csv"):
+        runs[f"analyze_corpus_{fmt}"] = ["analyze", *corpus_files, "--format", fmt]
+        runs[f"analyze_ladder_{fmt}"] = ["analyze", *analyze_rungs, "--format", fmt]
+    for path in corpus_files:
+        runs[f"graph_export_corpus_{Path(path).stem}"] = ["graph-export", path]
+    for r in LADDER.GRAPH_RUNGS:
+        runs[f"graph_export_ladder_{r.name}"] = ["graph-export", str(rungs / "graph" / f"{r.name}.json")]
+    return runs
+
+
+def _gate_outputs(argv, rungs: Path) -> dict:
+    """{golden suffix: bytes} of one run, with the corpus and rung directories
+    replaced by placeholders: stdout under its format's suffix, and unless
+    the run exits 0 with nothing on stderr, its exit code and stderr under
+    .err."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    outputs = {".err": f"exit {code}\n{err.getvalue()}"} if code or err.getvalue() else {}
+    if out.getvalue():
+        outputs["." + (argv[-1] if argv[0] == "analyze" else "json")] = out.getvalue()
+    return {
+        suffix: text.replace(str(rungs), "<ladder>").replace(CORPUS_DIR, "<corpus>").encode()
+        for suffix, text in outputs.items()
+    }
+
+
+@pytest.fixture(scope="module")
+def rung_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("rungs")
+    LADDER.write_rungs(LADDER.ANALYZE_RUNGS, 1, root / "analyze")
+    LADDER.write_rungs(LADDER.GRAPH_RUNGS, 1, root / "graph")
+    return root
+
+
+@pytest.mark.parametrize("stem", sorted(_gate_runs(Path("rungs"))))
+def test_analyze_and_graph_export_match_golden(rung_dir, stem):
+    # recorded before the field layer stopped factoring q^r - 1; q8, gl2_3
+    # and agaml1_9_mat are the inputs whose arithmetic runs through fields
+    golden = {p.suffix: p.read_bytes() for p in GOLDEN.glob(f"{stem}.*")}
+    assert golden
+    assert _gate_outputs(_gate_runs(rung_dir)[stem], rung_dir) == golden
+
+
+def test_golden_gate_has_no_stray_file():
+    stems = set(_gate_runs(Path("rungs")))
+    recorded = [*GOLDEN.glob("analyze_*"), *GOLDEN.glob("graph_export_*")]
+    assert {p.name.partition(".")[0] for p in recorded} == stems
 
 
 def test_paper_verify_rejects_r3(capsys):

@@ -63,6 +63,7 @@ from commgraph.errors import (
 )
 from commgraph.fields import (
     Poly,
+    element_of_order,
     element_order,
     factorize,
     field_create,
@@ -227,8 +228,9 @@ def test_over_cap_triple_fails_at_build():
 def test_build_example_basics(example_group):
     eg = example_group
     assert len(eg.d_elements) == 80525  # r^2 * t
-    assert element_order(eg.u) == 25 and element_order(eg.v) == 25
-    assert element_order(eg.f) == 3221
+    n = eg.spec.size - 1
+    assert element_order(eg.u, n) == 25 and element_order(eg.v, n) == 25
+    assert element_order(eg.f, n) == 3221
     # the 4-set condition
     four = {(eg.u ** 5).coeffs, (eg.u ** -5).coeffs, (eg.v ** 5).coeffs, (eg.v ** -5).coeffs}
     assert len(four) == 4
@@ -359,7 +361,7 @@ def test_d_structure_exponent_identity(example_group):
     # u has order 25, so u^16105 = u^5 which has order 5
     eg = example_group
     assert eg.u ** 16105 == eg.u ** 5
-    assert element_order(eg.u ** 16105) == 5
+    assert element_order(eg.u ** 16105, eg.spec.size - 1) == 5
 
 
 def test_conjugation_of_c_by_x(example_group):
@@ -661,7 +663,7 @@ def test_from_matrix_matches_the_product_form(example_31):
     elements = [as_matrix(ctx, e) for e in eg.d_elements]
     assert len(elements) == 275
     assert [ctx.from_matrix(w) for w in elements] == eg.d_elements
-    outside = [eg.z, eg.g, eg.y, ctx.c_matrix(eg.spec.primitive_element())]
+    outside = [eg.z, eg.g, eg.y, ctx.c_matrix(element_of_order(eg.spec, eg.spec.size - 1))]
     for w in elements + outside:
         assert ctx.from_matrix(w) == product_form_from_matrix(ctx, w), w
     assert [ctx.from_matrix(w) for w in outside] == [None] * 4
@@ -674,7 +676,7 @@ def test_centralizer_requires_membership(example_group):
     with pytest.raises(NotInD):
         centralizer_in_G(eg, eg.x.identity())
     # diag(h, h, h^-1, h^-1) lies in D only for h in <f>
-    outside = eg.ctx.c_matrix(eg.spec.primitive_element())
+    outside = eg.ctx.c_matrix(element_of_order(eg.spec, eg.spec.size - 1))
     assert eg.ctx.from_matrix(outside) is None
     with pytest.raises(NotInD):
         centralizer_in_G(eg, outside)
@@ -968,10 +970,12 @@ def test_run_all_checks_product_budget(monkeypatch):
     # F's coordinates and the order of x read off x^r, to 334; one solution
     # set per coordinate of F, and each relation of D checked once, to 320;
     # Rabin's test on the Frobenius matrix, and normal forms read off the
-    # diagonals with h^t tested only on a match, to 294.  Matrix products:
-    # the r products x^1 .. x^r, and the path's conjugates and commuting
-    # tests; `from_matrix` makes none (47 when it made two per x^-i c_h
-    # tried, now 33).  F's law is checked once.
+    # diagonals with h^t tested only on a match, to 294; element orders
+    # from known multiples (r^2, t, q - 1), not from q^r - 1, to 241.
+    # Matrix products: the path's conjugates and commuting tests;
+    # `from_matrix` makes none (47 when it made two per x^-i c_h tried,
+    # 33 while x^1 .. x^r were formed by r products, now 28 with their
+    # diagonals as running products).  F's law is checked once.
     from commgraph import fields
 
     counts = {"poly": 0, "matrix": 0, "law": 0}
@@ -986,9 +990,44 @@ def test_run_all_checks_product_budget(monkeypatch):
     monkeypatch.setattr(MatrixAutElement, "__mul__", counting("matrix", MatrixAutElement.__mul__))
     monkeypatch.setattr(diameter8, "_check_f_law", counting("law", diameter8._check_f_law))
     assert first_failing_check(run_all_checks()) is None
-    assert counts["poly"] <= 294
-    assert counts["matrix"] == 33
+    assert counts["poly"] <= 241
+    assert counts["matrix"] == 28
     assert counts["law"] == 1
+
+
+def test_witness_never_factors_q_to_the_r_minus_1(monkeypatch):
+    # every element order comes from a known multiple: r^2 and t for the
+    # elements chosen, t and q - 1 for ord(c) and ord(x^r), and Rabin's test
+    # factors r; so each number factored divides r^2 t (q - 1).  q^r - 1
+    # does not, except at (11, 5, 3221), where 11^5 - 1 = 2 * 5^2 * 3221, so
+    # it is also ruled out by name.  At the default triple and the golden
+    # ones.
+    import sys
+    from pathlib import Path
+
+    from commgraph import primes
+
+    seen = []
+    real = primes.factorize
+
+    def recording(n):
+        seen.append(n)
+        return real(n)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("commgraph") and getattr(module, "factorize", None) is real:
+            monkeypatch.setattr(module, "factorize", recording)
+    golden = Path(__file__).resolve().parent / "golden"
+    triples = {(11, 5, 3221)} | {
+        tuple(int(v) for v in path.stem.split("_")[2:])
+        for path in golden.glob("paper_verify_*.json")
+    }
+    assert len(triples) == 6
+    for q, r, t in sorted(triples):
+        seen.clear()
+        assert first_failing_check(run_all_checks(q, r, t)) is None
+        assert seen and all(r * r * t * (q - 1) % n == 0 for n in seen), (q, r, t, seen)
+        assert q ** r - 1 not in seen
 
 
 def test_run_all_checks_rejects_bad_params():

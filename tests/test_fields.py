@@ -12,6 +12,7 @@ from oracles import (
     power_scan_primitive_element,
     powering_is_irreducible,
     repeated_frobenius,
+    repeated_order,
     repeated_power,
     trial_division_factorize,
     trial_division_is_irreducible,
@@ -290,42 +291,78 @@ def test_mixed_field_operands_rejected(gf11):
 
 
 def test_element_order_small(gf11):
-    assert element_order(gf11.one()) == 1
-    assert element_order(gf11.element(10)) == 2  # 10 = -1 mod 11
+    assert element_order(gf11.one(), 10) == 1
+    assert element_order(gf11.element(10), 10) == 2  # 10 = -1 mod 11
     with pytest.raises(ZeroElement):
-        element_order(gf11.zero())
+        element_order(gf11.zero(), 10)
 
 
 def test_generator_order_is_maximal(gf115):
     # oracle: factor 161050 and test maximality directly
     n = 161050
     assert factorize(n) == {2: 1, 5: 2, 3221: 1}
-    g = gf115.primitive_element()
+    g = element_of_order(gf115, n)
     for ell in (2, 5, 3221):
         assert g ** (n // ell) != gf115.one()
-    assert element_order(g) == n
+    assert element_order(g, n) == n
 
 
-def test_unit_group_factored_once_per_field(monkeypatch):
+def test_element_orders_factor_only_their_multiple(monkeypatch):
+    # an element of order 25 or 3221 of GF(11^5), and its order, need the
+    # primes of 25 or 3221 and never those of 11^5 - 1
     from commgraph import fields
 
+    spec = field_create(11, 5)
     factored = []
     real = fields.factorize
     monkeypatch.setattr(fields, "factorize", lambda n: factored.append(n) or real(n))
-    spec = field_create(11, 5)
-    f = spec.primitive_element()
-    assert element_order(f) == 11 ** 5 - 1
-    assert factored.count(11 ** 5 - 1) == 1
+    for n in (25, 3221):
+        assert element_order(element_of_order(spec, n), n) == n
+    assert factored == [25, 25, 3221, 3221]
 
 
 def test_element_of_order(gf115, gf11):
     e25 = element_of_order(gf115, 25)
     assert e25 ** 25 == gf115.one() and e25 ** 5 != gf115.one()
-    assert element_order(e25) == 25
+    assert element_order(e25, gf115.size - 1) == 25
     e = element_of_order(gf115, 3221)
-    assert element_order(e) == 3221
+    assert element_order(e, gf115.size - 1) == 3221
     with pytest.raises(NoSuchOrder):
         element_of_order(gf11, 7)  # 7 does not divide 10
+    with pytest.raises(NoSuchOrder):
+        element_order(e, 25)  # e^25 != 1
+
+
+ORACLE_FIELDS = [(3, 3), (5, 2), (7, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("p, k", ORACLE_FIELDS)
+def test_element_order_matches_repeated_order(p, k):
+    # any multiple of the order gives the order; a non-multiple is refused
+    spec = field_create(p, k)
+    n = spec.size - 1
+    for a in field_elements(spec):
+        if a.is_zero():
+            continue
+        order = repeated_order(a)
+        assert element_order(a, n) == element_order(a, 2 * n) == order, a
+        if order > 1:
+            with pytest.raises(NoSuchOrder):
+                element_order(a, order + 1)
+
+
+@pytest.mark.parametrize("p, k", ORACLE_FIELDS)
+def test_element_of_order_is_the_first_scan_candidate(p, k):
+    # the first a^((p^k - 1)/n) of order n over the nonzero a in coefficient
+    # order, by repeated multiplication
+    spec = field_create(p, k)
+    size = spec.size - 1
+    for n in (d for d in range(1, size + 1) if size % d == 0):
+        expected = next(
+            e for e in (repeated_power(a, size // n) for a in field_elements(spec) if not a.is_zero())
+            if repeated_order(e) == n
+        )
+        assert element_of_order(spec, n) == expected, n
 
 
 def test_frobenius_fixes_prime_subfield(gf115):
@@ -335,7 +372,7 @@ def test_frobenius_fixes_prime_subfield(gf115):
 
 
 def test_frobenius_has_order_k(gf115):
-    g = gf115.primitive_element()
+    g = element_of_order(gf115, gf115.size - 1)
     assert frobenius_map(g) != g
     acc = g
     for _ in range(5):
@@ -347,9 +384,9 @@ def test_frobenius_has_order_k(gf115):
 
 def test_witness_field_frobenius_and_powers_match_oracles(gf115):
     # GF(11^5) carries the witness; the hypothesis pool holds only fields
-    # small enough to scan at every example.  X, the canonical primitive
+    # small enough to scan at every example.  X, the least primitive
     # element and a dense element, against repeated multiplication.
-    for a in (gf115.element((0, 1, 0, 0, 0)), gf115.primitive_element(),
+    for a in (gf115.element((0, 1, 0, 0, 0)), element_of_order(gf115, gf115.size - 1),
               gf115.element((3, 1, 4, 1, 5))):
         for i in range(-5, 10):
             assert frobenius_map(a, i) == repeated_frobenius(a, i), (a, i)
@@ -376,13 +413,13 @@ def test_norm_matches_power_in_witness_field(gf115):
     rng = random.Random(161051)
     e = _norm_exponent(gf115)
     sample = [gf115.zero(), gf115.one(), gf115.element((0, 1, 0, 0, 0)),
-              gf115.primitive_element()]
+              element_of_order(gf115, gf115.size - 1)]
     sample += [gf115.element(tuple(rng.randrange(11) for _ in range(5))) for _ in range(40)]
     for a in sample:
         n = norm(a)
         assert n == a ** e, a
         assert not any(n.coeffs[1:])
-    assert norm(gf115.primitive_element()) != gf115.one()
+    assert norm(element_of_order(gf115, gf115.size - 1)) != gf115.one()
 
 
 @pytest.mark.parametrize("spec", FIELD_POOL + [field_create(11, 5)], ids=repr)
@@ -405,10 +442,11 @@ def test_prime_field_factors_match_the_general_product(spec):
 
 @pytest.mark.parametrize("p, k", [(s.p, s.k) for s in FIELD_POOL] + [(11, 5), (23, 11)])
 def test_primitive_element_matches_power_scan(p, k):
-    # fresh specs, so that neither side reads the other's cached element
+    # element_of_order's exponent is 1 for n = p^k - 1, so it is the least
+    # primitive element
     spec = FieldSpec(p, k, least_irreducible(p, k))
-    expected = power_scan_primitive_element(FieldSpec(p, k, least_irreducible(p, k)))
-    assert spec.primitive_element().coeffs == expected.coeffs
+    expected = power_scan_primitive_element(spec)
+    assert element_of_order(spec, spec.size - 1).coeffs == expected.coeffs
 
 
 def test_frobenius_is_ring_hom_sampled(gf115):
