@@ -15,9 +15,10 @@ Exit codes: 0 success, 1 parse error (also a usage error, --jobs or --cap
 below 1, a COMMGRAPH_CAP that is not an integer of at least 1 for analyze or
 graph-export, or a group with no non-central element: the trivial group for
 analyze, any abelian group for graph-export), 2 a cap exceeded: the element
-cap (analyze, graph-export) or the factoring budget (search-params), 3 the
-classifier produced the sentinel verdict DisconnectedOther, 4 a verification
-check failed or raised (paper-verify).
+cap (analyze, graph-export), also when memory runs out before it is reached,
+or the factoring budget (search-params), 3 the classifier produced the
+sentinel verdict DisconnectedOther, 4 a verification check failed or raised
+(paper-verify).
 """
 
 from __future__ import annotations
@@ -124,18 +125,21 @@ def _dump_csv(rows, columns) -> str:
 
 def _run_on_file(path: str, cap: int, stage) -> tuple:
     """Load and walk the group in `path`, then run `stage` on it: always a
-    pair, ("ok", the stage's result) or ("cap" or "parse", the message)."""
+    pair, ("ok", the stage's result) or ("cap" or "parse", the message).
+    Running out of memory in either step is a stop in the cap's class."""
     try:
-        handle = corpus.load_group_file(path, cap=cap)
-        handle.materialize()
-    except CapExceeded as exc:
-        return "cap", str(exc)
-    except Exception as exc:
-        return "parse", str(exc)
-    try:
+        try:
+            handle = corpus.load_group_file(path, cap=cap)
+            handle.materialize()
+        except (CapExceeded, MemoryError):
+            raise
+        except Exception as exc:  # the file does not describe a group
+            return "parse", str(exc) or type(exc).__name__  # never an empty message
         return "ok", stage(handle)
     except CapExceeded as exc:
         return "cap", str(exc)
+    except MemoryError:
+        return "cap", f"out of memory before the element cap ({cap}); lower --cap"
     except EmptyGraph as exc:  # no non-central element, so the graph has no vertex
         return "parse", str(exc)
 

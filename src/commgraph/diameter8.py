@@ -584,16 +584,10 @@ def verify_family_separation(eg: ExampleGroup) -> SeparationReport:
     ident = _p_identity(spec, 2)
     for i in range(4):
         for j in range(4):
-            diff = comm[i][j] - ident[i][j]
-            cert = diff.monomial_certificate()
-            if cert is None:
-                continue
-            coeff, exps = cert
-            if not coeff.is_zero() and exps[0] >= 1 and exps[1] >= 1:
-                return SeparationReport(
-                    entry=(i, j),
-                    monomial=f"{coeff.coeffs[0]}*a^{exps[0]}*b^{exps[1]}",
-                )
+            cert = (comm[i][j] - ident[i][j]).monomial_certificate()
+            if cert is not None and min(cert[1]) >= 1:  # c * a^ea * b^eb, ea, eb >= 1
+                coeff, (ea, eb) = cert
+                return SeparationReport(entry=(i, j), monomial=f"{coeff}*a^{ea}*b^{eb}")
     raise SymbolicFailure("no commutator entry is a nonzero monomial a^i b^j with i, j >= 1")
 
 

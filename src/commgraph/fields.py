@@ -12,6 +12,10 @@ is an integer power mod p.  The Frobenius map is GF(p)-linear, so
 once per power and keeps, and `norm` is the product of an element's k
 conjugates under it.  Rabin's irreducibility test reads X^(p^i) off the
 same matrix of a candidate modulus and tests coprimality by the Euclid.
+A `Poly` is a polynomial over the prime field GF(p) of a spec: the
+symbolic checks' identities have every coefficient in GF(p), so its terms
+hold ints mod p, and an element of the spec is a constant only when it
+lies in GF(p).
 """
 
 from __future__ import annotations
@@ -480,100 +484,84 @@ def norm(a: FieldElement) -> FieldElement:
 
 
 # ---------------------------------------------------------------------------
-# multivariate polynomials over a FieldSpec (bivariate is the common case)
+# multivariate polynomials over GF(p) (bivariate is the common case)
 
 
 class Poly:
-    """Polynomial in `nvars` commuting indeterminates over a FieldSpec.
+    """Polynomial in `nvars` commuting indeterminates over GF(p), p = spec.p.
 
-    Terms map exponent tuples to nonzero FieldElements; the zero polynomial
-    has an empty term map.
+    Terms map exponent tuples to ints in 1 .. p - 1; the zero polynomial
+    has an empty term map, and the constructor trusts the map it is given.
+    An int, or an element of spec lying in GF(p), is a constant.  A constant
+    outside GF(p), or a polynomial over another spec or in other variables,
+    raises SpecMismatch in arithmetic and compares unequal.
     """
 
     __slots__ = ("spec", "nvars", "terms")
 
-    def __init__(self, spec: FieldSpec, nvars: int, terms: dict | None = None):
+    def __init__(self, spec: FieldSpec, nvars: int, terms: dict):
         self.spec = spec
         self.nvars = nvars
-        self.terms = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if not coeff.is_zero():
-                    self.terms[tuple(exps)] = coeff
+        self.terms = terms
 
     @classmethod
     def zero(cls, spec, nvars=2):
-        return cls(spec, nvars)
+        return cls(spec, nvars, {})
 
     @classmethod
     def constant(cls, spec, value, nvars=2):
-        if isinstance(value, int):
-            value = spec.element(value)
-        return cls(spec, nvars, {(0,) * nvars: value})
+        if isinstance(value, FieldElement):
+            if value.spec != spec or any(value.coeffs[1:]):
+                raise SpecMismatch(f"{value!r} is not a constant in GF({spec.p})")
+            value = value.coeffs[0]
+        c = value % spec.p
+        return cls(spec, nvars, {(0,) * nvars: c} if c else {})
 
     @classmethod
     def variable(cls, spec, index, nvars=2):
-        exps = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(spec, nvars, {exps: spec.one()})
+        return cls(spec, nvars, {tuple(int(i == index) for i in range(nvars)): 1})
 
-    def _check(self, other):
-        if self.spec != other.spec:
-            raise SpecMismatch("polynomials over different fields")
-        if self.nvars != other.nvars:
-            raise SpecMismatch("polynomials in different numbers of variables")
-
-    def _coerce(self, other):
+    def _coerce(self, other) -> Poly:
+        """other as a polynomial over the same spec in the same variables."""
         if isinstance(other, Poly):
-            self._check(other)
+            if other.spec != self.spec or other.nvars != self.nvars:
+                raise SpecMismatch("polynomials over different fields or variables")
             return other
         if isinstance(other, (FieldElement, int)):
             return Poly.constant(self.spec, other, self.nvars)
-        return NotImplemented
+        raise TypeError(f"a polynomial and a {type(other).__name__} do not combine")
+
+    def _reduced(self, acc: dict) -> Poly:
+        """The polynomial of a term map whose coefficients are plain ints."""
+        p = self.spec.p
+        return Poly(self.spec, self.nvars, {e: s for e, c in acc.items() if (s := c % p)})
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = terms.get(exps)
-            s = c if acc is None else acc + c
-            if s.is_zero():
-                terms.pop(exps, None)
-            else:
-                terms[exps] = s
-        return _poly(self.spec, self.nvars, terms)
+        acc = dict(self.terms)
+        for e, c in self._coerce(other).terms.items():
+            acc[e] = acc.get(e, 0) + c
+        return self._reduced(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _poly(self.spec, self.nvars, {e: -c for e, c in self.terms.items()})
+        p = self.spec.p
+        return Poly(self.spec, self.nvars, {e: p - c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        terms: dict = {}
+        acc: dict = {}  # coefficients accumulate as plain ints, each reduced once
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(map(add, e1, e2))
-                c = c1 * c2
-                acc = terms.get(e)
-                s = c if acc is None else acc + c
-                if s.is_zero():
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return _poly(self.spec, self.nvars, terms)
+                acc[e] = acc.get(e, 0) + c1 * c2
+        return self._reduced(acc)
 
     __rmul__ = __mul__
 
@@ -581,42 +569,22 @@ class Poly:
         return not self.terms
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        try:
+            return self.terms == self._coerce(other).terms
+        except (SpecMismatch, TypeError):
+            return False
 
     def monomial_certificate(self):
-        """If this is a single term c * prod(x_i^e_i), return (coeff, exps)."""
+        """If this is a single term c * prod(x_i^e_i), return (c, exps)."""
         if len(self.terms) != 1:
             return None
         ((exps, coeff),) = self.terms.items()
         return coeff, exps
 
     def __repr__(self):
-        if not self.terms:
-            return "Poly(0)"
         names = "abcdefghijklmnopqrstuvwxyz"
         parts = []
-        for exps in sorted(self.terms):
-            coeff = self.terms[exps]
-            mono = "".join(
-                (names[i % 26] if e == 1 else f"{names[i % 26]}^{e}")
-                for i, e in enumerate(exps)
-                if e
-            )
-            parts.append(f"{coeff!r}*{mono}" if mono else repr(coeff))
-        return "Poly(" + " + ".join(parts) + ")"
-
-
-def _poly(spec: FieldSpec, nvars: int, terms: dict) -> Poly:
-    """Wrap a term map whose keys are exponent tuples and whose
-    coefficients are nonzero, skipping the filtering."""
-    out = Poly.__new__(Poly)
-    out.spec = spec
-    out.nvars = nvars
-    out.terms = terms
-    return out
+        for exps, c in sorted(self.terms.items()):
+            mono = [names[i % 26] + (f"^{e}" if e > 1 else "") for i, e in enumerate(exps) if e]
+            parts.append("*".join([str(c), *mono]))
+        return f"Poly({' + '.join(parts) or 0})"

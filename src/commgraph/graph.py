@@ -11,9 +11,10 @@ Centralizers are sets of element indices.  C(rep) is read once per
 conjugacy class off the group's conjugation tables, and every other member
 of the class gets C(w^g) = C(w)^g by table lookups, so after the
 materialization walk the build makes no element product.  It costs about
-3|G| lookups per non-central class, plus G's key order (sorted once and
-cached on G); the neighbours of a centralizer class are the classes of the
-members of its centralizer, one lookup each.
+3|G| lookups per non-central class and one per generator for a central
+element, plus G's key order (sorted once and cached on G); the neighbours
+of a centralizer class are the classes of the members of its centralizer,
+one lookup each.
 """
 
 from __future__ import annotations
@@ -75,10 +76,12 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     Centralizers are sets of element indices and come one conjugacy class at
     a time: C(rep) is a fibre of `GroupHandle.conjugation_images`, and the
     class is walked under the generators' conjugation tables with
-    C(w^g) = C(w)^g, so no element product is made.  A walk assigns the
-    whole orbit of C(rep) under conjugation, so the centralizer class of a
-    representative whose C(rep) no earlier walk assigned is a BFS source,
-    one per orbit of the conjugation action on centralizer classes.
+    C(w^g) = C(w)^g, so no element product is made.  A central element,
+    fixed by every generator's conjugation table, is skipped before its
+    images are read.  A walk assigns the whole orbit of C(rep) under
+    conjugation, so the centralizer class of a representative whose C(rep)
+    no earlier walk assigned is a BFS source, one per orbit of the
+    conjugation action on centralizer classes.
     """
     elements = G.elements
     conj = G.conjugation_tables()
@@ -87,12 +90,12 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     assigned: dict = {}
     source_reps = []
     for r in range(len(elements)):
-        if r in cent_of:
-            continue  # r's class has been walked
+        # skip r once its class has been walked, or if every generator's
+        # table fixes it: then r is central
+        if r in cent_of or all(table[r] == r for table in conj):
+            continue
         img = G.conjugation_images(r)
         cent = frozenset(i for i, j in enumerate(img) if j == r)
-        if len(cent) == len(elements):
-            continue  # r is central
         if cent not in assigned:
             source_reps.append(r)
         cent_of[r] = assigned.setdefault(cent, cent)

@@ -31,16 +31,20 @@ series.  Seven library helpers that only the tests call live here too: a
 greedy generating set of a subgroup, a subgroup as a group of its own, the
 derived subgroup, the Sylow profile of a Frobenius complement, the search
 for a complement, polynomial evaluation, and x^n in D's normal form.
+The polynomials of the symbolic checks, whose coefficients are ints in
+GF(p), have their earlier form here as FieldPoly, whose coefficients are
+field elements and whose every term operation is field arithmetic.
 """
 
 import functools
 import itertools
 import math
 from collections import deque
+from operator import add
 from types import SimpleNamespace
 
 from commgraph.errors import EmptyGraph, NotNormalizing, SpecMismatch, SymbolicFailure
-from commgraph.fields import _poldeg, _polpowmod
+from commgraph.fields import FieldElement, FieldSpec, _poldeg, _polpowmod
 from commgraph.groups import (
     GroupHandle,
     PermutationElement,
@@ -968,3 +972,150 @@ def matrix_commutator_chain(spec, nvars):
     for m in ms[2:]:
         chain.append(matrix_commutator(spec, chain[-1], m))
     return chain
+
+
+# --- symbolic checks: polynomials with field-element coefficients -----------
+#
+# fields.Poly as it was while its coefficients were elements of GF(p^k):
+# every term operation goes through FieldElement arithmetic.  The symbolic
+# objects of paper-verify built with it must equal fields.Poly's term by
+# term.
+
+
+class FieldPoly:
+    """Polynomial in `nvars` commuting indeterminates over a FieldSpec.
+
+    Terms map exponent tuples to nonzero FieldElements; the zero polynomial
+    has an empty term map.
+    """
+
+    __slots__ = ("spec", "nvars", "terms")
+
+    def __init__(self, spec: FieldSpec, nvars: int, terms: dict | None = None):
+        self.spec = spec
+        self.nvars = nvars
+        self.terms = {}
+        if terms:
+            for exps, coeff in terms.items():
+                if not coeff.is_zero():
+                    self.terms[tuple(exps)] = coeff
+
+    @classmethod
+    def zero(cls, spec, nvars=2):
+        return cls(spec, nvars)
+
+    @classmethod
+    def constant(cls, spec, value, nvars=2):
+        if isinstance(value, int):
+            value = spec.element(value)
+        return cls(spec, nvars, {(0,) * nvars: value})
+
+    @classmethod
+    def variable(cls, spec, index, nvars=2):
+        exps = tuple(1 if i == index else 0 for i in range(nvars))
+        return cls(spec, nvars, {exps: spec.one()})
+
+    def _check(self, other):
+        if self.spec != other.spec:
+            raise SpecMismatch("polynomials over different fields")
+        if self.nvars != other.nvars:
+            raise SpecMismatch("polynomials in different numbers of variables")
+
+    def _coerce(self, other):
+        if isinstance(other, FieldPoly):
+            self._check(other)
+            return other
+        if isinstance(other, (FieldElement, int)):
+            return FieldPoly.constant(self.spec, other, self.nvars)
+        return NotImplemented
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        terms = dict(self.terms)
+        for exps, c in other.terms.items():
+            acc = terms.get(exps)
+            s = c if acc is None else acc + c
+            if s.is_zero():
+                terms.pop(exps, None)
+            else:
+                terms[exps] = s
+        return _field_poly(self.spec, self.nvars, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _field_poly(self.spec, self.nvars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        terms: dict = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                acc = terms.get(e)
+                s = c if acc is None else acc + c
+                if s.is_zero():
+                    terms.pop(e, None)
+                else:
+                    terms[e] = s
+        return _field_poly(self.spec, self.nvars, terms)
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+    def monomial_certificate(self):
+        """If this is a single term c * prod(x_i^e_i), return (coeff, exps)."""
+        if len(self.terms) != 1:
+            return None
+        ((exps, coeff),) = self.terms.items()
+        return coeff, exps
+
+    def __repr__(self):
+        if not self.terms:
+            return "Poly(0)"
+        names = "abcdefghijklmnopqrstuvwxyz"
+        parts = []
+        for exps in sorted(self.terms):
+            coeff = self.terms[exps]
+            mono = "".join(
+                (names[i % 26] if e == 1 else f"{names[i % 26]}^{e}")
+                for i, e in enumerate(exps)
+                if e
+            )
+            parts.append(f"{coeff!r}*{mono}" if mono else repr(coeff))
+        return "Poly(" + " + ".join(parts) + ")"
+
+
+def _field_poly(spec: FieldSpec, nvars: int, terms: dict) -> FieldPoly:
+    """Wrap a term map whose keys are exponent tuples and whose
+    coefficients are nonzero, skipping the filtering."""
+    out = FieldPoly.__new__(FieldPoly)
+    out.spec = spec
+    out.nvars = nvars
+    out.terms = terms
+    return out

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import importlib.util
 import io
 import json
@@ -15,6 +16,8 @@ from importlib import resources
 
 from commgraph import diameter8
 from commgraph.corpus import list_corpus
+from commgraph.fields import Poly
+from commgraph.matrices import MatrixAutElement, _diag
 from commgraph.cli import (
     EXIT_CAP,
     EXIT_CHECK_FAILED,
@@ -504,6 +507,122 @@ def test_paper_verify_separates_error_from_fail(
     assert (check["name"], check["status"], check["detail"]) == (name, status, detail)
 
 
+def _altered_report(name, target, **fields):
+    """A setup that patches diameter8's `name`(eg, w) to alter the fields of
+    its report for w = target(eg) only."""
+    def setup(monkeypatch, eg):
+        real = getattr(diameter8, name)
+
+        def altered(eg, w):
+            report = real(eg, w)
+            return report._replace(**fields) if w == target(eg) else report
+
+        monkeypatch.setattr(diameter8, name, altered)
+    return setup
+
+
+def _xr_off_the_ground_field(monkeypatch, eg):
+    # x^r = diag(X, X, X^-1, X^-1) matches the norms only under a wrong norm
+    spec = eg.spec
+    X = spec.element([0, 1] + [0] * (spec.k - 2))
+    monkeypatch.setattr(diameter8, "norm", lambda a: X)
+    diag = [X, X, X.inverse(), X.inverse()]
+    return eg._replace(xr=MatrixAutElement(spec, _diag(spec.zero(), diag), 0))
+
+
+def _xr_of_order_25(monkeypatch, eg):
+    ctx = copy.copy(eg.ctx)
+    ctx.order_xr = 25
+    return eg._replace(ctx=ctx)
+
+
+# (setup, check, its detail, the first check that fails): a setup patches
+# diameter8 or returns the example that paper-verify is to check
+PAPER_VERIFY_FAILURES = {
+    "xr-exponent-sum": (
+        lambda mp, eg: eg._replace(params=eg.params._replace(q=13)),
+        "d_structure", "xr-exponent: 30941 != 5 mod r^2", "d_structure"),
+    "xr-exponent": (
+        lambda mp, eg: eg._replace(u=eg.v),
+        "d_structure", "xr-exponent: x^r != z^(1+q+...+q^(r-1))", "d_structure"),
+    "xr-ground-field": (
+        _xr_off_the_ground_field,
+        "d_structure", "xr-ground-field: x^r entries not Frobenius-fixed", "d_structure"),
+    "xr-order": (_xr_of_order_25, "d_structure", "xr-order: order 25 != 5", "d_structure"),
+    "xr-commutes-c": (
+        lambda mp, eg: eg._replace(c=eg.g), "d_structure", "xr-commutes-c", "d_structure"),
+    "conj-c-by-x": (
+        lambda mp, eg: eg._replace(f=eg.spec.one(), c=eg.ctx.c_matrix(eg.spec.one())),
+        "d_structure", "conj-c-by-x: c^q == c", "d_structure"),
+    "d-order": (
+        lambda mp, eg: eg._replace(params=eg.params._replace(t=7)),
+        "d_structure", "d-order: |D| = 80525", "d_structure"),
+    "centre-of-D": (
+        lambda mp, eg: mp.setattr(
+            diameter8.ExampleGroup, "d_centre", property(lambda self: [self.ctx.identity()])),
+        "d_structure", "centre-of-D: Z(D) != <x^r>", "d_structure"),
+    "fixed-points-xr": (
+        _altered_report("solved_fixed_points", lambda eg: eg.xr, count=11),
+        "fixed_points", "fixed-points: |C_F(z^r)| = 11", "fixed_points"),
+    "fixed-points-x": (
+        _altered_report("solved_fixed_points", lambda eg: eg.x, count=11),
+        "fixed_points", "fixed-points: |C_F(x)| = 11", "fixed_points"),
+    "fixed-points-c": (
+        _altered_report("solved_fixed_points", lambda eg: eg.c, free_coords=["a", "c"]),
+        "fixed_points", "fixed-points: C_F(c): {'a': 161051, 'b': 1, 'x': 1, 'd': 1, 'c': 1}",
+        "fixed_points"),
+    "centralizers-x": (
+        _altered_report("centralizer_in_G", lambda eg: eg.x, order=26),
+        "centralizers", "centralizers: C_G(x) order 26", "centralizers"),
+    "centralizers-xr": (
+        _altered_report("centralizer_in_G", lambda eg: eg.xr, d_part_order=1),
+        "centralizers", "centralizers: C_G(x^r) order 80525", "centralizers"),
+    "centralizers-c": (
+        _altered_report("centralizer_in_G", lambda eg: eg.c, d_part_order=5),
+        "centralizers", "centralizers: C_D(c) order 5", "centralizers"),
+    "family-separation": (
+        lambda mp, eg: mp.setattr(Poly, "monomial_certificate", lambda self: None),
+        "family_separation",
+        "no commutator entry is a nonzero monomial a^i b^j with i, j >= 1", "family_separation"),
+    "f-law": (
+        lambda mp, eg: mp.setattr(diameter8, "_f_mul", lambda g, h: g),
+        "f_class3", "the product in F's coordinates differs from the matrix product",
+        "family_separation"),
+    "path8": (
+        lambda mp, eg: mp.setattr(
+            diameter8, "witness_path8",
+            lambda eg: diameter8.PathReport(labels=["x", "y"], elements=[eg.x, eg.y])),
+        "path8", "path8: path length 1", "path8"),
+    "class3": (
+        lambda mp, eg: mp.setattr(
+            diameter8, "verify_f_class3", lambda eg: diameter8.Class3Report(True, True, False)),
+        "f_class3",
+        "class3: Class3Report(derived_nontrivial=True, triple_nontrivial=True, "
+        "quadruple_trivial=False)", "f_class3"),
+    "group-order": (
+        lambda mp, eg: mp.setattr(diameter8, "example_group_order", lambda params: 1),
+        "group_order", "group-order: formula disagrees with |F| * |D|", "group_order"),
+    "not-frobenius": (
+        lambda mp, eg: mp.setattr(diameter8, "verify_not_frobenius_structure", lambda eg: False),
+        "not_frobenius", "not-frobenius", "not_frobenius"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAPER_VERIFY_FAILURES))
+def test_paper_verify_pins_every_fail_detail(monkeypatch, capsys, example_group, case):
+    # every clause that can fail, driven to fail: its check's status and
+    # detail, and the stderr line naming the first check that did not pass
+    setup, name, detail, first = PAPER_VERIFY_FAILURES[case]
+    eg = setup(monkeypatch, example_group) or example_group._replace()
+    monkeypatch.setattr(diameter8, "build_example", lambda params: eg)
+    code, out, err = run(["paper-verify"], capsys)
+    assert (code, err) == (EXIT_CHECK_FAILED, f"check failed: {first}\n")
+    report = json.loads(out)
+    jsonschema.validate(report, schema("paper_verify_report.schema.json"))
+    (check,) = [c for c in report["checks"] if c["name"] == name]
+    assert (check["status"], check["detail"]) == ("fail", detail)
+
+
 def test_search_params_q11(capsys):
     code, out, _ = run(["search-params", "--q-max", "11"], capsys)
     assert code == EXIT_OK
@@ -563,6 +682,48 @@ def test_graph_export_all_central_group(tmp_path, capsys):
     assert code == EXIT_PARSE
     assert out == ""
     assert err == f"error: {path}: every element is central\n"
+
+
+def _raise_memory_error(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("command, stage", [
+    ("analyze", "classify.classify_group"), ("graph-export", "graph.build_graph"),
+])
+@pytest.mark.parametrize("where", ["materialize", "stage"])
+def test_out_of_memory_stops_in_the_cap_class(monkeypatch, capsys, command, stage, where):
+    # a MemoryError while walking the group, or in the stage after it, is
+    # reported as the element cap's stop, exit 2, and names the cap
+    from commgraph import classify, graph, groups
+
+    if where == "materialize":
+        monkeypatch.setattr(groups.GroupHandle, "materialize", _raise_memory_error)
+    else:
+        module, _, attr = stage.partition(".")
+        monkeypatch.setattr({"classify": classify, "graph": graph}[module], attr,
+                            _raise_memory_error)
+    path = data_path("sym4")
+    code, out, err = run([command, path, "--cap", "5000"], capsys)
+    assert code == EXIT_CAP
+    assert err == f"error: {path}: out of memory before the element cap (5000); lower --cap\n"
+    if command == "analyze":
+        (row,) = json.loads(out)
+        assert row["error_kind"] == "cap"
+    else:
+        assert out == ""
+
+
+def test_an_empty_error_message_names_the_exception_type(monkeypatch, capsys):
+    from commgraph import groups
+
+    def raise_bare(*args):
+        raise ValueError
+
+    monkeypatch.setattr(groups.GroupHandle, "materialize", raise_bare)
+    path = data_path("sym4")
+    code, _, err = run(["graph-export", path], capsys)
+    assert (code, err) == (EXIT_PARSE, f"error: {path}: ValueError\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])

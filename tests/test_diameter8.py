@@ -5,6 +5,7 @@ import pytest
 from oracles import (
     LogSpaceD,
     LogTables,
+    FieldPoly,
     cyclic_powers,
     entrywise_fixed_points_in_F,
     enumerated_fixed_set,
@@ -32,9 +33,12 @@ from commgraph.diameter8 import (
     ParamTriple,
     _f_commutator,
     _f_coords,
+    _f_inv,
+    _f_mul,
     _f_rows,
     _fixed_set,
     _p_identity,
+    _p_mat_mul,
     _separation_families,
     build_example,
     centralizer_in_G,
@@ -62,6 +66,7 @@ from commgraph.errors import (
     SymbolicFailure,
 )
 from commgraph.fields import (
+    FieldElement,
     Poly,
     element_of_order,
     element_order,
@@ -898,6 +903,80 @@ def test_f_class3_rejects_a_wrong_group_law(monkeypatch, example_group, name, mu
     statuses = {c["name"]: c["status"] for c in run_all_checks()["checks"]}
     assert statuses.pop("f_class3") == statuses.pop("family_separation") == "fail"
     assert set(statuses.values()) == {"pass"}
+
+
+def _symbolic_objects(spec):
+    """Every polynomial object of paper-verify's symbolic checks over spec,
+    built with whatever `diameter8.Poly` is: the generic F matrices, both
+    sides of the product and the inverse product that `_check_f_law`
+    compares, the class-3 commutator chain and the separation commutator."""
+    P = diameter8.Poly
+    one, zero = P.constant(spec, 1, 8), P.zero(spec, 8)
+    m1, m2 = generic_f_matrix(spec, 8, 0), generic_f_matrix(spec, 8, 4)
+    g, h = _f_coords(m1), _f_coords(m2)
+    gs = [_f_coords(generic_f_matrix(spec, 16, 4 * i)) for i in range(4)]
+    chain = [_f_commutator(gs[0], gs[1])]
+    for k in gs[2:]:
+        chain.append(_f_commutator(chain[-1], k))
+    zero_f, one_f = spec.zero(), spec.one()
+    witness_g = FCoords(a=zero_f, b=one_f, c=zero_f, d=one_f, x=one_f).to_matrix(spec)
+    return {
+        "generic": (m1, m2),
+        "law product": (_f_rows(one, zero, *_f_mul(g, h)), _p_mat_mul(m1, m2)),
+        "law inverse": _p_mat_mul(m1, _f_rows(one, zero, *_f_inv(g))),
+        "class-3 chain": chain,
+        "separation": _f_commutator(*_separation_families(spec, witness_g)),
+    }
+
+
+def _leaves(obj):
+    if isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("p, k", [(11, 1), (23, 1), (29, 1), (31, 1), (41, 1), (43, 1), (11, 5)])
+def test_symbolic_objects_match_the_field_coefficient_oracle(monkeypatch, p, k):
+    # Poly's int coefficients against FieldPoly's elements of GF(p^k), term
+    # by term, on every object the symbolic checks build
+    spec = field_create(p, k)
+    ours = _symbolic_objects(spec)
+    monkeypatch.setattr(diameter8, "Poly", FieldPoly)
+    theirs = _symbolic_objects(spec)
+    assert ours.keys() == theirs.keys()
+    for name in ours:
+        pairs = list(itertools.zip_longest(_leaves(ours[name]), _leaves(theirs[name])))
+        assert pairs, name
+        for mine, ref in pairs:
+            assert type(mine) is Poly and type(ref) is FieldPoly, name
+            assert all(type(c) is int and 0 < c < p for c in mine.terms.values())
+            assert all(c.spec == spec and not any(c.coeffs[1:]) for c in ref.terms.values())
+            assert mine.terms == {e: c.coeffs[0] for e, c in ref.terms.items()}, name
+
+
+def test_symbolic_checks_make_no_field_element_operation(monkeypatch, example_group):
+    # F's coordinate law and class 3 are polynomial identities over GF(p):
+    # their coefficients are ints, so no FieldElement is built or combined
+    from commgraph import fields
+
+    eg = example_group._replace()  # the copy keeps no law check cached
+    calls = []
+
+    def counting(name, real):
+        def counted(*args):
+            calls.append(name)
+            return real(*args)
+        return counted
+
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__neg__",
+                 "__truediv__", "__pow__", "__eq__", "inverse", "is_zero"):
+        monkeypatch.setattr(FieldElement, name, counting(name, getattr(FieldElement, name)))
+    monkeypatch.setattr(fields, "_element", counting("_element", fields._element))
+    diameter8._check_f_law(eg.spec)
+    assert verify_f_class3(eg).ok
+    assert calls == []
 
 
 def test_not_frobenius_structure(example_group):

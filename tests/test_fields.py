@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import operator
 
 import pytest
 
@@ -481,6 +482,22 @@ def test_poly_basics(gf11):
 def test_poly_mixed_specs_rejected(gf11, gf115):
     with pytest.raises(SpecMismatch):
         Poly.variable(gf11, 0) + Poly.variable(gf115, 0)
+
+
+def test_poly_constant_outside_gf_p_rejected(gf11, gf115):
+    # coefficients are ints in GF(p): an element of GF(11) inside GF(11^5)
+    # is a constant, X is not, nor is an element of another field
+    a = Poly.variable(gf115, 0)
+    x = gf115.element((0, 1, 0, 0, 0))
+    for op in (operator.add, operator.sub, operator.mul):
+        for left, right in ((a, x), (x, a), (a, gf11.element(3))):
+            with pytest.raises(SpecMismatch):
+                op(left, right)
+    with pytest.raises(SpecMismatch):
+        Poly.constant(gf115, x)
+    assert a != x and x != a and Poly.constant(gf115, 3) != gf11.element(3)
+    assert (a * gf115.element(-2)).terms == {(1, 0): 9}
+    assert Poly.constant(gf115, gf115.element(3)) == 3
 
 
 def test_poly_evaluation_matches_field_expression(gf11):

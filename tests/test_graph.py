@@ -17,7 +17,7 @@ from oracles import (
 from commgraph.corpus import list_corpus
 from commgraph.errors import EmptyGraph, NotAVertex
 from commgraph.graph import build_graph, diameter_and_components, distance
-from commgraph.groups import GroupHandle, PermutationElement
+from commgraph.groups import GroupHandle, PermutationElement, center
 
 
 def P(*images):
@@ -50,6 +50,32 @@ def test_abelian_group_has_empty_graph():
 def test_sym4_vertex_count(corpus):
     g = build_graph(corpus["sym4"])
     assert g.vertex_count == 23  # 24 less the trivial centre
+
+
+def _c6_x_s3():
+    return GroupHandle([
+        P(1, 2, 3, 4, 5, 0, 6, 7, 8), P(0, 1, 2, 3, 4, 5, 7, 6, 8), P(0, 1, 2, 3, 4, 5, 7, 8, 6),
+    ]).materialize()
+
+
+@pytest.mark.parametrize("name", ["q8", "c6xs3"])
+def test_build_graph_reads_no_central_elements_images(monkeypatch, corpus, name):
+    # a central element is skipped by the generators' conjugation tables,
+    # before its |G|-long images are read
+    G = corpus["q8"] if name == "q8" else _c6_x_s3()
+    central = center(G).indices()
+    assert len(central) == {"q8": 2, "c6xs3": 6}[name]
+    read = []
+    real = GroupHandle.conjugation_images
+
+    def recorded(self, r):
+        read.append(r)
+        return real(self, r)
+
+    monkeypatch.setattr(GroupHandle, "conjugation_images", recorded)
+    graph = build_graph(G)
+    assert read and not central & set(read)
+    assert graph.vertex_count == G.order() - len(central)
 
 
 def test_distance_reflexive_and_adjacent(sym3_graph):

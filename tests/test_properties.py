@@ -125,6 +125,9 @@ def test_poly_evaluation_homomorphism(data):
     from commgraph.fields import Poly
 
     spec, (a, b, pa, pb) = data
+    # the coefficients lie in GF(p), one an element of spec and one an int;
+    # the evaluation point ranges over all of GF(p^k)
+    a, b = spec.element(a.coeffs[0]), b.coeffs[0]
     v = Poly.variable(spec, 1)
     f = Poly.variable(spec, 0) * Poly.constant(spec, a) + v * v
     g = Poly.variable(spec, 1) * Poly.constant(spec, b) + 1
