@@ -13,12 +13,14 @@ checked, but it no longer changes how the files run.
 
 Exit codes: 0 success, 1 parse error (also a usage error, --jobs or --cap
 below 1, a COMMGRAPH_CAP that is not an integer of at least 1 for analyze or
-graph-export, or a group with no non-central element: the trivial group for
-analyze, any abelian group for graph-export), 2 a cap exceeded: the element
-cap (analyze, graph-export), also when memory runs out before it is reached,
-or the factoring budget (search-params), 3 the classifier produced the
-sentinel verdict DisconnectedOther, 4 a verification check failed or raised
-(paper-verify).
+graph-export, a group with no non-central element: the trivial group for
+analyze, any abelian group for graph-export, or an --out that cannot be
+written: a directory or a path in a missing directory is refused before any
+group loads, and any other write error is one `error:` line), 2 a cap
+exceeded: the element cap (analyze, graph-export), also when memory runs
+out before it is reached, or the factoring budget (search-params), 3 the
+classifier produced the sentinel verdict DisconnectedOther, 4 a
+verification check failed or raised (paper-verify).
 """
 
 from __future__ import annotations
@@ -46,18 +48,37 @@ ANALYZE_COLUMNS = [
 ]
 
 
+class _Refused(Exception):
+    """A usage error or an unwritable --out: main prints it as one `error:`
+    line and exits EXIT_PARSE."""
+
+
+def _at_least_1(name: str, value: int) -> int:
+    """value, refused with "NAME must be at least 1, got VALUE" below 1."""
+    if value < 1:
+        raise _Refused(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def default_cap() -> int:
-    """The element cap from COMMGRAPH_CAP; ValueError unless it is an integer of at least 1."""
+    """The element cap from COMMGRAPH_CAP, refused unless it is an integer of at least 1."""
     raw = os.environ.get(CAP_ENV_VAR)
     if not raw:
         return groups.DEFAULT_GROUP_CAP
     try:
         cap = int(raw)
     except ValueError:
-        raise ValueError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{CAP_ENV_VAR} must be at least 1, got {cap}")
-    return cap
+        raise _Refused(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    return _at_least_1(CAP_ENV_VAR, cap)
+
+
+def _check_out(out: str):
+    """Refuse an --out that names a directory or lies in a missing one."""
+    if os.path.isdir(out):
+        raise _Refused(f"cannot write {out}: it is a directory")
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise _Refused(f"cannot write {out}: no directory {parent}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,11 +122,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _write(text: str, out: str | None):
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise _Refused(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _dump_json(payload) -> str:
@@ -148,9 +172,6 @@ _ERROR_EXIT = {"parse": EXIT_PARSE, "cap": EXIT_CAP}
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.jobs < 1:
-        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
-        return EXIT_PARSE
     rows, stops = [], []  # stops: (exit code, stderr line) per failed or sentinel file
     for path in args.files:
         kind, result = _run_on_file(path, args.cap, classify.classify_group)
@@ -218,22 +239,22 @@ def cmd_graph_export(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "cap") and args.cap is None:
-        try:
-            args.cap = default_cap()
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-    elif hasattr(args, "cap") and args.cap < 1:
-        print(f"error: --cap must be at least 1, got {args.cap}", file=sys.stderr)
-        return EXIT_PARSE
     handler = {
         "analyze": cmd_analyze,
         "paper-verify": cmd_paper_verify,
         "search-params": cmd_search_params,
         "graph-export": cmd_graph_export,
     }[args.command]
-    return handler(args)
+    try:  # the usage checks run before any group loads
+        if hasattr(args, "cap"):
+            args.cap = default_cap() if args.cap is None else _at_least_1("--cap", args.cap)
+        _at_least_1("--jobs", getattr(args, "jobs", 1))
+        if args.out:
+            _check_out(args.out)
+        return handler(args)
+    except _Refused as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Exact arithmetic in GF(p) and GF(p^k), plus small multivariate polynomials.
 
 Extension fields are represented as GF(p)[X] modulo a fixed monic irreducible
-polynomial.  The modulus is always the lexicographically least monic
-irreducible of the requested degree, so serialized fields are reproducible.
+polynomial.  `FieldSpec` checks p, k and the modulus, and with no modulus
+given takes the lexicographically least monic irreducible of degree k, so
+the fields the package builds are reproducible; a group file may name any
+monic irreducible modulus.
 An element is a :class:`FieldElement` holding its reduced coefficient tuple,
 and its operators are the one interface to field arithmetic.  A negative
 power is the inverse of a positive one, by one extended Euclid; a factor in
@@ -37,14 +39,16 @@ from .errors import (
 )
 from .primes import factorize, is_prime
 
-# Largest field field_create builds.  Nothing enumerates the field or
-# factors p^k - 1, but least_irreducible and element_of_order scan in
-# coefficient order, the last coefficient fastest, so their cost grows with
-# p: element_of_order(spec, r^2) in a witness field GF(p^r) may test all
-# p - 1 multiples c*X^(r-1), which share one norm test.  run_all_checks
-# takes 0.04 s at (23, 11), 23^11 about 9.5e14 and the largest field of a
-# witness triple with q <= 43, and would take 0.58 s at (10061, 5), which
-# the cap refuses, nearly all of it in that scan (2 vCPU, CPython 3.11.7).
+# Largest field FieldSpec builds when it searches the modulus (field_create);
+# a group file's field names its modulus and is not capped.  Nothing
+# enumerates the field or factors p^k - 1, but least_irreducible and
+# element_of_order scan in coefficient order, the last coefficient fastest,
+# so their cost grows with p: element_of_order(spec, r^2) in a witness
+# field GF(p^r) may test all p - 1 multiples c*X^(r-1), which share one
+# norm test.  run_all_checks takes 0.04 s at (23, 11), 23^11 about 9.5e14
+# and the largest field of a witness triple with q <= 43, and would take
+# 0.58 s at (10061, 5), which the cap refuses, nearly all of it in that
+# scan (2 vCPU, CPython 3.11.7).
 FIELD_CAP = 2 ** 50
 # Discrete-log tables are only built for fields small enough to enumerate.
 LOG_TABLE_CAP = 2 ** 21
@@ -182,6 +186,13 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
 class FieldSpec:
     """A concrete GF(p^k): prime p, degree k and the reducing polynomial.
 
+    The constructor is the one place that checks a field: a p that is not
+    prime raises NotPrime, and k < 1 or a modulus that is not a monic
+    irreducible of degree k over GF(p) (its coefficients read mod p)
+    raises SpecMismatch.  With no modulus it builds the canonical field,
+    with the lex-least irreducible modulus, and refuses one of more than
+    FIELD_CAP elements with CapExceeded; a given modulus is not capped.
+
     Instances are immutable.  A spec builds elements; all element
     arithmetic is on :class:`FieldElement`.  The matrix of each power of
     Frobenius is computed on first use and kept.
@@ -189,12 +200,24 @@ class FieldSpec:
 
     __slots__ = ("p", "k", "modulus", "size", "_hash", "_frobenius")
 
-    def __init__(self, p: int, k: int, modulus: Sequence[int]):
+    def __init__(self, p: int, k: int, modulus: Sequence[int] | None = None):
+        if not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        if k < 1:
+            raise SpecMismatch("k must be at least 1")
+        if modulus is None:
+            if p ** k > FIELD_CAP:
+                raise CapExceeded(f"{p}^{k} exceeds field cap {FIELD_CAP}")
+            modulus = least_irreducible(p, k)
+        else:
+            modulus = tuple(c % p for c in modulus)
+            if not modulus or modulus[-1] != 1 or not _is_irreducible(modulus, p):
+                raise SpecMismatch("modulus is not monic irreducible over GF(p)")
+            if len(modulus) != k + 1:
+                raise SpecMismatch(f"modulus degree {len(modulus) - 1} != k={k}")
         self.p = p
         self.k = k
-        self.modulus = tuple(int(c) % p for c in modulus[:-1]) + (1,)
-        if len(self.modulus) != k + 1:
-            raise SpecMismatch(f"modulus degree {len(modulus) - 1} != k={k}")
+        self.modulus = modulus
         self.size = p ** k
         self._hash = hash((p, k, self.modulus))
         self._frobenius = {}
@@ -270,17 +293,12 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> FieldSpec:
-        p = json_int(json_field(obj, "p", "field"), "p")
-        k = json_int(json_field(obj, "k", "field"), "k")
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
-        if k < 1:
-            raise SpecMismatch("k must be at least 1")
-        modulus = [json_int(c, "modulus entry")
-                   for c in json_list(json_field(obj, "modulus", "field"), "modulus")]
-        if not modulus or modulus[-1] % p != 1 or not _is_irreducible([c % p for c in modulus], p):
-            raise SpecMismatch("modulus is not monic irreducible over GF(p)")
-        return cls(p, k, modulus)
+        """The spec a group file's field object describes.  The JSON shape
+        is read first, so a field missing or a number that is not an
+        integer is named before the constructor checks the field."""
+        p, k = (json_int(json_field(obj, key, "field"), key) for key in "pk")
+        modulus = json_list(json_field(obj, "modulus", "field"), "modulus")
+        return cls(p, k, [json_int(c, "modulus entry") for c in modulus])
 
 
 class FieldElement:
@@ -400,14 +418,9 @@ def _element(spec: FieldSpec, coeffs: tuple) -> FieldElement:
 
 
 def field_create(p: int, k: int) -> FieldSpec:
-    """Build GF(p^k) with the canonical (lex-least) irreducible modulus."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if k < 1:
-        raise SpecMismatch("extension degree must be >= 1")
-    if p ** k > FIELD_CAP:
-        raise CapExceeded(f"{p}^{k} exceeds field cap {FIELD_CAP}")
-    return FieldSpec(p, k, least_irreducible(p, k))
+    """GF(p^k) with the canonical (lex-least) irreducible modulus: the
+    checked, capped `FieldSpec(p, k)`."""
+    return FieldSpec(p, k)
 
 
 def element_order(a: FieldElement, multiple: int) -> int:

@@ -126,6 +126,54 @@ def test_analyze_rejects_jobs_below_one(capsys, jobs):
     assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
+SUBCOMMANDS = {
+    "analyze": ["analyze", data_path("sym4")],
+    "paper-verify": ["paper-verify"],
+    "search-params": ["search-params", "--q-max", "43"],
+    "graph-export": ["graph-export", data_path("sym4")],
+}
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("ran before --out was checked")
+
+
+# an --out that names a directory, or lies in one that does not exist, is
+# refused before any group loads or any check runs: exit 1, one error line
+@pytest.mark.parametrize("where", ["directory", "missing parent"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_unwritable_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, where):
+    from commgraph import corpus, params
+
+    for module, name in [(corpus, "load_group_file"), (diameter8, "run_all_checks"),
+                         (params, "find_params")]:
+        monkeypatch.setattr(module, name, _no_work)
+    if where == "directory":
+        out, reason = tmp_path, "it is a directory"
+    else:
+        out, reason = tmp_path / "missing" / "x.json", f"no directory {tmp_path / 'missing'}"
+    code, stdout, err = run([*SUBCOMMANDS[command], "--out", str(out)], capsys)
+    assert (code, stdout) == (EXIT_PARSE, "")
+    assert err == f"error: cannot write {out}: {reason}\n"
+
+
+# any other write error is reported as one error line after the run, not as
+# a traceback
+@pytest.mark.parametrize("command", sorted(SUBCOMMANDS))
+def test_write_error_on_out_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    import commgraph.cli as cli
+
+    def refuse(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "open", refuse, raising=False)
+    out = tmp_path / "x.json"
+    code, stdout, err = run([*SUBCOMMANDS[command], "--out", str(out)], capsys)
+    assert (code, stdout) == (EXIT_PARSE, "")
+    assert err == f"error: cannot write {out}: Permission denied\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "graph-export"])
 @pytest.mark.parametrize("flag, env, named", [
     (["--cap", "0"], None, "--cap must be at least 1, got 0"),
@@ -917,6 +965,14 @@ C3 = {"type": "permutation", "degree": 3, "generators": [[1, 2, 0]]}
     (_gf3_file(field={"modulus": [1]}), "modulus is not monic irreducible over GF(p)"),
     ({**C3, "generators": []}, "a group handle needs at least one generator"),
     (_gf3_file(generators=[]), "a group handle needs at least one generator"),
+    # a field with two faults, a composite p and a bad modulus: its JSON
+    # shape is read whole before FieldSpec checks the field, so a modulus
+    # that is not a list of integers is named first, and a composite p
+    # beats a modulus that is only not irreducible
+    (_gf3_file(field={"p": 4, "modulus": 5}), "modulus must be a list, got int"),
+    (_gf3_file(field={"p": 4, "modulus": [0, 1.0]}), "modulus entry must be an integer, got 1.0"),
+    (_gf3_file(field={"p": 4, "modulus": [0, 0, 1]}), "4 is not prime"),
+    (_gf3_file(field={"p": 4, "modulus": [1]}), "4 is not prime"),
 ])
 @pytest.mark.parametrize("command", ["analyze", "graph-export"])
 def test_group_file_shapes_are_named(tmp_path, capsys, command, payload, named):

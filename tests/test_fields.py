@@ -263,6 +263,47 @@ def test_field_create_cap():
     assert field_create(23, 11).size == 23 ** 11 <= FIELD_CAP
 
 
+# specs that once built: a "GF(4)" in which 2 * 2 = 0, an X^2 + 1 over
+# GF(2), which is (X + 1)^2 and so had a zero divisor whose inverse() died
+# with a TypeError, and an X^2 + 1 swapped in for a non-monic 2X^2 + 1
+@pytest.mark.parametrize("p, k, modulus, error, message", [
+    (4, 1, [0, 1], NotPrime, "4 is not prime"),
+    (2, 2, [1, 0, 1], SpecMismatch, "modulus is not monic irreducible over GF(p)"),
+    (3, 2, [1, 0, 2], SpecMismatch, "modulus is not monic irreducible over GF(p)"),
+    (3, 0, [1], SpecMismatch, "k must be at least 1"),
+    (3, 2, [2, 1], SpecMismatch, "modulus degree 1 != k=2"),
+    (3, 1, [], SpecMismatch, "modulus is not monic irreducible over GF(p)"),
+])
+def test_field_spec_refuses_what_is_not_a_field(p, k, modulus, error, message):
+    with pytest.raises(error) as info:
+        FieldSpec(p, k, modulus)
+    assert str(info.value) == message
+
+
+def test_field_spec_reads_the_modulus_mod_p():
+    # 4 = 1 mod 3, so 4X^2 + 1 is the monic X^2 + 1
+    assert FieldSpec(3, 2, [1, 0, 4]) == FieldSpec(3, 2, [-2, 3, 1]) == field_create(3, 2)
+
+
+def test_field_cap_applies_only_where_the_modulus_is_searched():
+    big = 2 ** 61 - 1  # a Mersenne prime, over the cap
+    assert FieldSpec(big, 1, [0, 1]).size == big
+    with pytest.raises(CapExceeded):
+        FieldSpec(big, 1)
+
+
+# every spec the package builds: the property pool and the fields of the six
+# search-params --q-max 43 triples
+@pytest.mark.parametrize("p, k", sorted({(s.p, s.k) for s in FIELD_POOL} | {
+    (11, 5), (23, 11), (29, 7), (31, 5), (41, 5), (43, 7),
+}))
+def test_field_spec_field_create_and_json_agree(p, k):
+    spec = FieldSpec(p, k)
+    again = FieldSpec.from_json(spec.to_json())
+    for other in (field_create(p, k), again, FieldSpec(p, k, spec.modulus)):
+        assert other == spec and other.modulus == spec.modulus == least_irreducible(p, k)
+
+
 def test_gf11_arithmetic(gf11):
     seven, eight, three = gf11.element(7), gf11.element(8), gf11.element(3)
     assert seven + eight == gf11.element(4)
