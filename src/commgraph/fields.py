@@ -488,11 +488,14 @@ def frobenius_map(a: FieldElement, i: int = 1) -> FieldElement:
 def norm(a: FieldElement) -> FieldElement:
     """The norm of a from GF(p^k) to GF(p): the product of a's k conjugates
     Frob^i(a), which equals a^((p^k - 1)/(p - 1)) and lies in GF(p)
-    (Lidl and Niederreiter, Finite Fields, ch. 2)."""
-    out = conj = a
-    for _ in range(a.spec.k - 1):
-        conj = frobenius_map(conj)
-        out = out * conj
+    (Lidl and Niederreiter, Finite Fields, ch. 2).  The product b_m of the
+    first m is built along the bits of k, as b_2m = b_m Frob^m(b_m) and
+    b_(m+1) = b_m Frob^m(a): about 2 log2(k) products, not k - 1."""
+    out, m = a, 1
+    for bit in bin(a.spec.k)[3:]:
+        out, m = out * frobenius_map(out, m), 2 * m
+        if bit == "1":
+            out, m = out * frobenius_map(a, m), m + 1
     return out
 
 

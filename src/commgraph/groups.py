@@ -1,10 +1,11 @@
 """Finite group backends and generic structure algorithms.
 
-Two element backends: permutations (image arrays) and matrices over GF(p^k)
-carrying a Frobenius twist (`matrices.MatrixAutElement`).  Groups are
-handles around a generating set and are materialized by breadth-first
-closure before any structural query runs.  The field layer loads only when
-a matrix group file is parsed, so a permutation group never compiles it.
+Two element backends: permutations (image tuples; an element is its own
+key) and matrices over GF(p^k) carrying a Frobenius twist
+(`matrices.MatrixAutElement`).  Groups are handles around a generating set
+and are materialized by breadth-first closure before any structural query
+runs.  The field layer loads only when a matrix group file is parsed, so a
+permutation group never compiles it.
 
 Only materialization walks multiply elements.  A walk keeps its Schreier
 tree (each element is its parent times one generator) and its products, as
@@ -46,59 +47,50 @@ from .primes import factorize, is_prime
 DEFAULT_GROUP_CAP = 200000
 
 
-class PermutationElement:
-    """A permutation of {0..n-1} stored as its image array."""
+class PermutationElement(tuple):
+    """A permutation of {0..n-1} stored as its image tuple; an element is its
+    own key.  It equals, and hashes and sorts as, the plain tuple of its
+    images.  The degree-0 permutation is the empty tuple, which is falsy, so
+    no code may test an element's truth value."""
 
-    __slots__ = ("images", "_hash")
+    __slots__ = ()
 
-    def __init__(self, images: Sequence[int]):
-        self.images = tuple(images)
-        if sorted(self.images) != list(range(len(self.images))):
+    def __new__(cls, images: Iterable[int]):
+        self = tuple.__new__(cls, images)
+        if sorted(self) != list(range(len(self))):
             raise ValueError(f"not a permutation: {images}")
-        self._hash = hash(self.images)
+        return self
 
     def __mul__(self, other: "PermutationElement") -> "PermutationElement":
         # (a*b)(i) = a(b(i)): right factor acts first
-        a, b = self.images, other.images
-        return _trusted_perm(tuple(a[j] for j in b))
+        return _trusted_perm(map(self.__getitem__, other))
 
     def inverse(self) -> "PermutationElement":
-        inv = [0] * len(self.images)
-        for i, j in enumerate(self.images):
-            inv[j] = i
-        return _trusted_perm(tuple(inv))
+        # position j of the inverse holds the i with self[i] = j
+        return _trusted_perm(sorted(range(len(self)), key=self.__getitem__))
 
     def identity(self) -> "PermutationElement":
-        return _trusted_perm(tuple(range(len(self.images))))
+        return _trusted_perm(range(len(self)))
 
     def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.images))
+        return all(i == j for i, j in enumerate(self))
 
     def key(self):
-        return self.images
+        return self
 
     def ambient(self):
-        return ("perm", len(self.images))
+        return ("perm", len(self))
 
     def to_json(self):
-        return list(self.images)
-
-    def __eq__(self, other):
-        return isinstance(other, PermutationElement) and self.images == other.images
-
-    def __hash__(self):
-        return self._hash
+        return list(self)
 
     def __repr__(self):
-        return f"Perm{self.images}"
+        return "Perm" + tuple.__repr__(self)
 
 
-def _trusted_perm(images: tuple) -> PermutationElement:
-    """Wrap an image tuple known to be a permutation, skipping the check."""
-    out = PermutationElement.__new__(PermutationElement)
-    out.images = images
-    out._hash = hash(images)
-    return out
+def _trusted_perm(images: Iterable[int]) -> PermutationElement:
+    """An image sequence known to be a permutation, skipping the check."""
+    return tuple.__new__(PermutationElement, images)
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +290,7 @@ class GroupHandle:
         if isinstance(g0, PermutationElement):
             return {
                 "type": "permutation",
-                "degree": len(g0.images),
+                "degree": len(g0),
                 "generators": [g.to_json() for g in self.generators],
             }
         return {

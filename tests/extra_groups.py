@@ -1,6 +1,23 @@
-"""Groups built in code for the oracle tests, beside the bundled corpus."""
+"""Groups built in code for the oracle tests, beside the bundled corpus, and
+the benchmark's seeded group ladder."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 from commgraph.groups import GroupHandle, PermutationElement
+
+
+def _bench_ladder():
+    """bench/ladder.py, the benchmark's seeded group ladder, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("bench_ladder", path)
+    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(module)  # dataclasses look the module up in sys.modules
+    return module
+
+
+LADDER = _bench_ladder()
 
 
 def _perm(images):

@@ -21,13 +21,15 @@ centralizers in D are also listed element by element in exponent form,
 and C_F(w) is counted entry by entry, summing over the solution sets to
 impose x*a = b - d.
 Powers, inverses, orders and the Frobenius map of field elements come from
-repeated multiplication or a scan of the field, and primality,
-factorization and irreducibility from trial division; the irreducibility
-test also has its older form by repeated p-th powers and a gcd.  The
-powers and order of a group element come from multiplying until the
-identity returns, the normal form of an element of D from matrix products,
-and the inverse of a symbolic unitriangular matrix from its alternating
-series.  Seven library helpers that only the tests call live here too: a
+repeated multiplication or a scan of the field, the norm from multiplying
+the conjugates one by one, and primality, factorization and
+irreducibility from trial division; the irreducibility test also has its
+older form by repeated p-th powers and a gcd.  The powers and order of a
+group element come from multiplying until the identity returns, and a walk
+can run over WrappedPermutation, a permutation wrapped around its image
+tuple as the backend once stored it.  The normal form of an element of D
+comes from matrix products, and the inverse of a symbolic unitriangular
+matrix from its alternating series.  Seven library helpers that only the tests call live here too: a
 greedy generating set of a subgroup, a subgroup as a group of its own, the
 derived subgroup, the Sylow profile of a Frobenius complement, the search
 for a complement, polynomial evaluation, and x^n in D's normal form.
@@ -40,11 +42,12 @@ import functools
 import itertools
 import math
 from collections import deque
+from collections.abc import Sequence
 from operator import add
 from types import SimpleNamespace
 
 from commgraph.errors import EmptyGraph, NotNormalizing, SpecMismatch, SymbolicFailure
-from commgraph.fields import FieldElement, FieldSpec, _poldeg, _polpowmod
+from commgraph.fields import FieldElement, FieldSpec, _poldeg, _polpowmod, frobenius_map
 from commgraph.groups import (
     GroupHandle,
     PermutationElement,
@@ -208,6 +211,61 @@ def cyclic_powers(x) -> list:
 def group_element_order(x) -> int:
     """The order of a group element, by multiplying until 1 comes back."""
     return len(cyclic_powers(x))
+
+
+class WrappedPermutation:
+    """A permutation of {0..n-1} stored as its image array."""
+
+    __slots__ = ("images", "_hash")
+
+    def __init__(self, images: Sequence[int]):
+        self.images = tuple(images)
+        if sorted(self.images) != list(range(len(self.images))):
+            raise ValueError(f"not a permutation: {images}")
+        self._hash = hash(self.images)
+
+    def __mul__(self, other: "WrappedPermutation") -> "WrappedPermutation":
+        # (a*b)(i) = a(b(i)): right factor acts first
+        a, b = self.images, other.images
+        return _trusted_wrapped(tuple(a[j] for j in b))
+
+    def inverse(self) -> "WrappedPermutation":
+        inv = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            inv[j] = i
+        return _trusted_wrapped(tuple(inv))
+
+    def identity(self) -> "WrappedPermutation":
+        return _trusted_wrapped(tuple(range(len(self.images))))
+
+    def is_identity(self) -> bool:
+        return all(i == j for i, j in enumerate(self.images))
+
+    def key(self):
+        return self.images
+
+    def ambient(self):
+        return ("perm", len(self.images))
+
+    def to_json(self):
+        return list(self.images)
+
+    def __eq__(self, other):
+        return isinstance(other, WrappedPermutation) and self.images == other.images
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"Perm{self.images}"
+
+
+def _trusted_wrapped(images: tuple) -> WrappedPermutation:
+    """Wrap an image tuple known to be a permutation, skipping the check."""
+    out = WrappedPermutation.__new__(WrappedPermutation)
+    out.images = images
+    out._hash = hash(images)
+    return out
 
 
 # --- library helpers that only the tests call -------------------------------
@@ -634,6 +692,16 @@ def repeated_order(a):
     return n
 
 
+def conjugate_product_norm(a):
+    """N(a) as the product of a's k conjugates, taken one by one: k - 1
+    products."""
+    out = conj = a
+    for _ in range(a.spec.k - 1):
+        conj = frobenius_map(conj)
+        out = out * conj
+    return out
+
+
 def repeated_frobenius(a, i):
     """Frob^i(a) as the p-th power taken i mod k times, each by p
     multiplications (Frob^k is the identity)."""
@@ -713,7 +781,6 @@ def entrywise_fixed_points_in_F(eg, w):
     per matrix entry of F, the two entries of a intersected, and the
     relation x*a = b - d imposed by summing over the solution sets."""
     from commgraph.diameter8 import ALL, FixedPointReport, _fixed_set, _is_diagonal
-    from commgraph.fields import frobenius_map
 
     spec = eg.spec
     if w.is_identity():

@@ -1,6 +1,5 @@
 import contextlib
 import copy
-import importlib.util
 import io
 import json
 import os
@@ -13,6 +12,8 @@ import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from importlib import resources
+
+from extra_groups import LADDER
 
 from commgraph import diameter8
 from commgraph.corpus import list_corpus
@@ -432,16 +433,6 @@ def test_analyze_corpus_matches_expected_verdicts(capsys):
     assert sorted(list_corpus()) == names
 
 
-def _bench_ladder():
-    """bench/ladder.py, the benchmark's seeded group ladder, loaded by path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("bench_ladder", path)
-    module = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
-    spec.loader.exec_module(module)  # dataclasses look the module up in sys.modules
-    return module
-
-
-LADDER = _bench_ladder()
 CORPUS_DIR = str(resources.files("commgraph") / "data")
 
 
@@ -787,6 +778,21 @@ def test_analyze_trivial_group(tmp_path, capsys, jobs, generators):
     rows = json.loads(out)
     jsonschema.validate(rows, schema("analyze_report.schema.json"))
     assert rows[0]["error_kind"] == "parse"
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_degree_0_and_1_groups_have_every_element_central(tmp_path, capsys, degree):
+    # the degree-0 permutation is the empty tuple, which is falsy; both
+    # commands report it, and the degree-1 group, as the trivial group
+    path = tmp_path / f"degree{degree}.json"
+    path.write_text(json.dumps({
+        "type": "permutation", "degree": degree, "generators": [list(range(degree))],
+    }))
+    message = f"error: {path}: every element is central\n"
+    row = {"error": "every element is central", "error_kind": "parse", "file": str(path)}
+    assert run(["analyze", str(path)], capsys) == (
+        EXIT_PARSE, json.dumps([row], indent=2) + "\n", message)
+    assert run(["graph-export", str(path)], capsys) == (EXIT_PARSE, "", message)
 
 
 def test_analyze_exit_ranks_parse_over_cap_over_sentinel(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import operator
 import pytest
 
 from oracles import (
+    conjugate_product_norm,
     divides,
     evaluate,
     field_elements,
@@ -447,6 +448,13 @@ def test_norm_matches_power_and_lies_in_prime_field(spec):
         n = norm(a)
         assert n == repeated_power(a, e), a
         assert n == spec.element(n.coeffs[0])  # in GF(p)
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (3, 3), (3, 5), (5, 2), (7, 2), (2, 7)])
+def test_norm_by_doubling_matches_the_conjugate_product(p, k):
+    spec = field_create(p, k)
+    for a in field_elements(spec):
+        assert norm(a) == conjugate_product_norm(a), a
 
 
 def test_norm_matches_power_in_witness_field(gf115):

@@ -1,9 +1,11 @@
+import json
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
+from extra_groups import AGAML1_9, EXTRA_GROUPS, LADDER, oracle_group
 from oracles import (
     as_group,
     brute_center,
@@ -23,10 +25,11 @@ from oracles import (
     permutation_quotient,
     searched_is_metacyclic,
     sylow_profile_cyclic_or_quaternion,
+    WrappedPermutation,
 )
 
 from commgraph.classify import is_frobenius
-from commgraph.corpus import list_corpus
+from commgraph.corpus import list_corpus, load_corpus_group
 from commgraph.errors import BackendMismatch, CapExceeded, NotMember, NotNormal
 from commgraph.fields import factorize, field_create, frobenius_map
 from commgraph.groups import (
@@ -420,6 +423,85 @@ def test_schreier_tree_and_conjugation_tables_on_s6_subgroups(a, b):
     # the brute centralizers cost 2|G|^2 products; A6 and S6 would take seconds
     assume(G.order() <= 120)
     _assert_tree_and_tables(G)
+
+
+# --- a permutation is its image tuple --------------------------------------
+
+
+def test_permutation_is_its_image_tuple():
+    a = P(1, 0, 2)
+    assert isinstance(a, tuple)
+    assert a == (1, 0, 2) and (1, 0, 2) == a and hash(a) == hash((1, 0, 2))
+    assert {a: 1}[(1, 0, 2)] == 1
+    assert len(a) == 3 and len(P()) == 0
+    assert repr(a) == "Perm(1, 0, 2)" and repr(P(0)) == "Perm(0,)"
+    assert a.key() is a and a.to_json() == [1, 0, 2] and a.ambient() == ("perm", 3)
+
+
+@pytest.mark.parametrize("images", [[0, 0, 1], [1, 2], [0, 3, 1], [-1, 0]])
+def test_permutation_rejects_a_non_permutation(images):
+    with pytest.raises(ValueError, match=re.escape(f"not a permutation: {images}")):
+        PermutationElement(images)
+
+
+def test_permutation_product_inverse_and_identity(sym4):
+    # against the permutation wrapped around its image tuple, over all of S4
+    wrapped = {x: WrappedPermutation(x) for x in sym4.elements}
+    for a in sym4.elements:
+        inv = a.inverse()
+        assert type(inv) is PermutationElement and inv == wrapped[a].inverse().images
+        assert a * inv == inv * a == a.identity() == (0, 1, 2, 3)
+        assert a.is_identity() == (a == (0, 1, 2, 3)) == wrapped[a].is_identity()
+        for b in sym4.elements:
+            ab = a * b
+            # (a*b)(i) = a(b(i)): the right factor acts first
+            assert type(ab) is PermutationElement and ab == tuple(a[b[i]] for i in range(4))
+            assert ab == (wrapped[a] * wrapped[b]).images
+    empty = P()
+    assert empty.identity() == empty * empty == empty.inverse() == ()
+    assert empty.is_identity() and P(0).is_identity() and not P(1, 0).is_identity()
+
+
+PERMUTATION_RUNGS = {
+    r.name: r for r in LADDER.ANALYZE_RUNGS + LADDER.GRAPH_RUNGS
+    if r.name not in ("gl2_3", "agaml1_9_mat")
+}
+WALK_GROUPS = [
+    *(n for n in list_corpus()
+      if isinstance(load_corpus_group(n).generators[0], PermutationElement)),
+    *(f"ladder_{n}" for n in PERMUTATION_RUNGS),
+    "s3wrc2",
+    "s4xs3",
+]
+
+
+def _walk_generators(name, directory):
+    """Image lists of the generators of a corpus permutation group, a seed-1
+    ladder rung written into `directory`, S3 wr C2 or S4 x S3."""
+    if name.startswith("ladder_"):
+        rung = PERMUTATION_RUNGS[name.removeprefix("ladder_")]
+        (path,) = LADDER.write_rungs([rung], 1, directory)
+        payload = json.loads(path.read_text())
+        assert payload["type"] == "permutation"
+        return payload["generators"]
+    if name == "s3wrc2":
+        return LADDER.wreath_s3_c2()
+    gens = EXTRA_GROUPS[name]() if name in EXTRA_GROUPS else load_corpus_group(name).generators
+    return [list(g) for g in gens]
+
+
+@pytest.mark.parametrize("name", WALK_GROUPS)
+def test_walk_matches_the_wrapped_permutation_walk(tmp_path, name):
+    # the walk over tuples makes the same elements, tree, right tables,
+    # conjugation tables and key order as one over wrapped image tuples
+    gens = _walk_generators(name, tmp_path)
+    G = GroupHandle([PermutationElement(g) for g in gens]).materialize()
+    W = GroupHandle([WrappedPermutation(g) for g in gens]).materialize()
+    assert [tuple(e) for e in G.elements] == [w.images for w in W.elements]
+    assert G.schreier_tree() == W.schreier_tree()
+    assert G._right == W._right
+    assert G.conjugation_tables() == W.conjugation_tables()
+    assert G.key_order() == W.key_order()
 
 
 # --- the Frobenius twist on matrix entries ----------------------------------
