@@ -11,6 +11,11 @@ first use, and search-params imports only the number theory in params.
 analyze runs its files one after another: --jobs is still parsed and
 checked, but it no longer changes how the files run.
 
+The process entry (`python -m commgraph.cli`, the `commgraph` script) is
+run(): once main() returns it flushes stdout and stderr and ends the
+process with os._exit, skipping interpreter teardown.  Callers that need a
+normal interpreter afterwards (tests, embedders) call main() instead.
+
 Exit codes: 0 success, 1 parse error (also a usage error, --jobs or --cap
 below 1, a COMMGRAPH_CAP that is not an integer of at least 1 for analyze or
 graph-export, a group with no non-central element: the trivial group for
@@ -257,5 +262,23 @@ def main(argv=None) -> int:
         return EXIT_PARSE
 
 
+def run():
+    """Run main() as a whole process: flush stdout, then stderr, and end with
+    os._exit, skipping interpreter teardown.  Every --out file is closed
+    before main returns, and the package has no atexit handler, thread or
+    finalizer with side effects.  A stream is None when its descriptor was
+    closed at start-up.  If a flush fails (a closed pipe, a full disk),
+    sys.exit lets the interpreter's shutdown report it as usual; a
+    SystemExit from argparse or an uncaught exception takes that path too."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

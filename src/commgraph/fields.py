@@ -44,11 +44,12 @@ from .primes import factorize, is_prime
 # enumerates the field or factors p^k - 1, but least_irreducible and
 # element_of_order scan in coefficient order, the last coefficient fastest,
 # so their cost grows with p: element_of_order(spec, r^2) in a witness
-# field GF(p^r) may test all p - 1 multiples c*X^(r-1), which share one
-# norm test.  run_all_checks takes 0.04 s at (23, 11), 23^11 about 9.5e14
-# and the largest field of a witness triple with q <= 43, and would take
-# 0.58 s at (10061, 5), which the cap refuses, nearly all of it in that
-# scan (2 vCPU, CPython 3.11.7).
+# field GF(p^r) may visit all p - 1 multiples c*X^(r-1), though only
+# X^(r-1) takes a field norm and each multiple one power mod p.
+# run_all_checks takes 0.04 s at (23, 11), 23^11 about 9.5e14 and the
+# largest field of a witness triple with q <= 43, and would take 0.07 s at
+# (10061, 5), which the cap refuses (2 vCPU, CPython 3.11.7).  The cap
+# stays until a bound on what costs time (k, p^k and p) replaces it.
 FIELD_CAP = 2 ** 50
 # Discrete-log tables are only built for fields small enough to enumerate.
 LOG_TABLE_CAP = 2 ** 21
@@ -450,19 +451,29 @@ def element_of_order(spec: FieldSpec, n: int) -> FieldElement:
     norm N(a) in GF(p), an integer power mod p; the other primes take the
     power in the field.  For n = p^k - 1 the exponent is 1 and the result is
     the least primitive element.
+
+    Only a candidate whose first nonzero coefficient is 1 takes a field norm.
+    Any other a = v*b, with v that coefficient, comes after b = a/v (same
+    zero prefix, then 1 < v), so N(a) = v^k N(b) is one power mod p.
     """
-    size, p, one = spec.size - 1, spec.p, spec.one()
+    size, p, k, one = spec.size - 1, spec.p, spec.k, spec.one()
     if n < 1 or size % n != 0:
         raise NoSuchOrder(f"{n} does not divide {size}")
     by_norm, by_power = [], []
     for ell in factorize(n):
         (by_norm if (p - 1) % ell == 0 else by_power).append(ell)
-    for coeffs in itertools.product(range(p), repeat=spec.k):
+    norms = {}  # N(b) of each scanned b whose first nonzero coefficient is 1
+    for coeffs in itertools.product(range(p), repeat=k):
         if not any(coeffs):
             continue
         a = _element(spec, coeffs)
         if by_norm:
-            n_a = norm(a).coeffs[0]
+            v = next(filter(None, coeffs))
+            if v == 1:
+                n_a = norms[coeffs] = norm(a).coeffs[0]
+            else:
+                w = pow(v, -1, p)
+                n_a = pow(v, k, p) * norms[tuple(c * w % p for c in coeffs)] % p
             if any(pow(n_a, (p - 1) // ell, p) == 1 for ell in by_norm):
                 continue
         e = a ** (size // n)

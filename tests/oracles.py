@@ -22,7 +22,8 @@ and C_F(w) is counted entry by entry, summing over the solution sets to
 impose x*a = b - d.
 Powers, inverses, orders and the Frobenius map of field elements come from
 repeated multiplication or a scan of the field, the norm from multiplying
-the conjugates one by one, and primality, factorization and
+the conjugates one by one, an element of a given order from a scan that
+takes every candidate's norm, and primality, factorization and
 irreducibility from trial division; the irreducibility test also has its
 older form by repeated p-th powers and a gcd.  The powers and order of a
 group element come from multiplying until the identity returns, and a walk
@@ -47,7 +48,15 @@ from operator import add
 from types import SimpleNamespace
 
 from commgraph.errors import EmptyGraph, NotNormalizing, SpecMismatch, SymbolicFailure
-from commgraph.fields import FieldElement, FieldSpec, _poldeg, _polpowmod, frobenius_map
+from commgraph.fields import (
+    FieldElement,
+    FieldSpec,
+    _element,
+    _poldeg,
+    _polpowmod,
+    frobenius_map,
+    norm,
+)
 from commgraph.groups import (
     GroupHandle,
     PermutationElement,
@@ -721,6 +730,28 @@ def power_scan_primitive_element(spec):
         if not a.is_zero() and all(a ** (n // ell) != one for ell in primes):
             return a
     raise AssertionError("no primitive element")
+
+
+def norm_per_candidate_element_of_order(spec, n):
+    """element_of_order as it scanned before it reused norms: every
+    candidate a reached takes its own field norm N(a) for the primes of n
+    that divide p - 1."""
+    size, p, one = spec.size - 1, spec.p, spec.one()
+    by_norm, by_power = [], []
+    for ell in factorize(n):
+        (by_norm if (p - 1) % ell == 0 else by_power).append(ell)
+    for coeffs in itertools.product(range(p), repeat=spec.k):
+        if not any(coeffs):
+            continue
+        a = _element(spec, coeffs)
+        if by_norm:
+            n_a = norm(a).coeffs[0]
+            if any(pow(n_a, (p - 1) // ell, p) == 1 for ell in by_norm):
+                continue
+        e = a ** (size // n)
+        if all(e ** (n // ell) != one for ell in by_power):
+            return e
+    raise AssertionError("no element of order n")
 
 
 # --- the diameter-8 witness: log-space references ---------------------------

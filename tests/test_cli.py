@@ -1,8 +1,11 @@
+import ast
 import contextlib
 import copy
+import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -15,7 +18,7 @@ from importlib import resources
 
 from extra_groups import LADDER
 
-from commgraph import diameter8
+from commgraph import cli, diameter8
 from commgraph.corpus import list_corpus
 from commgraph.fields import Poly
 from commgraph.matrices import MatrixAutElement, _diag
@@ -239,6 +242,103 @@ def test_cli_import_leaves_thread_pool_unloaded(tmp_path):
     assert (done.returncode, done.stdout) == (
         0, "[False, False]\n0 [False, False] True\n"
     ), done.stderr
+
+
+def run_process(*argv, unbuffered=False, **kwargs):
+    """python ARGV in a fresh interpreter with the package on PYTHONPATH, and
+    PYTHONUNBUFFERED set only if asked; stdout and stderr stay bytes."""
+    env = dict(os.environ, PYTHONPATH=str(Path(diameter8.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *argv], stderr=subprocess.PIPE, env=env,
+                          timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-params", "--q-max", "43"],
+    ["paper-verify"],
+    ["analyze", data_path("sym4"), data_path("s3xs3")],
+    ["graph-export", data_path("sym4")],
+    ["analyze", data_path("sym4"), "--cap", "0"],  # EXIT_PARSE
+    ["analyze", data_path("sym4"), "--cap", "5"],  # EXIT_CAP
+    ["paper-verify", "--t", "0"],  # EXIT_CHECK_FAILED
+], ids=["search-params", "paper-verify", "analyze", "graph-export", "exit-1", "exit-2", "exit-4"])
+def test_process_entry_writes_what_main_writes(capsys, argv):
+    # `python -m commgraph.cli` ends with os._exit after flushing, and loses
+    # no byte of stdout or stderr and no exit code against main() in-process
+    code, out, err = run(argv, capsys)
+    done = run_process("-m", "commgraph.cli", *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+
+
+def test_process_entry_skips_teardown_only_after_main_returns():
+    # an atexit handler runs only when the process ends through the normal
+    # shutdown: after a usage error (argparse's SystemExit), not after a
+    # command that returned
+    probe = (
+        "import atexit, sys\n"
+        "atexit.register(lambda: print('teardown ran', file=sys.stderr))\n"
+        "from commgraph import cli\n"
+        "cli.run()\n"
+    )
+    done = run_process("-c", probe, "search-params", "--q-max", "11")
+    assert (done.returncode, done.stderr) == (EXIT_OK, b""), done.stderr
+    assert json.loads(done.stdout)["q_max"] == 11
+    done = run_process("-c", probe, "search-params")
+    assert done.returncode == EXIT_PARSE
+    assert done.stderr.endswith(b"required: --q-max\nteardown ran\n"), done.stderr
+
+
+def test_process_entry_without_standard_streams(tmp_path):
+    # a descriptor closed at start-up leaves its stream None, as under
+    # `commgraph ... --out PATH >&- 2>&-`; the report still goes to --out
+    # and the exit code is main's
+    out = tmp_path / "params.json"
+    probe = "import sys\nsys.stdout = sys.stderr = None\nfrom commgraph import cli\ncli.run()\n"
+    done = run_process("-c", probe, "search-params", "--q-max", "11", "--out", str(out))
+    assert (done.returncode, done.stdout, done.stderr) == (EXIT_OK, b"", b"")
+    assert json.loads(out.read_text())["q_max"] == 11
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_pipe_is_reported_as_by_a_normal_exit(unbuffered):
+    # buffered, the report waits in stdout's buffer, the flush fails, and the
+    # interpreter's shutdown flushes again, reports the failure and exits 120;
+    # unbuffered, the write itself raises in _write and the traceback exits 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = run_process("-m", "commgraph.cli", "search-params", "--q-max", "43",
+                           unbuffered=unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    lines = done.stderr.decode().splitlines()
+    assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe", done.stderr
+    if unbuffered:
+        assert done.returncode == 1
+        assert lines[-3].endswith(", in _write") and lines[-2].strip() == "sys.stdout.write(text)"
+    else:
+        assert done.returncode == 120
+        assert lines[-2].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+
+
+def test_installed_command_is_the_process_entry():
+    # [project.scripts] names the function the __main__ block calls; read by
+    # regex, since tomllib arrived only in Python 3.11
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+    module, name = re.search(r'^commgraph\s*=\s*"([\w.]+):(\w+)"$', scripts.group(1), re.M).groups()
+    installed = getattr(importlib.import_module(module), name)
+    (block,) = [
+        node for node in ast.parse(Path(cli.__file__).read_text()).body
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+    ]
+    (call,) = block.body
+    assert isinstance(call, ast.Expr) and not call.value.args
+    assert installed is getattr(cli, call.value.func.id) is cli.run
 
 
 def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tmp_path):

@@ -1051,7 +1051,8 @@ def test_run_all_checks_product_budget(monkeypatch):
     # Rabin's test on the Frobenius matrix, and normal forms read off the
     # diagonals with h^t tested only on a match, to 294; element orders
     # from known multiples (r^2, t, q - 1), not from q^r - 1, to 241; norms
-    # by doubling, to 222.
+    # by doubling, to 222; a norm only for each scanned candidate of
+    # element_of_order whose first nonzero coefficient is 1, to 195.
     # Matrix products: the path's conjugates and commuting tests;
     # `from_matrix` makes none (47 when it made two per x^-i c_h tried,
     # 33 while x^1 .. x^r were formed by r products, now 28 with their
@@ -1070,7 +1071,7 @@ def test_run_all_checks_product_budget(monkeypatch):
     monkeypatch.setattr(MatrixAutElement, "__mul__", counting("matrix", MatrixAutElement.__mul__))
     monkeypatch.setattr(diameter8, "_check_f_law", counting("law", diameter8._check_f_law))
     assert first_failing_check(run_all_checks()) is None
-    assert counts["poly"] <= 222
+    assert counts["poly"] <= 195
     assert counts["matrix"] == 28
     assert counts["law"] == 1
 

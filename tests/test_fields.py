@@ -11,6 +11,7 @@ from oracles import (
     evaluate,
     field_elements,
     monic_polynomials,
+    norm_per_candidate_element_of_order,
     power_scan_primitive_element,
     powering_is_irreducible,
     repeated_frobenius,
@@ -46,6 +47,7 @@ from commgraph.fields import (
     norm,
 )
 from commgraph.fields import _is_irreducible, _polinvmod, _polmulmod
+from commgraph.params import find_params
 from test_properties import FIELD_POOL
 
 
@@ -406,6 +408,44 @@ def test_element_of_order_is_the_first_scan_candidate(p, k):
             if repeated_order(e) == n
         )
         assert element_of_order(spec, n) == expected, n
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (3, 3), (5, 2), (7, 3), (11, 5)])
+def test_element_of_order_matches_the_norm_per_candidate_scan(p, k):
+    # every order n dividing p^k - 1: reusing N(a/v) changes no first hit
+    spec = field_create(p, k)
+    size = spec.size - 1
+    for n in (d for d in range(1, size + 1) if size % d == 0):
+        assert element_of_order(spec, n) == norm_per_candidate_element_of_order(spec, n), n
+
+
+def test_element_of_order_matches_the_norm_per_candidate_scan_on_the_witness_triples():
+    triples = find_params(43)
+    assert len(triples) == 6
+    for triple in triples:
+        spec = field_create(triple.q, triple.r)
+        for n in (triple.r ** 2, triple.t):
+            expected = norm_per_candidate_element_of_order(spec, n)
+            assert element_of_order(spec, n) == expected, (triple, n)
+
+
+@pytest.mark.parametrize("p, r, norms", [
+    (11, 5, 3),  # 12 before norms were reused: X^4 and its 9 multiples, X^3, X^3 + X^4
+    (43, 7, 4),  # 45 before
+    (10061, 5, 3),  # 10 062 before, in about 0.4 s
+])
+def test_element_of_order_takes_a_norm_only_of_candidates_led_by_1(monkeypatch, p, r, norms):
+    # the scan for order r^2 reaches the p - 1 multiples of X^(r-1) first;
+    # only candidates whose first nonzero coefficient is 1 take a field norm
+    from commgraph import fields
+
+    spec = FieldSpec(p, r, least_irreducible(p, r))  # a given modulus is not capped
+    taken = []
+    monkeypatch.setattr(fields, "norm", lambda a: taken.append(a.coeffs) or norm(a))
+    e = element_of_order(spec, r * r)
+    assert element_order(e, r * r) == r * r
+    assert len(taken) == norms
+    assert all(next(filter(None, coeffs)) == 1 for coeffs in taken)
 
 
 def test_frobenius_fixes_prime_subfield(gf115):

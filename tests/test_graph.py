@@ -18,6 +18,7 @@ from commgraph.corpus import list_corpus
 from commgraph.errors import EmptyGraph, NotAVertex
 from commgraph.graph import build_graph, diameter_and_components, distance
 from commgraph.groups import GroupHandle, PermutationElement, center
+from commgraph.primes import is_prime
 
 
 def P(*images):
@@ -263,3 +264,58 @@ def test_build_graph_product_budget(monkeypatch, name):
     # the conjugation tables are read off those products, so the graph
     # build makes none of its own
     assert len(products) == len(G.generators) * G.order()
+
+
+def _cycle(points, degree):
+    images = list(range(degree))
+    for i, j in zip(points, points[1:] + points[:1]):
+        images[i] = j
+    return PermutationElement(images)
+
+
+def symmetric_group(n):
+    """S_n from the transposition (0 1) and the n-cycle (0 1 ... n-1)."""
+    return GroupHandle([_cycle([0, 1], n), _cycle(list(range(n)), n)])
+
+
+def alternating_group(n):
+    """A_n from (0 1 2) and an even cycle: (0 1 ... n-1) for odd n, (1 2 ... n-1) for even n."""
+    return GroupHandle([_cycle([0, 1, 2], n), _cycle(list(range(n % 2 == 0, n)), n)])
+
+
+def cyclic_p_subgroups(n, p):
+    """How many subgroups <c> of S_n a p-cycle c generates: C(n, p)(p - 1)!
+    p-cycles, p - 1 in each.  All of them lie in A_n for odd p."""
+    return math.comb(n, p) * math.factorial(p - 2)
+
+
+@pytest.mark.parametrize("family, n, components", [
+    ("S", 5, 7), ("S", 6, 37), ("S", 7, 121), ("S", 8, 961), ("A", 7, 247), ("A", 8, 961),
+])
+def test_symmetric_and_alternating_component_counts(family, n, components):
+    """Iranmanesh and Jafarzadeh (J. Algebra Appl. 7, 2008): the commuting
+    graph of S_n is connected iff neither n nor n - 1 is prime, and that of
+    A_n iff none of n, n - 1, n - 2 is.  For such a prime p a p-cycle c has
+    centralizer <c>: it fixes at most one point in S_n, and in A_n at most
+    two, whose transposition is odd.  So each <c> without 1 is a component
+    of its own, and here the rest of the graph is one more component."""
+    G = (symmetric_group if family == "S" else alternating_group)(n).materialize()
+    assert G.order() == math.factorial(n) // (1 if family == "S" else 2)
+    primes = [p for p in range(n - (1 if family == "S" else 2), n + 1) if is_prime(p)]
+    report = diameter_and_components(build_graph(G))
+    assert len(report["components"]) == 1 + sum(cyclic_p_subgroups(n, p) for p in primes)
+    assert len(report["components"]) == components
+    assert report["diameter"] == math.inf
+
+
+def test_a6_components_pinned_as_measured():
+    # the count above gives 37 for A6, 1 + its 36 five-cycle subgroups, but
+    # A6 has 47 components: a Sylow 3-subgroup <(0 1 2), (3 4 5)> is the
+    # centralizer in A6 of each of its 8 elements other than 1, so its 10
+    # conjugates are components too, though 3 = n - 3 is not among the
+    # primes the count looks at; 36 + 10 + 1
+    G = alternating_group(6).materialize()
+    assert G.order() == 360
+    report = diameter_and_components(build_graph(G))
+    assert 1 + cyclic_p_subgroups(6, 5) == 37
+    assert len(report["components"]) == 47
