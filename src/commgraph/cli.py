@@ -19,9 +19,10 @@ normal interpreter afterwards (tests, embedders) call main() instead.
 Exit codes: 0 success, 1 parse error (also a usage error, --jobs or --cap
 below 1, a COMMGRAPH_CAP that is not an integer of at least 1 for analyze or
 graph-export, a group with no non-central element: the trivial group for
-analyze, any abelian group for graph-export, or an --out that cannot be
-written: a directory or a path in a missing directory is refused before any
-group loads, and any other write error is one `error:` line), 2 a cap
+analyze, any abelian group for graph-export, or a report that cannot be
+written: an --out that is a directory or a path in a missing directory is
+refused before any group loads, and any other write error, on --out or on
+stdout, such as a closed pipe, is one `error:` line), 2 a cap
 exceeded: the element cap (analyze, graph-export), also when memory runs
 out before it is reached, or the factoring budget (search-params), 3 the
 classifier produced the sentinel verdict DisconnectedOther, 4 a
@@ -128,7 +129,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write(text: str, out: str | None):
     if not out:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError as exc:
+            # the report is lost; fd 1 goes to the null device so that no
+            # later flush fails again, and main reports the loss once
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise _Refused(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -267,9 +277,11 @@ def run():
     os._exit, skipping interpreter teardown.  Every --out file is closed
     before main returns, and the package has no atexit handler, thread or
     finalizer with side effects.  A stream is None when its descriptor was
-    closed at start-up.  If a flush fails (a closed pipe, a full disk),
-    sys.exit lets the interpreter's shutdown report it as usual; a
-    SystemExit from argparse or an uncaught exception takes that path too."""
+    closed at start-up.  The report on stdout was flushed by _write, which
+    turns a failure there into one error line; if a flush here fails (stderr
+    on a full disk), sys.exit lets the interpreter's shutdown report it as
+    usual; a SystemExit from argparse or an uncaught exception takes that
+    path too."""
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):

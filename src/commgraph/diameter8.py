@@ -9,16 +9,23 @@ centralizer shapes, the commutator separation of the two centralizer
 families, nilpotency class 3 of F, and the explicit 8-edge commuting path
 from x to its conjugate y.
 
+G = F D is held in coordinates, not as matrices: an element is a pair
+(f, d) of F's five coordinates and D's normal form x^i c_h.  F's law is
+checked once per example against the symbolic matrix product; D's law is
+the metacyclic relation x^-1 c x = c^q; and D acts on F's coordinates
+entry by entry, each coordinate scaled by a ratio of the diagonal of d and
+moved by d's twist, which needs lam_0 lam_3 = lam_1 lam_2 of x's and c's
+diagonals, checked at build.  Only the symplectic check and the law check
+build 4x4 matrices.
+
 The arithmetic follows the closed forms of the field: q = p, so a power
 h^(q^k) is Frob^k(h), a cached linear map, and the Hilbert-90 test takes a
 norm as the product of conjugates; x is diagonal with twist 1, so the
 diagonals of x^1 .. x^r are running products of Frobenius conjugates, and
 the order and every power of x are read off them; each element order comes
 from a known multiple of it (r^2, t or q - 1), so q^r - 1 is never
-factored; F's commutators, for the family separation and for class 3, are
-taken in its five coordinates, by a group law checked once per example
-against the matrix product; and each C_F(w), the product of four
-coordinates' solution sets, is solved once per example.
+factored; and each C_F(w), the product of four coordinates' solution sets,
+is solved once per example.
 
 The distance lower bound d(x, y) >= 8 itself rests on a combinatorial case
 analysis over these verified facts; the graph of the full group (order about
@@ -54,7 +61,7 @@ from .fields import (
     frobenius_map,
     norm,
 )
-from .matrices import MatrixAutElement, _diag, _mat_mul, conjugate
+from .matrices import _diag, _mat_mul
 from .params import ParamTriple, example_group_order, find_params, validate_params  # noqa: F401
 
 ALL = "all"  # marker for a solution set equal to the whole field, or to all of <f>
@@ -75,10 +82,6 @@ class FCoords(namedtuple("FCoords", "a b c d x")):
             raise ValueError("FCoords relation x*a = b - d violated")
         return super().__new__(cls, a, b, c, d, x)
 
-    def to_matrix(self, spec: FieldSpec) -> MatrixAutElement:
-        rows = _f_rows(spec.one(), spec.zero(), self.a, self.b, self.c, self.d, self.x)
-        return MatrixAutElement(spec, rows, 0)
-
 
 def _f_rows(one, zero, a, b, c, d, x):
     """The unipotent F matrix with coordinates (a, b, c, d, x), over any ring."""
@@ -88,6 +91,28 @@ def _f_rows(one, zero, a, b, c, d, x):
         (b, x, one, zero),
         (c, d, -a, one),
     )
+
+
+# the matrix entry of each coordinate of F; the entry -a at (3, 2) has a's
+# equation whenever w normalizes F
+_F_ENTRIES = (
+    ("a", 1, 0),
+    ("b", 2, 0),
+    ("x", 2, 1),
+    ("d", 3, 1),
+    ("c", 3, 0),
+)
+
+
+def _multipliers(lam, twist: int) -> dict:
+    """{coordinate: mu}: conjugation by the diagonal lam with the twist maps
+    the coordinate m of F at entry (row, col) to mu * sigma(m), where
+    sigma = Frob^twist and mu = sigma(lam_col / lam_row)."""
+    return {name: frobenius_map(lam[col] / lam[row], twist) for name, row, col in _F_ENTRIES}
+
+
+def _is_trivial(f) -> bool:
+    return all(m.is_zero() for m in f)
 
 
 # ---------------------------------------------------------------------------
@@ -114,65 +139,60 @@ def _is_symplectic(zero, J, mat) -> bool:
     return _mat_mul(zero, _mat_mul(zero, mat, J), _transpose(mat)) == J
 
 
-def _is_diagonal(w: MatrixAutElement) -> bool:
-    """w's matrix has no nonzero entry off the diagonal; w may have a twist."""
-    return all(w.mat[i][j].is_zero() for i in range(w.dim) for j in range(w.dim) if i != j)
-
-
 # ---------------------------------------------------------------------------
-# D = <x, c> in normal form
+# D = <x, c> in normal form, and G = F D
 
 
 class _NormalForm:
     """D = <x, c> as pairs (i, h) standing for x^i * c_h, where h lies in <f>
     and c_h = diag(h, h, h^-1, h^-1), so that c^j = c_(f^j).
 
-    The relation x^{-1} c x = c^q gives c_h x^k = x^k c_(h^(q^k)), hence the
-    product (i, h)(k, h') = (i + k, Frob^k(h) h'), with i taken mod ord(x):
-    q = p is prime (`validate_params` checks it), so h^(q^k) is the k-th
-    power of Frobenius, a cached linear map.  The constructor verifies the
-    relation and that the two orders are coprime, so <c> is normal, <x>
-    meets it trivially and every element of D has exactly one normal form:
-    |D| = ord(x) * ord(c).
+    x = z * beta has the diagonal z and twist 1, and c = c_f.  Both
+    normalize F, which needs lam_0 lam_3 = lam_1 lam_2 of their diagonals
+    lam; the constructor checks it, or raises NotNormalizing.  Then
+    x^-1 c_h x = c_(Frob(h)), so the relation x^{-1} c x = c^q is
+    Frob(f) = f^q, checked in that closed form.  It gives
+    c_h x^k = x^k c_(h^(q^k)), hence the product
+    (i, h)(k, h') = (i + k, Frob^k(h) h'), with i taken mod ord(x): q = p is
+    prime (`validate_params` checks it), so h^(q^k) is the k-th power of
+    Frobenius, a cached linear map.  The constructor also checks that the
+    two orders are coprime, so <c> is normal, <x> meets it trivially and
+    every element of D has exactly one normal form: |D| = ord(x) * ord(c).
 
-    x is diagonal, as the constructor checks, with twist 1 over GF(q^r), so
-    x^n has twist n mod r and x^n = 1 needs r | n: ord(x) = r * ord(x^r).
-    x^(j+1) = x^j x has the diagonal of x^j times Frob^-j of x's, so the
-    diagonals of x^1 .. x^r are running products, with no matrix product.
-    x^r's entries lie in GF(q), so `order_xr` is the lcm of their orders
-    from the multiple q - 1, and ord(c) comes from the multiple t; an entry
-    outside GF(q), or f^t != 1, raises NoSuchOrder.  x^n for n = m r + j is
-    (x^r)^m x^j, a diagonal of field powers times x^j.
+    x has twist 1 over GF(q^r), so x^n has twist n mod r and x^n = 1 needs
+    r | n: ord(x) = r * ord(x^r).  x^(j+1) = x^j x has the diagonal of x^j
+    times Frob^-j of z, so the diagonals of x^1 .. x^r are running
+    products.  x^r's entries lie in GF(q), so `order_xr` is the lcm of their
+    orders from the multiple q - 1, and ord(c) comes from the multiple t; an
+    entry outside GF(q), or f^t != 1, raises NoSuchOrder.  x^n for
+    n = m r + j is (x^r)^m x^j, a diagonal of field powers times x^j.
     """
 
-    def __init__(self, spec: FieldSpec, x: MatrixAutElement, c: MatrixAutElement,
-                 f: FieldElement, t: int):
+    def __init__(self, spec: FieldSpec, z, f: FieldElement, t: int):
         self.spec = spec
         r, q = spec.k, spec.p
-        if not _is_diagonal(x):
-            raise NoSuchParams("x is not diagonal: D has no metacyclic normal form")
-        x_diag = [x.mat[i][i] for i in range(x.dim)]
-        diags = [[spec.one()] * x.dim]
+        f_inv = f.inverse()
+        for name, lam in (("x", z), ("c", (f, f, f_inv, f_inv))):
+            if lam[0] * lam[3] != lam[1] * lam[2]:
+                raise NotNormalizing(f"{name} does not normalize F: lam_0 lam_3 != lam_1 lam_2")
+        diags = [[spec.one()] * 4]
         for j in range(r):
-            diags.append([a * frobenius_map(b, -j) for a, b in zip(diags[-1], x_diag)])
+            diags.append([a * frobenius_map(b, -j) for a, b in zip(diags[-1], z)])
         self.x_powers = diags[:r]  # the diagonal of x^j for j < r
-        self.xr = MatrixAutElement(spec, _diag(spec.zero(), diags[r]), 0)
-        self.order_xr = math.lcm(*(element_order(e, q - 1) for e in diags[r]))
+        self.xr_diag = diags[r]  # x^r has no twist
+        self.order_xr = math.lcm(*(element_order(e, q - 1) for e in self.xr_diag))
         self.order_x = r * self.order_xr
         self.order_c = element_order(f, t)
         self.order = self.order_x * self.order_c
         if math.gcd(self.order_x, self.order_c) != 1:
             raise NoSuchParams(f"ord(x) = {self.order_x} and ord(c) = {self.order_c} not coprime")
-        if conjugate(c, x) != self.c_matrix(f ** q):
+        if frobenius_map(f) != f ** q:
             raise NoSuchParams("x^{-1} c x != c^q: D has no metacyclic normal form")
         # h has order dividing ord(c), so h^(q^k) = h^(q^k mod ord(c))
         self.qpow = [pow(q, k, self.order_c) for k in range(self.order_x)]
         self.one = spec.one()
         self.x, self.c = (1, self.one), (0, f)
-
-    def c_matrix(self, h: FieldElement) -> MatrixAutElement:
-        hinv = h.inverse()
-        return MatrixAutElement(self.spec, _diag(self.spec.zero(), [h, h, hinv, hinv]), 0)
+        self.multipliers: dict = {}  # filled by `act`
 
     def identity(self):
         return (0, self.one)
@@ -180,27 +200,31 @@ class _NormalForm:
     def mul(self, a, b):
         return ((a[0] + b[0]) % self.order_x, frobenius_map(a[1], b[0]) * b[1])
 
-    def from_matrix(self, elem: MatrixAutElement):
-        """The normal form of elem, or None if elem is not in D.
+    def inverse(self, a):
+        """(i, h)^-1 = (-i, Frob^-i(h)^-1), by the product rule."""
+        return (-a[0] % self.order_x, frobenius_map(a[1], -a[0]).inverse())
 
-        For i = m r + j, x^i c_h has twist j and the diagonal d of (x^r)^m x^j
-        times Frob^-j of c_h's.  So elem = x^i c_h exactly when elem is
-        diagonal, its diagonal e over d is (h', h', h'^-1, h'^-1), and
-        h = Frob^j(h') has h^t = 1; no matrix is multiplied.
-        """
-        if not _is_diagonal(elem):
-            return None
-        j = elem.twist
-        e, xr = ([w.mat[n][n] for n in range(4)] for w in (elem, self.xr))
-        d = self.x_powers[j]
-        for i in range(j, self.order_x, self.spec.k):
-            h = e[0] / d[0]
-            if (e[1], e[2] * h, e[3] * h) == (h * d[1], d[2], d[3]):
-                h = frobenius_map(h, j)
-                if h ** self.order_c == self.one:
-                    return (i, h)
-            d = [a * b for a, b in zip(d, xr)]
-        return None
+    def diagonal(self, a) -> tuple:
+        """The diagonal and twist of x^i c_h for a = (i, h): for
+        i = m r + j, x^i = (x^r)^m x^j has the diagonal of x^r to the m
+        times that of x^j, and twist j, and c_h enters as Frob^-j of its
+        diagonal (h, h, h^-1, h^-1)."""
+        m, j = divmod(a[0], self.spec.k)
+        h = frobenius_map(a[1], -j)
+        c_diag = (h, h) + (h.inverse(),) * 2
+        return [e ** m * d * s for e, d, s in zip(self.xr_diag, self.x_powers[j], c_diag)], j
+
+    def act(self, f, a):
+        """f^a = a^-1 f a, for f in F's coordinates and a in D, which
+        normalizes F: each coordinate m becomes mu * sigma(m) by the
+        `_multipliers` of a's diagonal and twist, found once per a."""
+        if a == self.identity() or _is_trivial(f):
+            return f
+        if a not in self.multipliers:
+            lam, twist = self.diagonal(a)
+            self.multipliers[a] = _multipliers(lam, twist), twist
+        mu, twist = self.multipliers[a]
+        return tuple(mu[name] * frobenius_map(m, twist) for name, m in zip(FCoords._fields, f))
 
     def powers(self, e):
         """[1, e, e^2, ...] up to e's order, which divides |D|; raises
@@ -249,28 +273,49 @@ class _NormalForm:
         return sum(self.order_c if h is ALL else 1 for _, h in description)
 
 
+class GElement(namedtuple("GElement", "f d ctx")):
+    """The element f d of G = F D: f is F's coordinates (a, b, c, d, x) and
+    d the normal form (i, h) of x^i c_h in D = ctx.
+
+    F is normal in G, so (f1 d1)(f2 d2) = f1 (d1 f2 d1^-1) d1 d2, which is
+    (f1 f2^(d1^-1), d1 d2), and (f d)^-1 = d^-1 f^-1 = ((f^-1)^d, d^-1):
+    F's law is `_f_mul` and `_f_inv`, D's is ctx's, and d acts on F's
+    coordinates through its diagonal and twist (`_NormalForm.act`).
+    """
+
+    __slots__ = ()
+
+    def __mul__(self, other: GElement) -> GElement:
+        ctx = self.ctx
+        f = ctx.act(other.f, ctx.inverse(self.d))
+        return GElement(_f_mul(self.f, f), ctx.mul(self.d, other.d), ctx)
+
+    def inverse(self) -> GElement:
+        ctx = self.ctx
+        return GElement(ctx.act(_f_inv(self.f), self.d), ctx.inverse(self.d), ctx)
+
+    def is_identity(self) -> bool:
+        return self.d == self.ctx.identity() and _is_trivial(self.f)
+
+
 # ---------------------------------------------------------------------------
 
 
 class ExampleGroup(namedtuple("ExampleGroup", "params spec u v f z c x xr g ctx")):
     """The witness group for one ParamTriple over spec = GF(q^r).
 
-    u and v (order r^2) are the first two diagonal entries of z, f (order t)
-    the diagonal entry of c; x = z * beta has twist 1 and xr = x^r is
-    diagonal; g is the fixed unipotent conjugating element and y = x^g; ctx
-    is D = <x, c> in normal form.  No __slots__, so the cached properties
-    have an instance dict to fill.
+    u and v (order r^2) are the first two entries of the diagonal z, f
+    (order t) the diagonal entry of c; x = z * beta has twist 1 and xr = x^r
+    is diagonal; g is the fixed unipotent conjugating element and y = x^g;
+    ctx is D = <x, c> in normal form.  c, x, xr and g are elements of G in
+    coordinates (`GElement`).  No __slots__, so the cached properties have
+    an instance dict to fill.
     """
 
     @cached_property
-    def g_inverse(self) -> MatrixAutElement:
-        """g^-1, inverted once for y and the conjugates of the checks."""
-        return self.g.inverse()
-
-    @cached_property
-    def y(self) -> MatrixAutElement:
+    def y(self) -> GElement:
         """x^g, the far end of the witness path."""
-        return self.g_inverse * self.x * self.g
+        return self.g.inverse() * self.x * self.g
 
     @cached_property
     def f_fixed_points(self) -> dict:
@@ -344,18 +389,12 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     u, v = h_pows[ku], h_pows[kv]
     f = element_of_order(spec, t)  # t divides q^r - 1, as validate_params checked
 
-    zero = spec.zero()
-    z = MatrixAutElement(spec, _diag(zero, [u, v, h_pows[-kv % n], h_pows[-ku % n]]), 0)
-    c = MatrixAutElement(spec, _diag(zero, [f, f, f.inverse(), f.inverse()]), 0)
-    x = MatrixAutElement(spec, z.mat, 1)
-    ctx = _NormalForm(spec, x, c, f, t)
-    one = spec.one()
-    g = FCoords(a=zero, b=one, c=zero, d=one, x=one).to_matrix(spec)
-
-    return ExampleGroup(
-        params=params, spec=spec,
-        u=u, v=v, f=f, z=z, c=c, x=x, xr=ctx.xr, g=g, ctx=ctx,
-    )
+    z = (u, v, h_pows[-kv % n], h_pows[-ku % n])
+    ctx = _NormalForm(spec, z, f, t)
+    zero, one = spec.zero(), spec.one()
+    c, x, xr = (GElement((zero,) * 5, d, ctx) for d in (ctx.c, ctx.x, (r % ctx.order_x, one)))
+    g = GElement(FCoords(a=zero, b=one, c=zero, d=one, x=one), ctx.identity(), ctx)
+    return ExampleGroup(params=params, spec=spec, u=u, v=v, f=f, z=z, c=c, x=x, xr=xr, g=g, ctx=ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +409,17 @@ def _p_mat_mul(a, b):
     return _mat_mul(Poly.zero(a[0][0].spec, a[0][0].nvars), a, b)
 
 
-def generic_f_matrix(spec: FieldSpec, nvars: int, base: int):
-    """Symbolic F element on variables (a, x, d, c) = base..base+3; b = d + x*a."""
+def generic_f_coords(spec: FieldSpec, nvars: int, base: int) -> tuple:
+    """The coordinates (a, b, c, d, x) of a symbolic F element on variables
+    (a, x, d, c) = base..base+3; b = d + x*a."""
     a, x, d, c = (Poly.variable(spec, base + i, nvars) for i in range(4))
+    return (a, d + x * a, c, d, x)
+
+
+def generic_f_matrix(spec: FieldSpec, nvars: int, base: int):
+    """The matrix of `generic_f_coords`."""
     one, zero = Poly.constant(spec, 1, nvars), Poly.zero(spec, nvars)
-    return _f_rows(one, zero, a, d + x * a, c, d, x)
+    return _f_rows(one, zero, *generic_f_coords(spec, nvars, base))
 
 
 # ---------------------------------------------------------------------------
@@ -382,11 +427,14 @@ def generic_f_matrix(spec: FieldSpec, nvars: int, base: int):
 
 
 def verify_symplectic(eg: ExampleGroup) -> bool:
-    """z, c and a generic F element all satisfy A J A^T = J."""
+    """z, c, g and a generic F element all satisfy A J A^T = J; a twist
+    fixes J, so it is left out."""
     spec = eg.spec
+    one, zero = spec.one(), spec.zero()
     J = _form_matrix(spec)
-    ident = _diag(spec.zero(), [spec.one()] * 4)
-    if not all(_is_symplectic(spec.zero(), J, m) for m in (ident, eg.z.mat, eg.c.mat, eg.g.mat)):
+    c_diag, _ = eg.ctx.diagonal(eg.c.d)
+    numeric = [_diag(zero, lam) for lam in ([one] * 4, eg.z, c_diag)]
+    if not all(_is_symplectic(zero, J, m) for m in numeric + [_f_rows(one, zero, *eg.g.f)]):
         return False
     # symbolic generic member of F; a numeric factor times a Poly is a Poly
     generic = generic_f_matrix(spec, 4, 0)
@@ -407,10 +455,9 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
     if nsum % (r * r) != r:
         raise CheckFailed("xr-exponent", f"{nsum} != {r} mod r^2")
     nu, nv = norm(eg.u), norm(eg.v)
-    expected = _diag(spec.zero(), [nu, nv, nv.inverse(), nu.inverse()])
-    if eg.xr.mat != expected:
+    if ctx.diagonal(eg.xr.d) != ([nu, nv, nv.inverse(), nu.inverse()], 0):
         raise CheckFailed("xr-exponent", "x^r != z^(1+q+...+q^(r-1))")
-    if any(frobenius_map(eg.xr.mat[i][i]) != eg.xr.mat[i][i] for i in range(4)):
+    if any(frobenius_map(e) != e for e in ctx.xr_diag):
         raise CheckFailed("xr-ground-field", "x^r entries not Frobenius-fixed")
     report["xr_order"] = ctx.order_xr
     if ctx.order_xr != r:
@@ -420,60 +467,50 @@ def verify_d_structure(eg: ExampleGroup) -> dict:
     if eg.xr * eg.c != eg.c * eg.xr:
         raise CheckFailed("xr-commutes-c")
 
-    # (iii) c^q != c; `_NormalForm` checked x^{-1} c x = c^q
-    if ctx.c_matrix(eg.f ** q) == eg.c:
+    # (iii) c^q != c, where c^q = c_(f^q); `_NormalForm` checked x^{-1} c x = c^q
+    if eg.c.d == (0, eg.f ** q):
         raise CheckFailed("conj-c-by-x", "c^q == c")
 
     # (iv) |D| = r^2 t, and Z(D) = <x^r>
     report["d_order"] = ctx.order
     if ctx.order != r * r * t:
         raise CheckFailed("d-order", f"|D| = {ctx.order}")
-    xr_powers = set(ctx.powers(ctx.from_matrix(eg.xr)))
+    xr_powers = set(ctx.powers(eg.xr.d))
     report["centre_order"] = ctx.count(eg.d_centre)
     if set(eg.d_centre) != xr_powers:
         raise CheckFailed("centre-of-D", "Z(D) != <x^r>")
     return report
 
 
-# the matrix entry of each coordinate of F; the entry -a at (3, 2) has a's
-# equation whenever w normalizes F
-_F_ENTRIES = (
-    ("a", 1, 0),
-    ("b", 2, 0),
-    ("x", 2, 1),
-    ("d", 3, 1),
-    ("c", 3, 0),
-)
-
-
 FixedPointReport = namedtuple("FixedPointReport", "count coord_sizes free_coords")
 
 
-def fixed_points_in_F(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport:
-    """Solve C_F(w) for a diagonal-with-twist element w that normalizes F.
-
-    Conjugation by w maps the entry m at (j, l) to mu * sigma(m), where
-    sigma = Frob^i for w's twist i and mu = sigma(lam_l / lam_j) for w's
-    diagonal lam, so each coordinate solves its own semilinear equation
-    mu * sigma(m) = m, in closed form by `_fixed_set`; each solution set is
-    a GF(q)-subspace.  The multipliers satisfy mu_x mu_a = mu_b for every
-    such w, and w normalizes F exactly when lam_0 lam_3 = lam_1 lam_2, in
-    which case -a at (3, 2) has a's multiplier and d has b's.  Then for a,
-    x and d in their solution sets, b = d + x*a lies in b's, so
-    |C_F(w)| = |S_a| |S_x| |S_d| |S_c|.
-    """
-    spec = eg.spec
+def fixed_points_in_F(eg: ExampleGroup, w: GElement) -> FixedPointReport:
+    """Solve C_F(w) for a nonidentity element w of D, by its diagonal and
+    twist (`_diagonal_fixed_points`); raises NotNormalizing for the identity
+    and for an element outside D."""
     if w.is_identity():
         raise NotNormalizing("fixed points of the identity are all of F")
-    if not _is_diagonal(w):
-        raise NotNormalizing("w must be diagonal to normalize F entry-wise")
-    lam = [w.mat[i][i] for i in range(4)]
+    if not _is_trivial(w.f):
+        raise NotNormalizing("w must lie in D to normalize F entry-wise")
+    return _diagonal_fixed_points(eg.spec, *eg.ctx.diagonal(w.d))
+
+
+def _diagonal_fixed_points(spec: FieldSpec, lam, twist: int) -> FixedPointReport:
+    """Solve C_F(w) for w with the diagonal lam and the twist.
+
+    Conjugation by w maps the entry m at (j, l) to mu * sigma(m), where
+    sigma = Frob^twist and mu = sigma(lam_l / lam_j) (`_multipliers`), so
+    each coordinate solves its own semilinear equation mu * sigma(m) = m, in
+    closed form by `_fixed_set`; each solution set is a GF(q)-subspace.  The
+    multipliers satisfy mu_x mu_a = mu_b for every such w, and w normalizes
+    F exactly when lam_0 lam_3 = lam_1 lam_2, in which case -a at (3, 2) has
+    a's multiplier and d has b's.  Then for a, x and d in their solution
+    sets, b = d + x*a lies in b's, so |C_F(w)| = |S_a| |S_x| |S_d| |S_c|.
+    """
     if lam[0] * lam[3] != lam[1] * lam[2]:
         raise NotNormalizing("w does not normalize F: lam_0 lam_3 != lam_1 lam_2")
-    sets = {
-        name: _fixed_set(spec, frobenius_map(lam[col] / lam[row], w.twist), w.twist)
-        for name, row, col in _F_ENTRIES
-    }
+    sets = {name: _fixed_set(spec, mu, twist) for name, mu in _multipliers(lam, twist).items()}
     sizes = {name: spec.size if s is ALL else len(s) for name, s in sets.items()}
     return FixedPointReport(
         count=sizes["a"] * sizes["x"] * sizes["d"] * sizes["c"],
@@ -482,7 +519,7 @@ def fixed_points_in_F(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport
     )
 
 
-def solved_fixed_points(eg: ExampleGroup, w: MatrixAutElement) -> FixedPointReport:
+def solved_fixed_points(eg: ExampleGroup, w: GElement) -> FixedPointReport:
     """fixed_points_in_F(eg, w), solved once per element of an example and
     kept on it."""
     reports = eg.f_fixed_points
@@ -523,7 +560,7 @@ def _fixed_set(spec: FieldSpec, mu: FieldElement, i: int):
 CentralizerReport = namedtuple("CentralizerReport", "d_part_order f_part order d_part")
 
 
-def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport:
+def centralizer_in_G(eg: ExampleGroup, w: GElement) -> CentralizerReport:
     """C_G(w) for w in D, via the splitting C_G(w) = C_F(w) * C_D(w).
 
     Every g factors uniquely as g = f*d' with f in F and d' in D (F is
@@ -532,12 +569,11 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
     separately, so the two factors are computed independently.
     """
     ctx = eg.ctx
-    wc = ctx.from_matrix(w)
-    if wc is None:
+    if not _is_trivial(w.f):
         raise NotInD("element is not a member of D")
-    if wc == ctx.identity():
+    if w.d == ctx.identity():
         raise NotInD("w must be a nonidentity element of D")
-    c_d = ctx.centralizer(wc)
+    c_d = ctx.centralizer(w.d)
     d_order = ctx.count(c_d)
     fp = solved_fixed_points(eg, w)
     return CentralizerReport(
@@ -555,13 +591,12 @@ def centralizer_in_G(eg: ExampleGroup, w: MatrixAutElement) -> CentralizerReport
 SeparationReport = namedtuple("SeparationReport", "entry monomial")
 
 
-def _separation_families(spec, g):
+def _separation_families(spec, h):
     """C_F(c) = {(a, 0, 0, 0, 0)} on variable a, and its conjugate by the F
-    element g on variable b, in F's coordinates over the polynomials in
-    (a, b)."""
+    element of coordinates h on variable b, in F's coordinates over the
+    polynomials in (a, b)."""
     zero = Poly.zero(spec, 2)
     w, w_b = ((Poly.variable(spec, i, 2), zero, zero, zero, zero) for i in range(2))
-    h = _f_coords(g.mat)
     return w, _f_mul(_f_mul(_f_inv(h), w_b), h)
 
 
@@ -572,22 +607,20 @@ def verify_family_separation(eg: ExampleGroup) -> SeparationReport:
     F's coordinates, under the law `ExampleGroup.f_law` checks, and exhibits
     an entry of its matrix that is a nonzero scalar multiple of a monomial
     a^i b^j with i, j >= 1; such an entry cannot vanish for nonzero a, b
-    because a field has no zero divisors.  For every odd q the commutator
-    differs from the identity only at (3, 0), by 2*a*b, so the certificate
-    always exists for valid parameters; if none is found, raises
-    SymbolicFailure.
+    because a field has no zero divisors.  The entries are scanned in row
+    order: the matrix differs from the identity only below the diagonal, at
+    the coordinates' entries and at (3, 2), whose -a comes after a at
+    (1, 0).  For every odd q the commutator differs from the identity only
+    at (3, 0), by 2*a*b, so the certificate always exists for valid
+    parameters; if none is found, raises SymbolicFailure.
     """
     eg.f_law  # raises SymbolicFailure unless the law is the matrix product's
-    spec = eg.spec
-    one, zero = Poly.constant(spec, 1, 2), Poly.zero(spec, 2)
-    comm = _f_rows(one, zero, *_f_commutator(*_separation_families(spec, eg.g)))
-    ident = _p_identity(spec, 2)
-    for i in range(4):
-        for j in range(4):
-            cert = (comm[i][j] - ident[i][j]).monomial_certificate()
-            if cert is not None and min(cert[1]) >= 1:  # c * a^ea * b^eb, ea, eb >= 1
-                coeff, (ea, eb) = cert
-                return SeparationReport(entry=(i, j), monomial=f"{coeff}*a^{ea}*b^{eb}")
+    comm = dict(zip(FCoords._fields, _f_commutator(*_separation_families(eg.spec, eg.g.f))))
+    for name, i, j in sorted(_F_ENTRIES, key=lambda entry: entry[1:]):
+        cert = comm[name].monomial_certificate()
+        if cert is not None and min(cert[1]) >= 1:  # c * a^ea * b^eb, ea, eb >= 1
+            coeff, (ea, eb) = cert
+            return SeparationReport(entry=(i, j), monomial=f"{coeff}*a^{ea}*b^{eb}")
     raise SymbolicFailure("no commutator entry is a nonzero monomial a^i b^j with i, j >= 1")
 
 
@@ -608,20 +641,22 @@ def witness_path8(eg: ExampleGroup) -> PathReport:
     consecutive pair is checked to commute, and the nine elements are
     pairwise distinct and nonidentity.
     """
-    spec = eg.spec
+    spec, ctx = eg.spec, eg.ctx
     one, zero = spec.one(), spec.zero()
-    w = FCoords(a=one, b=zero, c=zero, d=zero, x=zero).to_matrix(spec)
-    u = FCoords(a=zero, b=zero, c=one, d=zero, x=zero).to_matrix(spec)
-    g, g_inv = eg.g, eg.g_inverse
+    w = GElement(FCoords(a=one, b=zero, c=zero, d=zero, x=zero), ctx.identity(), ctx)
+    u = GElement(FCoords(a=zero, b=zero, c=one, d=zero, x=zero), ctx.identity(), ctx)
+    g, g_inv = eg.g, eg.g.inverse()
     path = [eg.x, eg.xr, eg.c, w, u, g_inv * w * g, g_inv * eg.c * g, g_inv * eg.xr * g, eg.y]
     labels = ["x", "x^r", "c", "w", "u", "w*", "c^g", "(x^r)^g", "y"]
     for i in range(len(path) - 1):
         if path[i] * path[i + 1] != path[i + 1] * path[i]:
             raise PathBroken(i, f"{labels[i]} and {labels[i + 1]} do not commute")
-    if len(set(path)) != len(path):
-        raise PathBroken(-1, "path elements are not distinct")
+    # x, x^r, c and w come back conjugated by g, so an identity on the path
+    # is also a repeated element; it is named first
     if any(e.is_identity() for e in path):
         raise PathBroken(-1, "identity appears on the path")
+    if len(set(path)) != len(path):
+        raise PathBroken(-1, "path elements are not distinct")
     return PathReport(labels=labels, elements=path)
 
 
@@ -633,11 +668,6 @@ class Class3Report(namedtuple(
     @property
     def ok(self):
         return self.derived_nontrivial and self.triple_nontrivial and self.quadruple_trivial
-
-
-def _f_coords(rows):
-    """The coordinates (a, b, c, d, x) of an F matrix, over any ring."""
-    return rows[1][0], rows[2][0], rows[3][0], rows[3][1], rows[2][1]
 
 
 def _f_mul(g, h):
@@ -663,8 +693,8 @@ def _check_f_law(spec):
     """Check `_f_mul` and `_f_inv` against the symbolic matrix product of two
     generic F elements; raises SymbolicFailure if either differs."""
     one, zero = Poly.constant(spec, 1, 8), Poly.zero(spec, 8)
-    m1, m2 = generic_f_matrix(spec, 8, 0), generic_f_matrix(spec, 8, 4)
-    g, h = _f_coords(m1), _f_coords(m2)
+    g, h = generic_f_coords(spec, 8, 0), generic_f_coords(spec, 8, 4)
+    m1, m2 = _f_rows(one, zero, *g), _f_rows(one, zero, *h)
     if _f_rows(one, zero, *_f_mul(g, h)) != _p_mat_mul(m1, m2):
         raise SymbolicFailure("the product in F's coordinates differs from the matrix product")
     if _p_mat_mul(m1, _f_rows(one, zero, *_f_inv(g))) != _p_identity(spec, 8):
@@ -678,20 +708,14 @@ def verify_f_class3(eg: ExampleGroup) -> Class3Report:
     `ExampleGroup.f_law` checks.
     """
     eg.f_law  # raises SymbolicFailure unless the law is the matrix product's
-    spec = eg.spec
-    nvars = 16
-    gs = [_f_coords(generic_f_matrix(spec, nvars, 4 * i)) for i in range(4)]
+    gs = [generic_f_coords(eg.spec, 16, 4 * i) for i in range(4)]
     comm2 = _f_commutator(gs[0], gs[1])
     comm3 = _f_commutator(comm2, gs[2])
     comm4 = _f_commutator(comm3, gs[3])
-
-    def trivial(coords):
-        return all(e.is_zero() for e in coords)
-
     return Class3Report(
-        derived_nontrivial=not trivial(comm2),
-        triple_nontrivial=not trivial(comm3),
-        quadruple_trivial=trivial(comm4),
+        derived_nontrivial=not _is_trivial(comm2),
+        triple_nontrivial=not _is_trivial(comm3),
+        quadruple_trivial=_is_trivial(comm4),
     )
 
 
@@ -774,7 +798,7 @@ def run_all_checks(q: int = 11, r: int = 5, t: int = 3221) -> dict:
 
     def chk_centralizers():
         cx = centralizer_in_G(eg, eg.x)
-        x_powers = set(eg.ctx.powers(eg.ctx.from_matrix(eg.x)))
+        x_powers = set(eg.ctx.powers(eg.x.d))
         if set(cx.d_part) != x_powers or cx.order != r * r:
             raise CheckFailed("centralizers", f"C_G(x) order {cx.order}")
         cxr = centralizer_in_G(eg, eg.xr)

@@ -1,15 +1,13 @@
-"""Invertible matrices over GF(p^k) with a Frobenius twist, and the helpers
-that multiply bare group elements.
+"""Invertible matrices over GF(p^k) with a Frobenius twist, and the square
+matrix helpers.
 
-`MatrixAutElement` is the matrix element backend of `groups`; the witness
-family in `diameter8` builds its matrices from it directly.  The square
+`MatrixAutElement` is the matrix element backend of `groups`.  The square
 matrix helpers work over any ring whose elements have `is_zero`, so the
-symbolic checks reuse them on polynomial entries.  The field layer is
-reached through the lazy `fields` module, so importing this module, as
-`groups` does, compiles no field code.  `conjugate` multiplies, for callers
-that hold bare elements of either backend.  Nothing here multiplies until a
-product returns to the identity: the witness family reads the order of x
-off the diagonal x^r.
+witness family in `diameter8`, which holds its group in coordinates, uses
+them only for its symplectic check and, on polynomial entries, for the
+check of F's coordinate law.  The field layer is reached through the lazy
+`fields` module, so importing this module, as `groups` does, compiles no
+field code.
 """
 
 from __future__ import annotations
@@ -137,8 +135,3 @@ def _mat_inv(spec, a):
                 fac = aug[r][col]
                 aug[r] = [aug[r][i] - fac * aug[col][i] for i in range(2 * dim)]
     return tuple(tuple(aug[i][dim:]) for i in range(dim))
-
-
-def conjugate(x, g):
-    """x^g = g^{-1} x g."""
-    return g.inverse() * x * g

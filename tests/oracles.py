@@ -28,12 +28,17 @@ irreducibility from trial division; the irreducibility test also has its
 older form by repeated p-th powers and a gcd.  The powers and order of a
 group element come from multiplying until the identity returns, and a walk
 can run over WrappedPermutation, a permutation wrapped around its image
-tuple as the backend once stored it.  The normal form of an element of D
-comes from matrix products, and the inverse of a symbolic unitriangular
-matrix from its alternating series.  Seven library helpers that only the tests call live here too: a
-greedy generating set of a subgroup, a subgroup as a group of its own, the
-derived subgroup, the Sylow profile of a Frobenius complement, the search
-for a complement, polynomial evaluation, and x^n in D's normal form.
+tuple as the backend once stored it.  The witness group, which the library
+holds in coordinates, has its matrix model here: the 4x4 twisted matrix of
+an element (f, d), the normal form of a matrix in D read off its diagonal
+or found by matrix products, C_G(w) from w's matrix, and the 8-edge path
+walked and checked by matrix products.  The inverse of a symbolic
+unitriangular matrix comes from its alternating series.  Library helpers
+that only the tests call live here too: a greedy generating set of a
+subgroup, a subgroup as a group of its own, the derived subgroup, the Sylow
+profile of a Frobenius complement, the search for a complement, polynomial
+evaluation, x^n in D's normal form, and the conjugate x^g of two group
+elements.
 The polynomials of the symbolic checks, whose coefficients are ints in
 GF(p), have their earlier form here as FieldPoly, whose coefficients are
 field elements and whose every term operation is field arithmetic.
@@ -807,16 +812,21 @@ _F_POSITIONS = (
 )
 
 
+def is_diagonal(w) -> bool:
+    """w's matrix has no nonzero entry off the diagonal; w may have a twist."""
+    return all(w.mat[i][j].is_zero() for i in range(w.dim) for j in range(w.dim) if i != j)
+
+
 def entrywise_fixed_points_in_F(eg, w):
-    """C_F(w) for a diagonal-with-twist w, entry by entry: one solution set
-    per matrix entry of F, the two entries of a intersected, and the
-    relation x*a = b - d imposed by summing over the solution sets."""
-    from commgraph.diameter8 import ALL, FixedPointReport, _fixed_set, _is_diagonal
+    """C_F(w) for a diagonal-with-twist matrix w, entry by entry: one
+    solution set per matrix entry of F, the two entries of a intersected,
+    and the relation x*a = b - d imposed by summing over the solution sets."""
+    from commgraph.diameter8 import ALL, FixedPointReport, _fixed_set
 
     spec = eg.spec
     if w.is_identity():
         raise NotNormalizing("fixed points of the identity are all of F")
-    if not _is_diagonal(w):
+    if not is_diagonal(w):
         raise NotNormalizing("w must be diagonal to normalize F entry-wise")
     lam = [w.mat[i][i] for i in range(4)]
     entry_sets = {
@@ -992,9 +1002,67 @@ def x_power(ctx, n):
     j < r, x^j built from its diagonal and twist j: one matrix product."""
     m, j = divmod(n % ctx.order_x, ctx.spec.k)
     zero = ctx.spec.zero()
-    xr_m = [ctx.xr.mat[i][i] ** m for i in range(ctx.xr.dim)]
+    xr_m = [e ** m for e in ctx.xr_diag]
     x_j = MatrixAutElement(ctx.spec, _diag(zero, ctx.x_powers[j]), j)
     return MatrixAutElement(ctx.spec, _diag(zero, xr_m), 0) * x_j
+
+
+def c_matrix(ctx, h):
+    """c_h = diag(h, h, h^-1, h^-1)."""
+    hinv = h.inverse()
+    return MatrixAutElement(ctx.spec, _diag(ctx.spec.zero(), [h, h, hinv, hinv]), 0)
+
+
+def d_matrix(ctx, e):
+    """The matrix x^i c_h of the normal form (i, h)."""
+    return x_power(ctx, e[0]) * c_matrix(ctx, e[1])
+
+
+def f_matrix(spec, coords):
+    """The unipotent F matrix with coordinates (a, b, c, d, x)."""
+    from commgraph.diameter8 import _f_rows
+
+    return MatrixAutElement(spec, _f_rows(spec.one(), spec.zero(), *coords), 0)
+
+
+def g_matrix(elem):
+    """The matrix of the element f d of G held in coordinates: F's matrix
+    of f times the matrix of d's normal form."""
+    ctx = elem.ctx
+    return f_matrix(ctx.spec, elem.f) * d_matrix(ctx, elem.d)
+
+
+def x_matrix(eg):
+    """x = z * beta of an example, as the twisted matrix with diagonal z."""
+    return MatrixAutElement(eg.spec, _diag(eg.spec.zero(), eg.z), 1)
+
+
+def conjugate(x, g):
+    """x^g = g^{-1} x g."""
+    return g.inverse() * x * g
+
+
+def from_matrix(ctx, elem):
+    """The normal form of the matrix elem in D, or None if elem is not in D.
+
+    For i = m r + j, x^i c_h has twist j and the diagonal d of (x^r)^m x^j
+    times Frob^-j of c_h's.  So elem = x^i c_h exactly when elem is
+    diagonal, its diagonal e over d is (h', h', h'^-1, h'^-1), and
+    h = Frob^j(h') has h^t = 1; no matrix is multiplied.
+    """
+    if not is_diagonal(elem):
+        return None
+    j = elem.twist
+    e = [elem.mat[n][n] for n in range(4)]
+    d = ctx.x_powers[j]
+    for i in range(j, ctx.order_x, ctx.spec.k):
+        h = e[0] / d[0]
+        if (e[1], e[2] * h, e[3] * h) == (h * d[1], d[2], d[3]):
+            h = frobenius_map(h, j)
+            if h ** ctx.order_c == ctx.one:
+                return (i, h)
+        d = [a * b for a, b in zip(d, ctx.xr_diag)]
+    return None
 
 
 def product_form_from_matrix(ctx, elem):
@@ -1004,9 +1072,44 @@ def product_form_from_matrix(ctx, elem):
     for i in range(elem.twist, ctx.order_x, ctx.spec.k):
         rest = x_power(ctx, -i) * elem
         h = rest.mat[0][0]
-        if h ** ctx.order_c == ctx.one and rest == ctx.c_matrix(h):
+        if h ** ctx.order_c == ctx.one and rest == c_matrix(ctx, h):
             return (i, h)
     return None
+
+
+def matrix_centralizer_in_G(eg, w):
+    """C_G(w) for the matrix w of a nonidentity element of D: its normal
+    form read off by `from_matrix`, C_D of it by the library's description,
+    and C_F(w) entry by entry."""
+    from commgraph.diameter8 import CentralizerReport
+
+    c_d = eg.ctx.centralizer(from_matrix(eg.ctx, w))
+    fp = entrywise_fixed_points_in_F(eg, w)
+    d_order = eg.ctx.count(c_d)
+    return CentralizerReport(
+        d_part_order=d_order, f_part=fp, order=d_order * fp.count, d_part=c_d)
+
+
+def matrix_path8(eg):
+    """The path x ~ x^r ~ c ~ w ~ u ~ w* ~ c^g ~ (x^r)^g ~ y of
+    `witness_path8` as twisted matrices: x from z, x^r by r - 1 products,
+    c from f, g from its coordinates, and each of the last four the
+    conjugate of the matching element by g.  Every consecutive pair is
+    checked to commute by two matrix products."""
+    spec = eg.spec
+    one, zero = spec.one(), spec.zero()
+    x = x_matrix(eg)
+    xr = functools.reduce(lambda a, b: a * b, [x] * spec.k)
+    finv = eg.f.inverse()
+    c = MatrixAutElement(spec, _diag(zero, [eg.f, eg.f, finv, finv]), 0)
+    g = f_matrix(spec, eg.g.f)
+    w = f_matrix(spec, (one, zero, zero, zero, zero))
+    u = f_matrix(spec, (zero, zero, one, zero, zero))
+    path = [x, xr, c, w, u] + [conjugate(e, g) for e in (w, c, xr, x)]
+    for a, b in zip(path, path[1:]):
+        if a * b != b * a:
+            raise AssertionError(f"{a} and {b} do not commute")
+    return path
 
 
 def _p_mat_sub(a, b):

@@ -39,7 +39,6 @@ from commgraph.errors import EmptyGraph
 from commgraph.fields import field_create, frobenius_map
 from commgraph.graph import build_graph, diameter_and_components, distance
 from commgraph.groups import (
-    MatrixAutElement,
     center,
     is_normal,
     is_soluble,
@@ -178,7 +177,7 @@ def test_criterion_4d_symplectic(example_group):
 
 def test_criterion_4e_trivial_fixed_points(example_group):
     eg = example_group
-    zr = MatrixAutElement(eg.spec, eg.xr.mat, 0)
+    zr = eg.xr
     fz = fixed_points_in_F(eg, zr)
     fx = fixed_points_in_F(eg, eg.x)
     report(
@@ -199,7 +198,7 @@ def test_criterion_4f_cfc_order(example_group):
 def test_criterion_4g_centralizer_x(example_group):
     eg = example_group
     rep = centralizer_in_G(eg, eg.x)
-    x_powers = set(eg.ctx.powers(eg.ctx.from_matrix(eg.x)))
+    x_powers = set(eg.ctx.powers(eg.x.d))
     report(
         4,
         "(g) C_G(x) = <x> of order 25",

@@ -20,8 +20,7 @@ from extra_groups import LADDER
 
 from commgraph import cli, diameter8
 from commgraph.corpus import list_corpus
-from commgraph.fields import Poly
-from commgraph.matrices import MatrixAutElement, _diag
+from commgraph.fields import FIELD_CAP, Poly
 from commgraph.cli import (
     EXIT_CAP,
     EXIT_CHECK_FAILED,
@@ -304,24 +303,21 @@ def test_process_entry_without_standard_streams(tmp_path):
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 def test_closed_stdout_pipe_is_reported_as_by_a_normal_exit(unbuffered):
-    # buffered, the report waits in stdout's buffer, the flush fails, and the
-    # interpreter's shutdown flushes again, reports the failure and exits 120;
-    # unbuffered, the write itself raises in _write and the traceback exits 1
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        done = run_process("-m", "commgraph.cli", "search-params", "--q-max", "43",
-                           unbuffered=unbuffered, stdout=write_end)
-    finally:
-        os.close(write_end)
-    lines = done.stderr.decode().splitlines()
-    assert lines[-1] == "BrokenPipeError: [Errno 32] Broken pipe", done.stderr
-    if unbuffered:
-        assert done.returncode == 1
-        assert lines[-3].endswith(", in _write") and lines[-2].strip() == "sys.stdout.write(text)"
-    else:
-        assert done.returncode == 120
-        assert lines[-2].startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+    # a report under stdout's 8 KiB buffer and one over it (the corpus three
+    # times, 8526 bytes): buffered or not, the write or its flush fails, and
+    # the process ends with one error line and exit 1, as for an --out that
+    # cannot be written, with no traceback and no second report of the pipe
+    corpus = [data_path(name) for name in list_corpus()] * 3
+    for argv in (["search-params", "--q-max", "43"], ["analyze", *corpus]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_process("-m", "commgraph.cli", *argv,
+                               unbuffered=unbuffered, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (
+            EXIT_PARSE, b"error: cannot write stdout: Broken pipe\n"), (argv[0], done.stderr)
 
 
 def test_installed_command_is_the_process_entry():
@@ -402,22 +398,24 @@ def test_tracer_round_trip_restores_every_namespace():
     # that holds it, loading the lazy ones as it walks them; diameter8 is
     # registered first so that it binds the originals before the defining
     # modules are rebound, and remove() then leaves no wrapper behind.  It
-    # counts matrix products through groups.MatrixAutElement, which is the
-    # class that matrices defines and diameter8 builds the witness from:
-    # 28 for paper-verify, as test_diameter8's product budget pins.
+    # counts matrix products through groups.MatrixAutElement, the class that
+    # matrices defines: none for paper-verify, whose witness group is held
+    # in coordinates, as test_diameter8's product budget pins, and the
+    # measured count for graph-export of the matrix group q8.
     root = Path(__file__).resolve().parents[1]
     probe = (
         "import sys\n"
         "from commgraph.cli import main\n"
         "import spans\n"
-        f"sym4 = {data_path('sym4')!r}\n"
+        f"sym4, q8 = {data_path('sym4')!r}, {data_path('q8')!r}\n"
         "quiet = ['--out', __import__('os').devnull]\n"
         "main(['search-params', '--q-max', '11', *quiet])\n"
         "tracer = spans.Tracer()\n"
         "tracer.install()\n"
         "try:\n"
         "    codes = [main(['search-params', '--q-max', '11', *quiet]),\n"
-        "             main(['analyze', sym4, *quiet]), main(['paper-verify', *quiet])]\n"
+        "             main(['analyze', sym4, *quiet]), main(['paper-verify', *quiet]),\n"
+        "             main(['graph-export', q8, *quiet])]\n"
         "finally:\n"
         "    tracer.remove()\n"
         "products = tracer.product_counts()['groups.matrix_products']\n"
@@ -435,7 +433,7 @@ def test_tracer_round_trip_restores_every_namespace():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")])),
     )
-    assert (done.returncode, done.stdout) == (0, "[0, 0, 0] True True True 28 []\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[0, 0, 0, 0] True True True 16 []\n"), done.stderr
 
 
 def test_tracer_sees_the_public_frobenius_tests():
@@ -505,19 +503,23 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 @pytest.mark.parametrize("report", sorted(p.name for p in GOLDEN.glob("paper_verify_*")))
 def test_paper_verify_matches_golden_report(capsys, report):
-    # one report per search-params --q-max 43 triple besides the default,
-    # in JSON and CSV
+    # one report per search-params --q-max 79 triple besides the default,
+    # in JSON and CSV; a field GF(q^r) over the cap fails at build
     q, r, t = report[len("paper_verify_"):].partition(".")[0].split("_")
     fmt = report.rpartition(".")[2]
-    code, out, _ = run(["paper-verify", "--q", q, "--r", r, "--t", t, "--format", fmt], capsys)
-    assert code == EXIT_OK
+    code, out, err = run(["paper-verify", "--q", q, "--r", r, "--t", t, "--format", fmt], capsys)
+    if int(q) ** int(r) > FIELD_CAP:
+        assert (code, err) == (EXIT_CHECK_FAILED, "check failed: build\n")
+    else:
+        assert (code, err) == (EXIT_OK, "")
     assert out.encode() == (GOLDEN / report).read_bytes()
 
 
 def test_golden_reports_cover_the_other_listed_triples():
     triples = {p.name.partition(".")[0] for p in GOLDEN.glob("paper_verify_*")}
-    listed = {f"paper_verify_{p.q}_{p.r}_{p.t}" for p in diameter8.find_params(43)}
+    listed = {f"paper_verify_{p.q}_{p.r}_{p.t}" for p in diameter8.find_params(79)}
     assert triples == listed - {"paper_verify_11_5_3221"}
+    assert len(triples) == 13
     assert len(list(GOLDEN.glob("paper_verify_*"))) == 2 * len(triples)
 
 
@@ -665,8 +667,10 @@ def _xr_off_the_ground_field(monkeypatch, eg):
     spec = eg.spec
     X = spec.element([0, 1] + [0] * (spec.k - 2))
     monkeypatch.setattr(diameter8, "norm", lambda a: X)
-    diag = [X, X, X.inverse(), X.inverse()]
-    return eg._replace(xr=MatrixAutElement(spec, _diag(spec.zero(), diag), 0))
+    ctx = copy.copy(eg.ctx)
+    ctx.xr_diag = [X, X, X.inverse(), X.inverse()]
+    ctx.multipliers = {}  # D's action on F changes with x^r, so the copy keeps its own
+    return eg._replace(ctx=ctx)
 
 
 def _xr_of_order_25(monkeypatch, eg):
@@ -691,7 +695,8 @@ PAPER_VERIFY_FAILURES = {
     "xr-commutes-c": (
         lambda mp, eg: eg._replace(c=eg.g), "d_structure", "xr-commutes-c", "d_structure"),
     "conj-c-by-x": (
-        lambda mp, eg: eg._replace(f=eg.spec.one(), c=eg.ctx.c_matrix(eg.spec.one())),
+        lambda mp, eg: eg._replace(
+            f=eg.spec.one(), c=diameter8.GElement(eg.c.f, (0, eg.spec.one()), eg.ctx)),
         "d_structure", "conj-c-by-x: c^q == c", "d_structure"),
     "d-order": (
         lambda mp, eg: eg._replace(params=eg.params._replace(t=7)),

@@ -16,7 +16,7 @@ from oracles import (
 
 from commgraph.corpus import list_corpus
 from commgraph.errors import EmptyGraph, NotAVertex
-from commgraph.graph import build_graph, diameter_and_components, distance
+from commgraph.graph import _class_bfs, build_graph, diameter_and_components, distance
 from commgraph.groups import GroupHandle, PermutationElement, center
 from commgraph.primes import is_prime
 
@@ -319,3 +319,32 @@ def test_a6_components_pinned_as_measured():
     report = diameter_and_components(build_graph(G))
     assert 1 + cyclic_p_subgroups(6, 5) == 37
     assert len(report["components"]) == 47
+
+
+@pytest.mark.parametrize("family, n, diameter", [
+    ("S", 5, 5), ("S", 6, 4), ("S", 7, 5), ("S", 8, 4), ("A", 6, 6), ("A", 7, 5), ("A", 8, 4),
+])
+def test_symmetric_and_alternating_component_diameters(family, n, diameter):
+    """Morgan and Parker (J. Algebra 393, 2013): when G has a trivial centre,
+    every component of its commuting graph has diameter at most 10.  Here
+    one component has several centralizer classes; conjugation permutes the
+    components, so it maps that one to itself, and every orbit of classes
+    meeting it has its BFS source inside.  Every other component is one
+    class of at least two elements, which commute: diameter 1.  The large
+    component's diameter is pinned as measured."""
+    G = (symmetric_group if family == "S" else alternating_group)(n).materialize()
+    assert center(G).is_trivial()
+    graph = build_graph(G)
+    components = diameter_and_components(graph)["components"]
+    (big,) = [comp for comp in components if len(comp) > 1]
+    inside = set(big)
+
+    def eccentricity(c):
+        return max(_class_bfs(graph, c)[0].values())
+
+    big_diameter = max(eccentricity(c) for c in graph.sources if c in inside)
+    if len(big) <= 100:  # S5, A6: the sources give what every class gives
+        assert big_diameter == max(eccentricity(c) for c in big)
+    lone = [graph.classes[c] for comp in components if len(comp) == 1 for c in comp]
+    assert len(lone) == len(components) - 1 and all(len(cls) >= 2 for cls in lone)
+    assert big_diameter == diameter <= 10

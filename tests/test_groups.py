@@ -11,6 +11,7 @@ from oracles import (
     brute_center,
     brute_centralizer,
     brute_is_normal,
+    conjugate,
     derived_subgroup,
     exhaustive_derived,
     exhaustive_fitting,
@@ -47,7 +48,7 @@ from commgraph.groups import (
     sylow_subgroup,
 )
 from commgraph.groups import _compose
-from commgraph.matrices import _mat_frob, _mat_mul, conjugate
+from commgraph.matrices import _mat_frob, _mat_mul
 
 
 def P(*images):

@@ -1,5 +1,6 @@
 """Smoke tests of the read-only scripts, each run as its own process."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -31,3 +32,25 @@ def test_witness_family_report_base_triple():
     assert done.returncode == 0, done.stderr
     assert "  11   5            3221  54173193341944394740910525\n" in done.stdout
     assert done.stdout.endswith("  => all checks passed\n")
+
+
+def test_mutation_probe_kills_a_known_mutant_outside_src():
+    # one mutant of cli._at_least_1 (value < 1 made value < 0 at seed 0),
+    # killed by the test of --cap below 1; the probe mutates a copy, so no
+    # file under src/ changes
+    def digest():
+        return {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in (ROOT / "src").rglob("*.py")}
+
+    before = digest()
+    done = run_script(
+        "mutation_probe.py", "cli._at_least_1", "--seed", "0", "--sample", "1",
+        "--tests", "tests/test_cli.py::test_cap_below_one_is_a_usage_error",
+    )
+    assert done.returncode == 0, done.stderr
+    header, row, summary = done.stdout.splitlines()
+    n, where, *rest = row.split()
+    assert n == "1" and where.startswith("cli.py:")
+    assert rest[:6] == ["cli._at_least_1", "1", "->", "0", "killed",
+                        "tests/test_cli.py::test_cap_below_one_is_a_usage_error[flag0-None---cap"]
+    assert summary == "1 mutants of 2 sites (seed 0): 1 killed, 0 survived, 0 timeout"
+    assert digest() == before
