@@ -6,10 +6,10 @@ temporary directory: a comparison flipped (== and !=, < and >=, > and <=,
 is and is not, in and not in), an arithmetic operator swapped (+ and -,
 * and /, // to *, % to //, ** to *), or an integer constant 0, 1 or 2
 changed (0 to 1, 1 to 0, 2 to 1).  The repository's `src/` is never
-written.  For each mutant pytest runs on the copy with -x, acceptance
-criteria 4f and 4i deselected (they fail on the unmutated code), and a
-per-mutant timeout.  The table lists each mutant with its result: killed
-(with the first failing test), survived, or timeout.
+written.  For each mutant pytest runs `tests/` on the copy with -x,
+acceptance criteria 4f and 4i deselected (they fail on the unmutated
+code), and a timeout of TIMEOUT seconds.  The table lists each mutant with
+its result: killed (with the first failing test), survived, or timeout.
 
 The sites are listed in source order, and the sample is drawn from them
 with the seed, so the same seed, sample size and targets give the same
@@ -17,7 +17,6 @@ mutants; with the same tests the table is the same.
 
 Usage:
   python scripts/mutation_probe.py TARGET ... [--seed N] [--sample K]
-      [--timeout SECONDS] [--tests PATH ...]
 
 A target is a module of the package (`diameter8`), a class in it
 (`diameter8.GElement`, every method) or a function or method
@@ -40,6 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = "commgraph"
+TIMEOUT = 300  # seconds per mutant; all of tests/ runs in about a minute
 DESELECTED = (
     "tests/test_acceptance.py::test_criterion_4f_cfc_order",
     "tests/test_acceptance.py::test_criterion_4i_centralizer_c_order",
@@ -117,16 +117,16 @@ def _mutated_source(text: str, site) -> str:
     return ast.unparse(tree) + "\n"
 
 
-def _run_tests(copy_src: Path, tests: list[str], timeout: float) -> tuple[str, str]:
+def _run_tests(copy_src: Path) -> tuple[str, str]:
     """("killed", first failing test), ("survived", "") or ("timeout", "")."""
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-rfE", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-rfE", "tests"]
     for test in DESELECTED:
         cmd += ["--deselect", test]
     env = dict(os.environ, PYTHONPATH=str(copy_src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
-        out, _ = proc.communicate(timeout=timeout)
+        out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
@@ -143,8 +143,6 @@ def main(argv=None) -> int:
     parser.add_argument("targets", nargs="+", help="module, class or function names")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--sample", type=int, default=10, help="mutants to draw")
-    parser.add_argument("--timeout", type=float, default=300, help="seconds per mutant")
-    parser.add_argument("--tests", nargs="+", default=["tests"], help="pytest paths")
     args = parser.parse_args(argv)
 
     sites = []
@@ -167,7 +165,7 @@ def main(argv=None) -> int:
             original = path.read_text(encoding="utf-8")
             path.write_text(_mutated_source(original, site), encoding="utf-8")
             try:
-                result, killer = _run_tests(copy_src, args.tests, args.timeout)
+                result, killer = _run_tests(copy_src)
             finally:
                 path.write_text(original, encoding="utf-8")
             where = "{}.py:{}:{}-{}".format(module, *site[2])

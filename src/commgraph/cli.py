@@ -133,11 +133,6 @@ def _write(text: str, out: str | None):
             sys.stdout.write(text)
             sys.stdout.flush()
         except OSError as exc:
-            # the report is lost; fd 1 goes to the null device so that no
-            # later flush fails again, and main reports the loss once
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
-            os.close(devnull)
             raise _Refused(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:
@@ -278,11 +273,19 @@ def run():
     before main returns, and the package has no atexit handler, thread or
     finalizer with side effects.  A stream is None when its descriptor was
     closed at start-up.  The report on stdout was flushed by _write, which
-    turns a failure there into one error line; if a flush here fails (stderr
-    on a full disk), sys.exit lets the interpreter's shutdown report it as
-    usual; a SystemExit from argparse or an uncaught exception takes that
-    path too."""
+    turns a failure there into one error line, so if stdout fails again here
+    (a closed pipe) what its buffer holds goes to the null device, and no
+    later flush can fail.  If a flush of stderr fails (a full disk),
+    sys.exit lets the interpreter's shutdown report it as usual; a
+    SystemExit from argparse or an uncaught exception takes that path too."""
     code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:

@@ -14,9 +14,9 @@ G = F D is held in coordinates, not as matrices: an element is a pair
 checked once per example against the symbolic matrix product; D's law is
 the metacyclic relation x^-1 c x = c^q; and D acts on F's coordinates
 entry by entry, each coordinate scaled by a ratio of the diagonal of d and
-moved by d's twist, which needs lam_0 lam_3 = lam_1 lam_2 of x's and c's
-diagonals, checked at build.  Only the symplectic check and the law check
-build 4x4 matrices.
+moved by d's twist.  The relation, by the normal-form product, and the
+action, against the twisted matrices, are checked at build.  Only the
+symplectic check and these two law checks build 4x4 matrices.
 
 The arithmetic follows the closed forms of the field: q = p, so a power
 h^(q^k) is Frob^k(h), a cached linear map, and the Hilbert-90 test takes a
@@ -61,7 +61,7 @@ from .fields import (
     frobenius_map,
     norm,
 )
-from .matrices import _diag, _mat_mul
+from .matrices import _diag, _mat_frob, _mat_mul
 from .params import ParamTriple, example_group_order, find_params, validate_params  # noqa: F401
 
 ALL = "all"  # marker for a solution set equal to the whole field, or to all of <f>
@@ -147,17 +147,17 @@ class _NormalForm:
     """D = <x, c> as pairs (i, h) standing for x^i * c_h, where h lies in <f>
     and c_h = diag(h, h, h^-1, h^-1), so that c^j = c_(f^j).
 
-    x = z * beta has the diagonal z and twist 1, and c = c_f.  Both
-    normalize F, which needs lam_0 lam_3 = lam_1 lam_2 of their diagonals
-    lam; the constructor checks it, or raises NotNormalizing.  Then
-    x^-1 c_h x = c_(Frob(h)), so the relation x^{-1} c x = c^q is
-    Frob(f) = f^q, checked in that closed form.  It gives
+    x = z * beta has the diagonal z and twist 1, and c = c_f.  In the
+    twisted matrices x^-1 c_h x = c_(Frob(h)), and q = p is prime
+    (`validate_params` checks it), so x^{-1} c x = c^q and
     c_h x^k = x^k c_(h^(q^k)), hence the product
-    (i, h)(k, h') = (i + k, Frob^k(h) h'), with i taken mod ord(x): q = p is
-    prime (`validate_params` checks it), so h^(q^k) is the k-th power of
-    Frobenius, a cached linear map.  The constructor also checks that the
-    two orders are coprime, so <c> is normal, <x> meets it trivially and
-    every element of D has exactly one normal form: |D| = ord(x) * ord(c).
+    (i, h)(k, h') = (i + k, Frob^k(h) h'), with i taken mod ord(x), where
+    h^(q^k) is the k-th power of Frobenius, a cached linear map.  The
+    constructor checks the relation by this product, which fails if the
+    product's twist runs the wrong way, and checks `act` against the
+    twisted matrices (`_check_action`).  It also checks that the two
+    orders are coprime, so <c> is normal, <x> meets it trivially and every
+    element of D has exactly one normal form: |D| = ord(x) * ord(c).
 
     x has twist 1 over GF(q^r), so x^n has twist n mod r and x^n = 1 needs
     r | n: ord(x) = r * ord(x^r).  x^(j+1) = x^j x has the diagonal of x^j
@@ -171,10 +171,6 @@ class _NormalForm:
     def __init__(self, spec: FieldSpec, z, f: FieldElement, t: int):
         self.spec = spec
         r, q = spec.k, spec.p
-        f_inv = f.inverse()
-        for name, lam in (("x", z), ("c", (f, f, f_inv, f_inv))):
-            if lam[0] * lam[3] != lam[1] * lam[2]:
-                raise NotNormalizing(f"{name} does not normalize F: lam_0 lam_3 != lam_1 lam_2")
         diags = [[spec.one()] * 4]
         for j in range(r):
             diags.append([a * frobenius_map(b, -j) for a, b in zip(diags[-1], z)])
@@ -186,13 +182,13 @@ class _NormalForm:
         self.order = self.order_x * self.order_c
         if math.gcd(self.order_x, self.order_c) != 1:
             raise NoSuchParams(f"ord(x) = {self.order_x} and ord(c) = {self.order_c} not coprime")
-        if frobenius_map(f) != f ** q:
-            raise NoSuchParams("x^{-1} c x != c^q: D has no metacyclic normal form")
         # h has order dividing ord(c), so h^(q^k) = h^(q^k mod ord(c))
         self.qpow = [pow(q, k, self.order_c) for k in range(self.order_x)]
         self.one = spec.one()
         self.x, self.c = (1, self.one), (0, f)
-        self.multipliers: dict = {}  # filled by `act`
+        if self.mul(self.inverse(self.x), self.mul(self.c, self.x)) != (0, f ** q):
+            raise NoSuchParams("x^{-1} c x != c^q: D has no metacyclic normal form")
+        _check_action(self, z, f)
 
     def identity(self):
         return (0, self.one)
@@ -217,13 +213,11 @@ class _NormalForm:
     def act(self, f, a):
         """f^a = a^-1 f a, for f in F's coordinates and a in D, which
         normalizes F: each coordinate m becomes mu * sigma(m) by the
-        `_multipliers` of a's diagonal and twist, found once per a."""
+        `_multipliers` of a's diagonal and twist."""
         if a == self.identity() or _is_trivial(f):
             return f
-        if a not in self.multipliers:
-            lam, twist = self.diagonal(a)
-            self.multipliers[a] = _multipliers(lam, twist), twist
-        mu, twist = self.multipliers[a]
+        lam, twist = self.diagonal(a)
+        mu = _multipliers(lam, twist)
         return tuple(mu[name] * frobenius_map(m, twist) for name, m in zip(FCoords._fields, f))
 
     def powers(self, e):
@@ -699,6 +693,36 @@ def _check_f_law(spec):
         raise SymbolicFailure("the product in F's coordinates differs from the matrix product")
     if _p_mat_mul(m1, _f_rows(one, zero, *_f_inv(g))) != _p_identity(spec, 8):
         raise SymbolicFailure("the inverse in F's coordinates is not the matrix inverse")
+
+
+def _check_action(ctx: _NormalForm, z, f: FieldElement):
+    """Check D's product and action on F's coordinates against the twisted
+    matrices, once per example; raises NotNormalizing if they differ.
+
+    In the twisted product (A, i)(B, j) = (A Frob^-i(B), i + j) of
+    `matrices.MatrixAutElement`, x is (diag(z), 1), c is
+    (diag(f, f, f^-1, f^-1), 0), and m' = a^-1 m a for a = (A, j) means
+    (m, 0)(A, j) = (A, j)(m', 0), that is m A = A Frob^-j(m').  The check
+    takes a = x and a = c x x: both generators, a twist of 2 and a c-part
+    moved by a twist.  Every coordinate of the F element lies outside
+    GF(q), so a twist shows on it, and the entry -a at (3, 2) matches only
+    if lam_0 lam_3 = lam_1 lam_2.
+    """
+    spec = ctx.spec
+    one, zero = spec.one(), spec.zero()
+    theta = spec.element([0, 1] + [0] * (spec.k - 2))
+    f0 = FCoords(a=theta, b=theta + theta * theta, c=theta, d=theta, x=theta)
+    m = _f_rows(one, zero, *f0)
+
+    def product(a, b):
+        return _mat_mul(zero, a[0], _mat_frob(spec, b[0], -a[1])), a[1] + b[1]
+
+    x, c = (_diag(zero, z), 1), (_diag(zero, (f, f) + (f.inverse(),) * 2), 0)
+    cxx = ctx.mul(ctx.c, ctx.mul(ctx.x, ctx.x))
+    for d, (mat, twist) in ((ctx.x, x), (cxx, product(c, product(x, x)))):
+        conjugate = _f_rows(one, zero, *ctx.act(f0, d))
+        if _mat_mul(zero, m, mat) != _mat_mul(zero, mat, _mat_frob(spec, conjugate, -twist)):
+            raise NotNormalizing("D's action on F's coordinates is not the matrix conjugation")
 
 
 def verify_f_class3(eg: ExampleGroup) -> Class3Report:

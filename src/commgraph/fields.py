@@ -546,6 +546,8 @@ class Poly:
 
     @classmethod
     def variable(cls, spec, index, nvars=2):
+        if not 0 <= index < nvars:  # the exponents would all be 0: the constant 1
+            raise ValueError(f"variable {index} outside 0 .. {nvars - 1}")
         return cls(spec, nvars, {tuple(int(i == index) for i in range(nvars)): 1})
 
     def _coerce(self, other) -> Poly:

@@ -4,8 +4,9 @@ matrix helpers.
 `MatrixAutElement` is the matrix element backend of `groups`.  The square
 matrix helpers work over any ring whose elements have `is_zero`, so the
 witness family in `diameter8`, which holds its group in coordinates, uses
-them only for its symplectic check and, on polynomial entries, for the
-check of F's coordinate law.  The field layer is reached through the lazy
+them only for its symplectic check, for the check of D's action on F
+against the twisted matrices and, on polynomial entries, for the check of
+F's coordinate law.  The field layer is reached through the lazy
 `fields` module, so importing this module, as `groups` does, compiles no
 field code.
 """

@@ -320,6 +320,20 @@ def test_closed_stdout_pipe_is_reported_as_by_a_normal_exit(unbuffered):
             EXIT_PARSE, b"error: cannot write stdout: Broken pipe\n"), (argv[0], done.stderr)
 
 
+def test_main_reports_a_stdout_it_cannot_write_and_leaves_it(monkeypatch, capsys):
+    # in-process, main turns the failed write into the error line and exit
+    # 1; a stream without a descriptor is left as it is
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    stdout = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["search-params", "--q-max", "43"]) == EXIT_PARSE
+    assert capsys.readouterr().err == "error: cannot write stdout: Broken pipe\n"
+    assert sys.stdout is stdout
+
+
 def test_installed_command_is_the_process_entry():
     # [project.scripts] names the function the __main__ block calls; read by
     # regex, since tomllib arrived only in Python 3.11
@@ -669,7 +683,6 @@ def _xr_off_the_ground_field(monkeypatch, eg):
     monkeypatch.setattr(diameter8, "norm", lambda a: X)
     ctx = copy.copy(eg.ctx)
     ctx.xr_diag = [X, X, X.inverse(), X.inverse()]
-    ctx.multipliers = {}  # D's action on F changes with x^r, so the copy keeps its own
     return eg._replace(ctx=ctx)
 
 

@@ -41,6 +41,7 @@ from commgraph.diameter8 import (
     FCoords,
     GElement,
     ParamTriple,
+    _NormalForm,
     _diagonal_fixed_points,
     _f_commutator,
     _f_inv,
@@ -256,6 +257,28 @@ def test_build_is_deterministic(example_group):
     assert again.u == example_group.u and again.v == example_group.v
     assert again.f == example_group.f
     assert again.d_elements == example_group.d_elements
+
+
+def test_normal_form_checks_its_product_and_action(example_group, monkeypatch):
+    # D is checked at construction against the twisted matrices: a z with
+    # lam_0 lam_3 != lam_1 lam_2 does not normalize F, and a product or an
+    # action whose twist runs the wrong way is refused
+    eg = example_group
+    u, v, _, u_inv = eg.z
+    with pytest.raises(NotNormalizing, match="not the matrix conjugation"):
+        _NormalForm(eg.spec, (u, v, v, u_inv), eg.f, eg.params.t)
+
+    def backwards_mul(self, a, b):
+        return ((a[0] + b[0]) % self.order_x, frobenius_map(a[1], -b[0]) * b[1])
+
+    with monkeypatch.context() as mp:
+        mp.setattr(_NormalForm, "mul", backwards_mul)
+        with pytest.raises(NoSuchParams, match="x\\^\\{-1\\} c x != c\\^q"):
+            _NormalForm(eg.spec, eg.z, eg.f, eg.params.t)
+    real = diameter8._multipliers
+    monkeypatch.setattr(diameter8, "_multipliers", lambda lam, twist: real(lam, -twist))
+    with pytest.raises(NotNormalizing, match="not the matrix conjugation"):
+        _NormalForm(eg.spec, eg.z, eg.f, eg.params.t)
 
 
 @pytest.mark.parametrize("triple", ["example_group", "example_31"])
@@ -1172,10 +1195,11 @@ def test_run_all_checks_product_budget(monkeypatch):
     # from known multiples (r^2, t, q - 1), not from q^r - 1, to 241; norms
     # by doubling, to 222; a norm only for each scanned candidate of
     # element_of_order whose first nonzero coefficient is 1, to 195; the
-    # group held in coordinates, with each element of D's multipliers on F
-    # found once, to 177.  Matrix products: none, since every element of G
-    # is a pair of coordinates and a normal form (the path's conjugates and
-    # commuting tests took 28 as matrices).  F's law is checked once.
+    # group held in coordinates, to 193, and D's product and action checked
+    # once against the twisted matrices, 58 more, to 251.  Matrix products:
+    # none, since every element of G is a pair of coordinates and a normal
+    # form (the path's conjugates and commuting tests took 28 as matrices).
+    # F's law is checked once.
     from commgraph import fields
 
     counts = {"poly": 0, "matrix": 0, "law": 0}
@@ -1190,7 +1214,7 @@ def test_run_all_checks_product_budget(monkeypatch):
     monkeypatch.setattr(MatrixAutElement, "__mul__", counting("matrix", MatrixAutElement.__mul__))
     monkeypatch.setattr(diameter8, "_check_f_law", counting("law", diameter8._check_f_law))
     assert first_failing_check(run_all_checks()) is None
-    assert counts["poly"] == 177
+    assert counts["poly"] == 251
     assert counts["matrix"] == 0
     assert counts["law"] == 1
 

@@ -573,6 +573,13 @@ def test_poly_mixed_specs_rejected(gf11, gf115):
         Poly.variable(gf11, 0) + Poly.variable(gf115, 0)
 
 
+def test_poly_variable_index_out_of_range_rejected(gf11):
+    # such an index would make every exponent 0, the constant 1
+    for index in (-1, 2):
+        with pytest.raises(ValueError):
+            Poly.variable(gf11, index)
+
+
 def test_poly_constant_outside_gf_p_rejected(gf11, gf115):
     # coefficients are ints in GF(p): an element of GF(11) inside GF(11^5)
     # is a constant, X is not, nor is an element of another field

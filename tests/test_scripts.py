@@ -35,22 +35,21 @@ def test_witness_family_report_base_triple():
 
 
 def test_mutation_probe_kills_a_known_mutant_outside_src():
-    # one mutant of cli._at_least_1 (value < 1 made value < 0 at seed 0),
-    # killed by the test of --cap below 1; the probe mutates a copy, so no
-    # file under src/ changes
+    # one mutant of SubgroupHandle.is_trivial (== 1 made == 0 at seed 0):
+    # no centre is then trivial, so the first acceptance test, which needs
+    # eight soluble groups with a trivial centre, kills it at once; the
+    # probe mutates a copy, so no file under src/ changes
     def digest():
         return {p: hashlib.sha256(p.read_bytes()).hexdigest() for p in (ROOT / "src").rglob("*.py")}
 
     before = digest()
     done = run_script(
-        "mutation_probe.py", "cli._at_least_1", "--seed", "0", "--sample", "1",
-        "--tests", "tests/test_cli.py::test_cap_below_one_is_a_usage_error",
-    )
+        "mutation_probe.py", "groups.SubgroupHandle.is_trivial", "--seed", "0", "--sample", "1")
     assert done.returncode == 0, done.stderr
     header, row, summary = done.stdout.splitlines()
     n, where, *rest = row.split()
-    assert n == "1" and where.startswith("cli.py:")
-    assert rest[:6] == ["cli._at_least_1", "1", "->", "0", "killed",
-                        "tests/test_cli.py::test_cap_below_one_is_a_usage_error[flag0-None---cap"]
+    assert n == "1" and where.startswith("groups.py:")
+    assert rest == ["groups.SubgroupHandle.is_trivial", "1", "->", "0", "killed",
+                    "tests/test_acceptance.py::test_criterion_1_dichotomy_suite"]
     assert summary == "1 mutants of 2 sites (seed 0): 1 killed, 0 survived, 0 timeout"
     assert digest() == before
