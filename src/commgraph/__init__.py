@@ -7,7 +7,10 @@ witness family over GF(q^r).
 
 The submodules below are registered at import but loaded lazily: a module's
 code runs at its first attribute access, so a process compiles only the
-layers it calls (`search-params` none of them).  The package-level names
+layers it calls (`search-params` none of them).  The walk (group elements,
+materialization and its tables) is `walk`, apart from the structure
+algorithms in `groups`, so of the layers `graph-export` on a permutation
+group loads only `corpus`, `walk` and `graph`.  The package-level names
 (`classify_group`, `ParamTriple`, ...) resolve through `__getattr__`.
 """
 
@@ -18,7 +21,8 @@ import sys
 # walks the package's modules in order to rebind a function everywhere loads
 # diameter8, which then binds the original, before it rebinds the defining
 # module.
-for _name in ("diameter8", "classify", "corpus", "graph", "groups", "matrices", "fields"):
+for _name in ("diameter8", "classify", "corpus", "graph", "groups", "walk", "matrices",
+              "fields"):
     _spec = importlib.util.find_spec(f".{_name}", __name__)
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     _module = globals()[_name] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
@@ -35,9 +39,10 @@ _HOME = {
         "fields": "FieldElement FieldSpec Poly element_of_order element_order field_create "
                   "frobenius_map",
         "graph": "CommutingGraph DistanceReport build_graph diameter_and_components distance",
-        "groups": "GroupHandle PermutationElement SubgroupHandle center centralizer "
-                  "fitting_subgroup is_soluble p_core quotient_group sylow_subgroup",
+        "groups": "center centralizer fitting_subgroup is_soluble p_core quotient_group "
+                  "sylow_subgroup",
         "matrices": "MatrixAutElement",
+        "walk": "GroupHandle PermutationElement SubgroupHandle",
     }.items()
     for name in names.split()
 }

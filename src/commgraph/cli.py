@@ -37,7 +37,7 @@ import json
 import os
 import sys
 
-from . import classify, corpus, diameter8, graph, groups
+from . import classify, corpus, diameter8, graph, walk
 from .errors import CapExceeded, EmptyGraph
 
 CAP_ENV_VAR = "COMMGRAPH_CAP"
@@ -70,7 +70,7 @@ def default_cap() -> int:
     """The element cap from COMMGRAPH_CAP, refused unless it is an integer of at least 1."""
     raw = os.environ.get(CAP_ENV_VAR)
     if not raw:
-        return groups.DEFAULT_GROUP_CAP
+        return walk.DEFAULT_GROUP_CAP
     try:
         cap = int(raw)
     except ValueError:

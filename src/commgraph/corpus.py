@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from .groups import DEFAULT_GROUP_CAP, GroupHandle
+from .walk import DEFAULT_GROUP_CAP, GroupHandle
 
 
 def _data_root():

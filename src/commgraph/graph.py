@@ -10,11 +10,15 @@ elements of the same class are at distance 1.
 Centralizers are sets of element indices.  C(rep) is read once per
 conjugacy class off the group's conjugation tables, and every other member
 of the class gets C(w^g) = C(w)^g by table lookups, so after the
-materialization walk the build makes no element product.  It costs about
-3|G| lookups per non-central class and one per generator for a central
-element, plus G's key order (sorted once and cached on G); the neighbours
-of a centralizer class are the classes of the members of its centralizer,
-one lookup each.
+materialization walk the build makes no element product.  C(w)^g depends
+only on C(w) and g, so each centralizer class is mapped once per
+generator, and every vertex with that centralizer, in whichever conjugacy
+class, takes the kept image.  The build costs about 2|G| lookups per
+conjugacy class it walks (the class's conjugation images and C(rep)),
+|C| per (centralizer class C, generator) pair, one per (vertex, generator)
+and one per generator for a central element, plus G's key order (sorted
+once and cached on G); the neighbours of a centralizer class are the
+classes of the members of its centralizer, one lookup each.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 from collections import deque, namedtuple
 
 from .errors import EmptyGraph, NotAVertex
-from .groups import GroupHandle
+from .walk import GroupHandle
 
 DistanceReport = namedtuple("DistanceReport", "source target distance path")
 
@@ -76,7 +80,8 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     Centralizers are sets of element indices and come one conjugacy class at
     a time: C(rep) is a fibre of `GroupHandle.conjugation_images`, and the
     class is walked under the generators' conjugation tables with
-    C(w^g) = C(w)^g, so no element product is made.  A central element,
+    C(w^g) = C(w)^g, so no element product is made; C(w)^g is built once
+    per (centralizer class, generator) and kept.  A central element,
     fixed by every generator's conjugation table, is skipped before its
     images are read.  A walk assigns the whole orbit of C(rep) under
     conjugation, so the centralizer class of a representative whose C(rep)
@@ -88,6 +93,8 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     cent_of: dict[int, frozenset] = {}
     # every centralizer set met so far, mapped to itself: equal centralizers share one set
     assigned: dict = {}
+    # (C, t) -> C^t for generator number t: each centralizer is mapped once per generator
+    images: dict = {}
     source_reps = []
     for r in range(len(elements)):
         # skip r once its class has been walked, or if every generator's
@@ -102,11 +109,15 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
         queue = deque([r])
         while queue:
             w = queue.popleft()
-            for table in conj:
+            for t, table in enumerate(conj):
                 v = table[w]
                 if v not in cent_of:
-                    image = frozenset(table[c] for c in cent_of[w])
-                    cent_of[v] = assigned.setdefault(image, image)
+                    key = (cent_of[w], t)
+                    image = images.get(key)
+                    if image is None:
+                        image = frozenset(table[c] for c in key[0])
+                        image = images[key] = assigned.setdefault(image, image)
+                    cent_of[v] = image
                     queue.append(v)
     if not cent_of:
         raise EmptyGraph("every element is central")

@@ -46,6 +46,24 @@ EXTRA_GROUPS = {
     ],
 }
 
+
+def agl1_13_x_s3():
+    """AGL(1, 13) x S3 on {0..12} and {13..15}, order 936.  The non-identity
+    elements of a point stabilizer of AGL(1, 13), a complement of order 12,
+    share one centralizer but lie in 11 conjugacy classes."""
+    return [_shifted(perm, 0, 16) for perm in EXTRA_GROUPS["agl1_13"]()] + [
+        _shifted(perm, 13, 16) for perm in ([1, 0, 2], [1, 2, 0])
+    ]
+
+
+def c6_x_s3():
+    """C6 x S3 on {0..5} and {6..8}, order 36.  The centre C6 times a
+    3-cycle's centralizer: z*x has the centralizer of x for every z in
+    Z(G), so a centralizer class spans several conjugacy classes."""
+    return [_shifted(perm, offset, 9) for perm, offset in (
+        ([1, 2, 3, 4, 5, 0], 0), ([1, 0, 2], 6), ([1, 2, 0], 6))]
+
+
 # AGammaL(1, 9) as [[a, b], [0, 1]] over GF(9) = GF(3)[X] / (X^2 + 1), an
 # entry a0 + a1 X written [a0, a1]: multiplication by the primitive element
 # 1 + X, translation by 1, and the Frobenius twist; order 144

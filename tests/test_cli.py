@@ -353,27 +353,34 @@ def test_installed_command_is_the_process_entry():
 
 def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tmp_path):
     # a fresh interpreter without site, so only commgraph's own imports count.
-    # A layer stays the lazy loader's placeholder until its first attribute
-    # access: analyze and graph-export on a permutation group leave the
-    # witness family and the field layer lazy, and a matrix group file
-    # (q8) loads the field layer; search-params leaves every layer lazy, and
-    # paper-verify the classifier, graph, corpus and the permutation engine
-    # in groups, which commgraph.MatrixAutElement does not load either.  No
-    # subcommand imports typing, importlib.resources or dataclasses.
+    # Each report lists the commgraph modules that have run so far: a lazy
+    # module stays the loader's placeholder until its first attribute access,
+    # and primes and params are not imported at all until a loaded module
+    # imports them.  graph-export on a permutation group runs only the walk
+    # and the graph, leaving the structure algorithms in groups, classify,
+    # the matrices, the field layer, primes, diameter8 and params unloaded; a
+    # matrix group file (q8) adds matrices, fields and primes but still not
+    # groups or classify; analyze loads groups and classify.  search-params
+    # runs only params and primes, and paper-verify leaves the classifier,
+    # graph, corpus, the walk and groups lazy, which commgraph.MatrixAutElement
+    # does not load either.  No subcommand imports typing, importlib.resources
+    # or dataclasses.
     src = str(Path(diameter8.__file__).parents[1])
     probe = (
         "import sys\n"
         "from commgraph.cli import main\n"
         "def report(*argvs):\n"
         "    codes = [main([*argv, '--out', out]) for argv in argvs]\n"
-        "    lazy = sorted(name.rpartition('.')[2] for name, m in sys.modules.items()\n"
-        "                  if type(m).__name__ == '_LazyModule')\n"
+        "    loaded = sorted(name.rpartition('.')[2] for name, m in sys.modules.items()\n"
+        "                    if name.startswith('commgraph.')\n"
+        "                    and type(m).__name__ != '_LazyModule')\n"
         "    stdlib = ('dataclasses', 'typing', 'importlib.resources')\n"
-        "    print(codes, lazy, [name in sys.modules for name in stdlib])\n"
+        "    print(codes, loaded, [name in sys.modules for name in stdlib])\n"
         f"out, sym4, q8 = {str(tmp_path / 'out')!r}, {data_path('sym4')!r}, {data_path('q8')!r}\n"
         "if sys.argv[1] == 'files':\n"
-        "    report(['analyze', sym4], ['graph-export', sym4])\n"
-        "    report(['analyze', q8])\n"
+        "    report(['graph-export', sym4])\n"
+        "    report(['graph-export', q8])\n"
+        "    report(['analyze', sym4], ['analyze', q8])\n"
         "    print(open(out).read().replace(q8, 'q8'), end='')\n"
         "else:\n"
         "    report(['search-params', '--q-max', '11'])\n"
@@ -394,15 +401,18 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
 
     code, out, err = run_probe("files")
     assert (code, out) == (0, (
-        "[0, 0] ['diameter8', 'fields'] [False, False, False]\n"
-        "[0] ['diameter8'] [False, False, False]\n"
+        "[0] ['cli', 'corpus', 'errors', 'graph', 'walk'] [False, False, False]\n"
+        "[0] ['cli', 'corpus', 'errors', 'fields', 'graph', 'matrices', 'primes', 'walk'] "
+        "[False, False, False]\n"
+        "[0, 0] ['classify', 'cli', 'corpus', 'errors', 'fields', 'graph', 'groups', 'matrices', "
+        "'primes', 'walk'] [False, False, False]\n"
         '[\n  {\n    "file": "q8",\n    "kind": "HasCentre",\n    "order": 8\n  }\n]\n'
     )), err
     code, out, err = run_probe("witness")
     assert (code, out) == (0, (
-        "[0] ['classify', 'corpus', 'diameter8', 'fields', 'graph', 'groups', 'matrices'] "
+        "[0] ['cli', 'errors', 'params', 'primes'] [False, False, False]\n"
+        "[0] ['cli', 'diameter8', 'errors', 'fields', 'matrices', 'params', 'primes'] "
         "[False, False, False]\n"
-        "[0] ['classify', 'corpus', 'graph', 'groups'] [False, False, False]\n"
         "3221 commgraph.diameter8 commgraph.matrices _LazyModule True\n"
     )), err
 

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from extra_groups import AGAML1_9, EXTRA_GROUPS, oracle_group
+from extra_groups import AGAML1_9, EXTRA_GROUPS, agl1_13_x_s3, c6_x_s3, oracle_group
 from oracles import (
     all_pairs_adjacency,
     brute_centralizer,
@@ -53,17 +53,11 @@ def test_sym4_vertex_count(corpus):
     assert g.vertex_count == 23  # 24 less the trivial centre
 
 
-def _c6_x_s3():
-    return GroupHandle([
-        P(1, 2, 3, 4, 5, 0, 6, 7, 8), P(0, 1, 2, 3, 4, 5, 7, 6, 8), P(0, 1, 2, 3, 4, 5, 7, 8, 6),
-    ]).materialize()
-
-
 @pytest.mark.parametrize("name", ["q8", "c6xs3"])
 def test_build_graph_reads_no_central_elements_images(monkeypatch, corpus, name):
     # a central element is skipped by the generators' conjugation tables,
     # before its |G|-long images are read
-    G = corpus["q8"] if name == "q8" else _c6_x_s3()
+    G = corpus["q8"] if name == "q8" else GroupHandle(c6_x_s3()).materialize()
     central = center(G).indices()
     assert len(central) == {"q8": 2, "c6xs3": 6}[name]
     read = []
@@ -218,6 +212,25 @@ def test_conjugacy_classes_and_graph_on_s6_subgroups(a, b):
             seen |= cls
     assert len(seen) == G.order()
     _assert_graph_matches_scan(G)
+
+
+@pytest.mark.parametrize("build, order, span", [(agl1_13_x_s3, 936, 11), (c6_x_s3, 36, 6)],
+                         ids=["agl1_13xs3", "c6xs3"])
+def test_build_graph_matches_the_oracles_where_classes_span_conjugacy_classes(build, order, span):
+    # build_graph maps each centralizer under each generator once, and every
+    # vertex with that centralizer reuses the image, across conjugacy classes
+    # too; here some centralizer class spans `span` conjugacy classes
+    G = GroupHandle(build()).materialize()
+    assert G.order() == order
+    graph = build_graph(G)
+    classes, class_of, adjacency = scan_centralizer_classes(G)
+    assert (graph.classes, graph.class_of, graph.adjacency) == (classes, class_of, adjacency)
+    assert graph.adjacency == all_pairs_adjacency(graph)
+    orbits = brute_centralizer_orbits(G, classes, class_of)
+    assert len(graph.sources) == len(orbits)
+    assert all(len(orbit & set(graph.sources)) == 1 for orbit in orbits)
+    spans = [len({frozenset(G.conjugation_images(G.index_of(v))) for v in cls}) for cls in classes]
+    assert max(spans) == span
 
 
 # --- adjacency by class lookups against the all-pairs test ------------------

@@ -411,6 +411,17 @@ def _table_group(corpus, name):
 TABLE_GROUPS = list_corpus() + sorted(EXTRA_GROUPS) + ["agaml1_9"]
 
 
+def test_a_matrix_generator_without_a_twist_has_twist_0():
+    # a group file may leave out a generator's "twist"; over GF(9) a default
+    # of 1 would give the first two generators of AGammaL(1, 9) a twist
+    implicit = dict(AGAML1_9, generators=[
+        {key: value for key, value in gen.items() if (key, value) != ("twist", 0)}
+        for gen in AGAML1_9["generators"]
+    ])
+    assert [len(gen) for gen in implicit["generators"]] == [1, 1, 2]
+    assert GroupHandle.from_json(implicit).generators == GroupHandle.from_json(AGAML1_9).generators
+
+
 @pytest.mark.parametrize("name", TABLE_GROUPS)
 def test_schreier_tree_and_conjugation_tables(corpus, name):
     _assert_tree_and_tables(_table_group(corpus, name))

@@ -44,12 +44,12 @@ def test_mutation_probe_kills_a_known_mutant_outside_src():
 
     before = digest()
     done = run_script(
-        "mutation_probe.py", "groups.SubgroupHandle.is_trivial", "--seed", "0", "--sample", "1")
+        "mutation_probe.py", "walk.SubgroupHandle.is_trivial", "--seed", "0", "--sample", "1")
     assert done.returncode == 0, done.stderr
     header, row, summary = done.stdout.splitlines()
     n, where, *rest = row.split()
-    assert n == "1" and where.startswith("groups.py:")
-    assert rest == ["groups.SubgroupHandle.is_trivial", "1", "->", "0", "killed",
+    assert n == "1" and where.startswith("walk.py:")
+    assert rest == ["walk.SubgroupHandle.is_trivial", "1", "->", "0", "killed",
                     "tests/test_acceptance.py::test_criterion_1_dichotomy_suite"]
     assert summary == "1 mutants of 2 sites (seed 0): 1 killed, 0 survived, 0 timeout"
     assert digest() == before
