@@ -184,21 +184,22 @@ def p_core(G: GroupHandle, p: int) -> SubgroupHandle:
 
 
 def fitting_subgroup(G: GroupHandle) -> SubgroupHandle:
-    """F(G) as the product of the p-cores over primes dividing |G|; kept on
-    the handle.
+    """F(G) as the product of the p-cores over primes dividing |G|; this
+    module keeps it on the handle as `_fitting`, so it is built once per group.
 
     The p-cores are normal with pairwise coprime orders, so their product is
     the set of products a*c, all distinct; a*c is a looked up along c's
     Schreier word, one word per member of F.
     """
-    if G._fitting is None:
+    F = G.__dict__.get("_fitting")
+    if F is None:
         members = [0]
         for p in factorize(G.order()):
             words = [G.right_tables(c) for c in p_core(G, p).indices()]
             if len(words) > 1:
                 members = [_compose(a, w) for a in members for w in words]
-        G._fitting = SubgroupHandle(G, members)
-    return G._fitting
+        F = G._fitting = SubgroupHandle(G, members)
+    return F
 
 
 # ---------------------------------------------------------------------------

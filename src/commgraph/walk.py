@@ -125,7 +125,7 @@ def _compose(i: int, tables: Sequence) -> int:
 class GroupHandle:
     """A finite group given by generators, with a lazily materialized element
     list, its Schreier tree and right-multiplication tables, and lazily built
-    conjugation tables, key order, element orders and Fitting subgroup."""
+    conjugation tables, key order and element orders."""
 
     def __init__(self, generators: Sequence, cap: int = DEFAULT_GROUP_CAP, name: str = ""):
         if not generators:
@@ -141,7 +141,6 @@ class GroupHandle:
         self._conj: list | None = None
         self._key_order: list | None = None
         self._orders: dict = {}
-        self._fitting: SubgroupHandle | None = None
 
     def materialize(self) -> "GroupHandle":
         if self._elements is None:

@@ -356,11 +356,14 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
     # Each report lists the commgraph modules that have run so far: a lazy
     # module stays the loader's placeholder until its first attribute access,
     # and primes and params are not imported at all until a loaded module
-    # imports them.  graph-export on a permutation group runs only the walk
-    # and the graph, leaving the structure algorithms in groups, classify,
-    # the matrices, the field layer, primes, diameter8 and params unloaded; a
-    # matrix group file (q8) adds matrices, fields and primes but still not
-    # groups or classify; analyze loads groups and classify.  search-params
+    # imports them.  Each group file gets its own interpreter.  graph-export
+    # on a permutation group runs only the walk and the graph, leaving the
+    # structure algorithms in groups, classify, the matrices, the field
+    # layer, primes, diameter8 and params unloaded; analyze on it then loads
+    # groups and classify (and the matrices and primes groups imports), but
+    # not the field layer.  graph-export on a matrix group file (q8) runs
+    # matrices, fields and primes but still not groups or classify, and
+    # analyze on it adds those two.  search-params
     # runs only params and primes, and paper-verify leaves the classifier,
     # graph, corpus, the walk and groups lazy, which commgraph.MatrixAutElement
     # does not load either.  No subcommand imports typing, importlib.resources
@@ -377,10 +380,12 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
         "    stdlib = ('dataclasses', 'typing', 'importlib.resources')\n"
         "    print(codes, loaded, [name in sys.modules for name in stdlib])\n"
         f"out, sym4, q8 = {str(tmp_path / 'out')!r}, {data_path('sym4')!r}, {data_path('q8')!r}\n"
-        "if sys.argv[1] == 'files':\n"
+        "if sys.argv[1] == 'permutation':\n"
         "    report(['graph-export', sym4])\n"
+        "    report(['analyze', sym4])\n"
+        "elif sys.argv[1] == 'matrix':\n"
         "    report(['graph-export', q8])\n"
-        "    report(['analyze', sym4], ['analyze', q8])\n"
+        "    report(['analyze', q8])\n"
         "    print(open(out).read().replace(q8, 'q8'), end='')\n"
         "else:\n"
         "    report(['search-params', '--q-max', '11'])\n"
@@ -399,12 +404,17 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
         )
         return done.returncode, done.stdout, done.stderr
 
-    code, out, err = run_probe("files")
+    code, out, err = run_probe("permutation")
     assert (code, out) == (0, (
         "[0] ['cli', 'corpus', 'errors', 'graph', 'walk'] [False, False, False]\n"
+        "[0] ['classify', 'cli', 'corpus', 'errors', 'graph', 'groups', 'matrices', 'primes', "
+        "'walk'] [False, False, False]\n"
+    )), err
+    code, out, err = run_probe("matrix")
+    assert (code, out) == (0, (
         "[0] ['cli', 'corpus', 'errors', 'fields', 'graph', 'matrices', 'primes', 'walk'] "
         "[False, False, False]\n"
-        "[0, 0] ['classify', 'cli', 'corpus', 'errors', 'fields', 'graph', 'groups', 'matrices', "
+        "[0] ['classify', 'cli', 'corpus', 'errors', 'fields', 'graph', 'groups', 'matrices', "
         "'primes', 'walk'] [False, False, False]\n"
         '[\n  {\n    "file": "q8",\n    "kind": "HasCentre",\n    "order": 8\n  }\n]\n'
     )), err
