@@ -35,7 +35,6 @@ the matching upper-bound path rather than re-searching the graph.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import namedtuple
 from functools import cached_property
@@ -61,7 +60,7 @@ from .fields import (
     frobenius_map,
     norm,
 )
-from .matrices import _diag, _mat_frob, _mat_mul
+from .matrices import MatrixAutElement, _diag, _mat_mul
 from .params import ParamTriple, example_group_order, find_params, validate_params  # noqa: F401
 
 ALL = "all"  # marker for a solution set equal to the whole field, or to all of <f>
@@ -354,8 +353,9 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     coefficient order, v the first partner making {u^r, u^-r, v^r, v^-r} a
     4-set, f the canonical element of order t.  The elements of order r^2
     are h^k with gcd(k, r) = 1 for h the canonical element of order r^2, so
-    only those r(r-1) candidates are sorted, and with every power of h
-    listed (h^k)^r and (h^k)^-r are read off the list.  D is kept in its
+    only those r(r-1) candidates are sorted.  (h^k)^r = (h^l)^(+-r) exactly
+    when k = +-l mod r, so u is the first candidate and v the first h^l
+    with l != +-k_u mod r, which exists since r >= 5.  D is kept in its
     metacyclic normal form x^i c_h; nothing is enumerated.
     """
     problems = validate_params(params.q, params.r, params.t)
@@ -369,17 +369,12 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     h_pows = [spec.one()]
     for _ in range(n - 1):
         h_pows.append(h_pows[-1] * h)
-    # the exponents k of the candidates, in the coefficient order of h^k,
-    # each with the coefficients of (h^k)^r and (h^k)^-r
+    # the exponents k of the candidates, in the coefficient order of h^k
     order_r2 = sorted((k for k in range(1, n) if k % r), key=lambda k: h_pows[k].coeffs)
-    eigen = [(k, h_pows[k * r % n].coeffs, h_pows[-k * r % n].coeffs) for k in order_r2]
-    pair = next((
-        (ku, kv) for (ku, *ue), (kv, *ve) in itertools.product(eigen, repeat=2)
-        if len({*ue, *ve}) == 4
-    ), None)
-    if pair is None:
+    ku = order_r2[0]
+    kv = next(k for k in order_r2 if (k - ku) % r and (k + ku) % r)
+    if len({h_pows[k * r % n].coeffs for k in (ku, -ku, kv, -kv)}) != 4:
         raise EigenvalueClash("no (u, v) pair satisfies the 4-set condition")
-    ku, kv = pair
     u, v = h_pows[ku], h_pows[kv]
     f = element_of_order(spec, t)  # t divides q^r - 1, as validate_params checked
 
@@ -393,14 +388,6 @@ def build_example(params: ParamTriple) -> ExampleGroup:
 
 # ---------------------------------------------------------------------------
 # symbolic machinery over F
-
-
-def _p_identity(spec, nvars):
-    return _diag(Poly.zero(spec, nvars), [Poly.constant(spec, 1, nvars)] * 4)
-
-
-def _p_mat_mul(a, b):
-    return _mat_mul(Poly.zero(a[0][0].spec, a[0][0].nvars), a, b)
 
 
 def generic_f_coords(spec: FieldSpec, nvars: int, base: int) -> tuple:
@@ -689,9 +676,9 @@ def _check_f_law(spec):
     one, zero = Poly.constant(spec, 1, 8), Poly.zero(spec, 8)
     g, h = generic_f_coords(spec, 8, 0), generic_f_coords(spec, 8, 4)
     m1, m2 = _f_rows(one, zero, *g), _f_rows(one, zero, *h)
-    if _f_rows(one, zero, *_f_mul(g, h)) != _p_mat_mul(m1, m2):
+    if _f_rows(one, zero, *_f_mul(g, h)) != _mat_mul(zero, m1, m2):
         raise SymbolicFailure("the product in F's coordinates differs from the matrix product")
-    if _p_mat_mul(m1, _f_rows(one, zero, *_f_inv(g))) != _p_identity(spec, 8):
+    if _mat_mul(zero, m1, _f_rows(one, zero, *_f_inv(g))) != _diag(zero, [one] * 4):
         raise SymbolicFailure("the inverse in F's coordinates is not the matrix inverse")
 
 
@@ -699,29 +686,23 @@ def _check_action(ctx: _NormalForm, z, f: FieldElement):
     """Check D's product and action on F's coordinates against the twisted
     matrices, once per example; raises NotNormalizing if they differ.
 
-    In the twisted product (A, i)(B, j) = (A Frob^-i(B), i + j) of
-    `matrices.MatrixAutElement`, x is (diag(z), 1), c is
-    (diag(f, f, f^-1, f^-1), 0), and m' = a^-1 m a for a = (A, j) means
-    (m, 0)(A, j) = (A, j)(m', 0), that is m A = A Frob^-j(m').  The check
-    takes a = x and a = c x x: both generators, a twist of 2 and a c-part
-    moved by a twist.  Every coordinate of the F element lies outside
-    GF(q), so a twist shows on it, and the entry -a at (3, 2) matches only
-    if lam_0 lam_3 = lam_1 lam_2.
+    As `matrices.MatrixAutElement`s, x is (diag(z), 1) and c is
+    (diag(f, f, f^-1, f^-1), 0), and m' = a^-1 m a means m a = a m'.  The
+    check takes a = x and a = c x x: both generators, a twist of 2 and a
+    c-part moved by a twist.  Every coordinate of the F element lies
+    outside GF(q), so a twist shows on it, and the entry -a at (3, 2)
+    matches only if lam_0 lam_3 = lam_1 lam_2.
     """
     spec = ctx.spec
     one, zero = spec.one(), spec.zero()
     theta = spec.element([0, 1] + [0] * (spec.k - 2))
     f0 = FCoords(a=theta, b=theta + theta * theta, c=theta, d=theta, x=theta)
-    m = _f_rows(one, zero, *f0)
-
-    def product(a, b):
-        return _mat_mul(zero, a[0], _mat_frob(spec, b[0], -a[1])), a[1] + b[1]
-
-    x, c = (_diag(zero, z), 1), (_diag(zero, (f, f) + (f.inverse(),) * 2), 0)
+    m = MatrixAutElement(spec, _f_rows(one, zero, *f0))
+    x = MatrixAutElement(spec, _diag(zero, z), 1)
+    c = MatrixAutElement(spec, _diag(zero, (f, f) + (f.inverse(),) * 2))
     cxx = ctx.mul(ctx.c, ctx.mul(ctx.x, ctx.x))
-    for d, (mat, twist) in ((ctx.x, x), (cxx, product(c, product(x, x)))):
-        conjugate = _f_rows(one, zero, *ctx.act(f0, d))
-        if _mat_mul(zero, m, mat) != _mat_mul(zero, mat, _mat_frob(spec, conjugate, -twist)):
+    for d, a in ((ctx.x, x), (cxx, c * x * x)):
+        if m * a != a * MatrixAutElement(spec, _f_rows(one, zero, *ctx.act(f0, d))):
             raise NotNormalizing("D's action on F's coordinates is not the matrix conjugation")
 
 

@@ -190,9 +190,11 @@ class FieldSpec:
     The constructor is the one place that checks a field: a p that is not
     prime raises NotPrime, and k < 1 or a modulus that is not a monic
     irreducible of degree k over GF(p) (its coefficients read mod p)
-    raises SpecMismatch.  With no modulus it builds the canonical field,
-    with the lex-least irreducible modulus, and refuses one of more than
-    FIELD_CAP elements with CapExceeded; a given modulus is not capped.
+    raises SpecMismatch; the degree is checked before Rabin's test, so a
+    modulus of the wrong degree is refused at once.  With no modulus it
+    builds the canonical field, with the lex-least irreducible modulus, and
+    refuses one of more than FIELD_CAP elements with CapExceeded; a given
+    modulus is not capped.
 
     Instances are immutable.  A spec builds elements; all element
     arithmetic is on :class:`FieldElement`.  The matrix of each power of
@@ -212,10 +214,11 @@ class FieldSpec:
             modulus = least_irreducible(p, k)
         else:
             modulus = tuple(c % p for c in modulus)
-            if not modulus or modulus[-1] != 1 or not _is_irreducible(modulus, p):
-                raise SpecMismatch("modulus is not monic irreducible over GF(p)")
-            if len(modulus) != k + 1:
+            monic = len(modulus) > 1 and modulus[-1] == 1
+            if monic and len(modulus) != k + 1:
                 raise SpecMismatch(f"modulus degree {len(modulus) - 1} != k={k}")
+            if not monic or not _is_irreducible(modulus, p):
+                raise SpecMismatch("modulus is not monic irreducible over GF(p)")
         self.p = p
         self.k = k
         self.modulus = modulus

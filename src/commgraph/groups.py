@@ -14,7 +14,9 @@ the element orders of L, with no quotient at all.  Everything is meant for
 desk-scale groups.
 
 The walk's names, and the matrix backend `MatrixAutElement`, are
-re-exported here for the code that reads them from this module.
+re-exported here for the code that reads them from this module; the class
+is resolved on first access, so analysis of a permutation group compiles
+no matrix code.
 """
 
 from __future__ import annotations
@@ -24,9 +26,16 @@ from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import NotNormal
-from .matrices import MatrixAutElement  # noqa: F401  re-exported with the walk's names
 from .primes import factorize, is_prime
 from .walk import GroupHandle, PermutationElement, SubgroupHandle, _compose  # noqa: F401
+
+
+def __getattr__(name):
+    if name == "MatrixAutElement":
+        from .matrices import MatrixAutElement
+
+        return MatrixAutElement
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _index_closure(G: GroupHandle, gens: Sequence[int]) -> list[int]:

@@ -321,7 +321,7 @@ class GroupHandle:
                     for row in rows
                 )
                 elem = matrices.MatrixAutElement(spec, mat, json_int(gen.get("twist", 0), "twist"))
-                matrices._mat_inv(spec, elem.mat)  # reject singular generators
+                elem.inverse()  # reject singular generators
                 gens.append(elem)
             return cls(gens, cap=cap, name=name)
         raise ValueError(f"unknown group file type {kind!r}")

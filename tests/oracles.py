@@ -56,6 +56,7 @@ from commgraph.errors import EmptyGraph, NotNormalizing, SpecMismatch, SymbolicF
 from commgraph.fields import (
     FieldElement,
     FieldSpec,
+    Poly,
     _element,
     _poldeg,
     _polpowmod,
@@ -74,7 +75,7 @@ from commgraph.groups import (
     quotient_group,
     sylow_subgroup,
 )
-from commgraph.matrices import MatrixAutElement, _diag
+from commgraph.matrices import MatrixAutElement, _diag, _mat_mul
 from commgraph.primes import factorize
 
 
@@ -975,6 +976,26 @@ def power_form_u_v(spec, r):
     return None
 
 
+def pairwise_u_v(spec, r):
+    """(u, v) by the search `build_example` made before it chose by
+    congruences: over every pair of candidate exponents (k_u, k_v), in the
+    coefficient order of h^k, the first whose {u^r, u^-r, v^r, v^-r} is a
+    4-set, with each power read off the list of all powers of h."""
+    from commgraph.fields import element_of_order
+
+    n = r * r
+    h = element_of_order(spec, n)
+    h_pows = [spec.one()]
+    for _ in range(n - 1):
+        h_pows.append(h_pows[-1] * h)
+    order_r2 = sorted((k for k in range(1, n) if k % r), key=lambda k: h_pows[k].coeffs)
+    eigen = [(k, h_pows[k * r % n].coeffs, h_pows[-k * r % n].coeffs) for k in order_r2]
+    for (ku, *ue), (kv, *ve) in itertools.product(eigen, repeat=2):
+        if len({*ue, *ve}) == 4:
+            return h_pows[ku], h_pows[kv]
+    return None
+
+
 def power_form_mul(ctx, a, b):
     """(i, h)(k, h') = (i + k, h^(q^k) h') in D's normal form, by a power."""
     q = ctx.spec.p
@@ -1118,17 +1139,16 @@ def _p_mat_sub(a, b):
 
 def _p_unitriangular_inverse(spec, m):
     """Inverse of I + L with L strictly lower triangular: I - L + L^2 - L^3."""
-    from commgraph.diameter8 import _p_identity, _p_mat_mul
-
     nvars = m[0][0].nvars
-    ident = _p_identity(spec, nvars)
+    zero = Poly.zero(spec, nvars)
+    ident = _diag(zero, [Poly.constant(spec, 1, nvars)] * 4)
     L = _p_mat_sub(m, ident)
     for i in range(4):
         for j in range(i, 4):
             if not L[i][j].is_zero():
                 raise SymbolicFailure("matrix is not lower unitriangular")
-    L2 = _p_mat_mul(L, L)
-    L3 = _p_mat_mul(L2, L)
+    L2 = _mat_mul(zero, L, L)
+    L3 = _mat_mul(zero, L2, L)
     out = []
     for i in range(4):
         row = []
@@ -1141,19 +1161,16 @@ def _p_unitriangular_inverse(spec, m):
 def matrix_commutator(spec, a, b):
     """[a, b] = a^-1 b^-1 a b of two symbolic F matrices, by matrix products
     and unitriangular inverses."""
-    from commgraph.diameter8 import _p_mat_mul
-
+    zero = Poly.zero(spec, a[0][0].nvars)
     ainv = _p_unitriangular_inverse(spec, a)
     binv = _p_unitriangular_inverse(spec, b)
-    return _p_mat_mul(_p_mat_mul(ainv, binv), _p_mat_mul(a, b))
+    return _mat_mul(zero, _mat_mul(zero, ainv, binv), _mat_mul(zero, a, b))
 
 
 def matrix_separation_families(spec, g):
     """C_F(c) = {I + a(E21 - E43)} on variable a, and its conjugate by the F
     matrix g on variable b, as matrices over the polynomials in (a, b)."""
     from commgraph.diameter8 import _f_rows
-    from commgraph.fields import Poly
-    from commgraph.matrices import _mat_mul
 
     one, zero = Poly.constant(spec, 1, 2), Poly.zero(spec, 2)
     fam_a, fam_b = (

@@ -360,10 +360,10 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
     # on a permutation group runs only the walk and the graph, leaving the
     # structure algorithms in groups, classify, the matrices, the field
     # layer, primes, diameter8 and params unloaded; analyze on it then loads
-    # groups and classify (and the matrices and primes groups imports), but
-    # not the field layer.  graph-export on a matrix group file (q8) runs
-    # matrices, fields and primes but still not groups or classify, and
-    # analyze on it adds those two.  search-params
+    # groups and classify (and the primes groups imports), but neither the
+    # matrices nor the field layer.  graph-export on a matrix group file
+    # (q8) runs matrices, fields and primes but still not groups or
+    # classify, and analyze on it adds those two.  search-params
     # runs only params and primes, and paper-verify leaves the classifier,
     # graph, corpus, the walk and groups lazy, which commgraph.MatrixAutElement
     # does not load either.  No subcommand imports typing, importlib.resources
@@ -407,8 +407,8 @@ def test_analyze_and_graph_export_load_neither_witness_family_nor_dataclasses(tm
     code, out, err = run_probe("permutation")
     assert (code, out) == (0, (
         "[0] ['cli', 'corpus', 'errors', 'graph', 'walk'] [False, False, False]\n"
-        "[0] ['classify', 'cli', 'corpus', 'errors', 'graph', 'groups', 'matrices', 'primes', "
-        "'walk'] [False, False, False]\n"
+        "[0] ['classify', 'cli', 'corpus', 'errors', 'graph', 'groups', 'primes', 'walk'] "
+        "[False, False, False]\n"
     )), err
     code, out, err = run_probe("matrix")
     assert (code, out) == (0, (
@@ -433,9 +433,9 @@ def test_tracer_round_trip_restores_every_namespace():
     # registered first so that it binds the originals before the defining
     # modules are rebound, and remove() then leaves no wrapper behind.  It
     # counts matrix products through groups.MatrixAutElement, the class that
-    # matrices defines: none for paper-verify, whose witness group is held
-    # in coordinates, as test_diameter8's product budget pins, and the
-    # measured count for graph-export of the matrix group q8.
+    # matrices defines: the 6 of paper-verify's check of D's action against
+    # the twisted matrices, as test_diameter8's product budget pins, and 16
+    # for graph-export of the matrix group q8.
     root = Path(__file__).resolve().parents[1]
     probe = (
         "import sys\n"
@@ -467,7 +467,7 @@ def test_tracer_round_trip_restores_every_namespace():
         [sys.executable, "-c", probe], capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "bench")])),
     )
-    assert (done.returncode, done.stdout) == (0, "[0, 0, 0, 0] True True True 16 []\n"), done.stderr
+    assert (done.returncode, done.stdout) == (0, "[0, 0, 0, 0] True True True 22 []\n"), done.stderr
 
 
 def test_tracer_sees_the_public_frobenius_tests():

@@ -25,6 +25,7 @@ from oracles import (
     matrix_commutator_chain,
     matrix_path8,
     matrix_separation_families,
+    pairwise_u_v,
     power_form_centralizer,
     power_form_mul,
     power_form_u_v,
@@ -48,8 +49,6 @@ from commgraph.diameter8 import (
     _f_mul,
     _f_rows,
     _fixed_set,
-    _p_identity,
-    _p_mat_mul,
     _separation_families,
     build_example,
     centralizer_in_G,
@@ -90,7 +89,7 @@ from commgraph.fields import (
     is_prime,
 )
 from commgraph.groups import GroupHandle, MatrixAutElement
-from commgraph.matrices import _diag
+from commgraph.matrices import _diag, _mat_mul
 
 
 def log_d_powers(log_d, e, n):
@@ -288,6 +287,17 @@ def test_u_v_match_the_power_form_choice(request, triple):
     assert (eg.u, eg.v) == power_form_u_v(eg.spec, eg.params.r)
 
 
+def test_u_v_by_congruence_match_the_pairwise_search():
+    # u is the first candidate and v the first h^l with l != +-k_u mod r,
+    # the pair the search over every pair of candidates picks, at each
+    # triple of find_params(79) within the field cap
+    triples = [p for p in find_params(79) if p.q ** p.r <= FIELD_CAP]
+    assert len(triples) == 9
+    for params in triples:
+        eg = build_example(params)
+        assert (eg.u, eg.v) == pairwise_u_v(eg.spec, params.r), params
+
+
 def test_x_orders(example_group):
     eg = example_group
     assert eg.ctx.diagonal(eg.x.d)[1] == 1
@@ -356,7 +366,6 @@ def test_numeric_times_symbolic_matches_lifted_product(example_group):
     # verify_symplectic and the separation families multiply numeric
     # matrices into symbolic ones without lifting them to constant Polys
     from commgraph.diameter8 import _form_matrix
-    from commgraph.matrices import _mat_mul
 
     spec = example_group.spec
     zero = Poly.zero(spec, 4)
@@ -830,7 +839,7 @@ def test_family_commutator_is_2ab_at_one_entry(q):
     h = FCoords(a=zero, b=one, c=zero, d=one, x=one)
     comm = _coordinate_commutator_rows(spec, h)
     assert comm == matrix_commutator(spec, *matrix_separation_families(spec, f_matrix(spec, h)))
-    ident = _p_identity(spec, 2)
+    ident = _diag(Poly.zero(spec, 2), [Poly.constant(spec, 1, 2)] * 4)
     two_ab = Poly.variable(spec, 0, 2) * Poly.variable(spec, 1, 2) * 2
     for i in range(4):
         for j in range(4):
@@ -986,7 +995,7 @@ def test_f_group_law_matches_matrix_commutator_chain(example_group):
     chain = matrix_commutator_chain(spec, nvars)
     for level, matrix in zip(coords, chain):
         assert _f_rows(one, zero, *level) == matrix
-    ident = _p_identity(spec, nvars)
+    ident = _diag(zero, [one] * 4)
     report = verify_f_class3(example_group)
     assert (report.derived_nontrivial, report.triple_nontrivial, report.quadruple_trivial) == (
         chain[0] != ident, chain[1] != ident, chain[2] == ident,
@@ -1064,8 +1073,8 @@ def _symbolic_objects(spec):
     witness_g = FCoords(a=zero_f, b=one_f, c=zero_f, d=one_f, x=one_f)
     return {
         "generic": (m1, m2),
-        "law product": (_f_rows(one, zero, *_f_mul(g, h)), _p_mat_mul(m1, m2)),
-        "law inverse": _p_mat_mul(m1, _f_rows(one, zero, *_f_inv(g))),
+        "law product": (_f_rows(one, zero, *_f_mul(g, h)), _mat_mul(zero, m1, m2)),
+        "law inverse": _mat_mul(zero, m1, _f_rows(one, zero, *_f_inv(g))),
         "class-3 chain": chain,
         "separation": _f_commutator(*_separation_families(spec, witness_g)),
     }
@@ -1197,9 +1206,10 @@ def test_run_all_checks_product_budget(monkeypatch):
     # element_of_order whose first nonzero coefficient is 1, to 195; the
     # group held in coordinates, to 193, and D's product and action checked
     # once against the twisted matrices, 58 more, to 251.  Matrix products:
-    # none, since every element of G is a pair of coordinates and a normal
-    # form (the path's conjugates and commuting tests took 28 as matrices).
-    # F's law is checked once.
+    # the 6 of that check (c x x, and both sides of m a = a m' for a = x and
+    # a = c x x), since every other element of G is a pair of coordinates
+    # and a normal form (the path's conjugates and commuting tests took 28
+    # as matrices).  F's law is checked once.
     from commgraph import fields
 
     counts = {"poly": 0, "matrix": 0, "law": 0}
@@ -1215,7 +1225,7 @@ def test_run_all_checks_product_budget(monkeypatch):
     monkeypatch.setattr(diameter8, "_check_f_law", counting("law", diameter8._check_f_law))
     assert first_failing_check(run_all_checks()) is None
     assert counts["poly"] == 251
-    assert counts["matrix"] == 0
+    assert counts["matrix"] == 6
     assert counts["law"] == 1
 
 

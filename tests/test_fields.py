@@ -268,7 +268,9 @@ def test_field_create_cap():
 
 # specs that once built: a "GF(4)" in which 2 * 2 = 0, an X^2 + 1 over
 # GF(2), which is (X + 1)^2 and so had a zero divisor whose inverse() died
-# with a TypeError, and an X^2 + 1 swapped in for a non-monic 2X^2 + 1
+# with a TypeError, and an X^2 + 1 swapped in for a non-monic 2X^2 + 1; and
+# X^400 + 1 declared for k = 2, which Rabin's test once took 1.6 s to refuse
+# for the wrong reason
 @pytest.mark.parametrize("p, k, modulus, error, message", [
     (4, 1, [0, 1], NotPrime, "4 is not prime"),
     (2, 2, [1, 0, 1], SpecMismatch, "modulus is not monic irreducible over GF(p)"),
@@ -276,8 +278,18 @@ def test_field_create_cap():
     (3, 0, [1], SpecMismatch, "k must be at least 1"),
     (3, 2, [2, 1], SpecMismatch, "modulus degree 1 != k=2"),
     (3, 1, [], SpecMismatch, "modulus is not monic irreducible over GF(p)"),
+    (2, 2, [1] + [0] * 399 + [1], SpecMismatch, "modulus degree 400 != k=2"),
 ])
-def test_field_spec_refuses_what_is_not_a_field(p, k, modulus, error, message):
+def test_field_spec_refuses_what_is_not_a_field(monkeypatch, p, k, modulus, error, message):
+    # Rabin's test runs only on a monic modulus of degree k
+    from commgraph import fields
+
+    def rabin(f, q):
+        if len(f) != k + 1 or f[-1] != 1:
+            raise AssertionError(f"Rabin's test on {f} for k={k}")
+        return _is_irreducible(f, q)
+
+    monkeypatch.setattr(fields, "_is_irreducible", rabin)
     with pytest.raises(error) as info:
         FieldSpec(p, k, modulus)
     assert str(info.value) == message

@@ -82,3 +82,39 @@ def test_package_exports_resolve():
     for name in DROPPED_EXPORTS:
         with pytest.raises(AttributeError):
             getattr(commgraph, name)
+
+
+# Private names one module of the package reaches in another, as
+# "reader <- module._name"; the package's other modules keep their private
+# names to themselves.
+PRIVATE_CROSSINGS = {
+    "groups <- walk._compose",
+    "diameter8 <- matrices._diag",
+    "diameter8 <- matrices._mat_mul",
+}
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_private_names_cross_modules_only_where_pinned():
+    crossings = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = set()  # the names `from . import ...` binds to sibling modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    modules.update(alias.asname or alias.name for alias in node.names)
+                else:
+                    crossings.update(
+                        f"{path.stem} <- {node.module}.{alias.name}" for alias in node.names
+                        if _private(alias.name)
+                    )
+        crossings.update(
+            f"{path.stem} <- {node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in modules and _private(node.attr)
+        )
+    assert crossings == PRIVATE_CROSSINGS
