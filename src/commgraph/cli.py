@@ -8,8 +8,8 @@ Each subcommand loads only what it runs: this module imports only errors
 and the stdlib, the package's layers are lazy modules that load at their
 first use, and search-params imports only the number theory in params.
 
-analyze runs its files one after another: --jobs is still parsed and
-checked, but it no longer changes how the files run.
+analyze runs its files one after another: --jobs is parsed and checked,
+and it does not change how the files run.
 
 The process entry (`python -m commgraph.cli`, the `commgraph` script) is
 run(): once main() returns it flushes stdout and stderr and ends the

@@ -24,7 +24,7 @@ classes of the members of its centralizer, one lookup each.
 from __future__ import annotations
 
 import math
-from collections import deque, namedtuple
+from collections import namedtuple
 
 from .errors import EmptyGraph, NotAVertex
 from .walk import GroupHandle
@@ -90,7 +90,9 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     """
     elements = G.elements
     conj = G.conjugation_tables()
-    cent_of: dict[int, frozenset] = {}
+    # centralizer by element index, None until the element's class is walked
+    # and for a central element
+    cent_of: list = [None] * len(elements)
     # every centralizer set met so far, mapped to itself: equal centralizers share one set
     assigned: dict = {}
     # (C, t) -> C^t for generator number t: each centralizer is mapped once per generator
@@ -99,19 +101,18 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
     for r in range(len(elements)):
         # skip r once its class has been walked, or if every generator's
         # table fixes it: then r is central
-        if r in cent_of or all(table[r] == r for table in conj):
+        if cent_of[r] is not None or all(table[r] == r for table in conj):
             continue
         img = G.conjugation_images(r)
         cent = frozenset(i for i, j in enumerate(img) if j == r)
         if cent not in assigned:
             source_reps.append(r)
         cent_of[r] = assigned.setdefault(cent, cent)
-        queue = deque([r])
-        while queue:
-            w = queue.popleft()
+        queue = [r]
+        for w in queue:
             for t, table in enumerate(conj):
                 v = table[w]
-                if v not in cent_of:
+                if cent_of[v] is None:
                     key = (cent_of[w], t)
                     image = images.get(key)
                     if image is None:
@@ -119,24 +120,25 @@ def build_graph(G: GroupHandle) -> CommutingGraph:
                         image = images[key] = assigned.setdefault(image, image)
                     cent_of[v] = image
                     queue.append(v)
-    if not cent_of:
+    if not assigned:
         raise EmptyGraph("every element is central")
 
     # swept in key order, the buckets and their members come out sorted by key
     buckets: dict[frozenset, list] = {}
     for v in G.key_order():
-        if v in cent_of:
+        if cent_of[v] is not None:
             buckets.setdefault(cent_of[v], []).append(v)
     # class number by element index, None for a central element; class i's
     # neighbours are the classes met in its centralizer
     number = [None] * len(elements)
+    class_of = {}
     for i, members in enumerate(buckets.values()):
         for v in members:
             number[v] = i
+            class_of[elements[v]] = i
     adjacency = [sorted({number[c] for c in cent} - {None, i}) for i, cent in enumerate(buckets)]
     sources = sorted(number[r] for r in source_reps)
     classes = [[elements[v] for v in members] for members in buckets.values()]
-    class_of = {elements[v]: number[v] for v in cent_of}
     return CommutingGraph(G, classes, class_of, adjacency, sources)
 
 
@@ -144,9 +146,8 @@ def _class_bfs(graph: CommutingGraph, start: int):
     """Distances and BFS parents from one class over the class graph."""
     dist = {start: 0}
     parent = {start: None}
-    queue = deque([start])
-    while queue:
-        c = queue.popleft()
+    queue = [start]
+    for c in queue:
         for n in graph.adjacency[c]:
             if n not in dist:
                 dist[n] = dist[c] + 1
@@ -179,28 +180,21 @@ def distance(graph: CommutingGraph, x, y) -> DistanceReport:
 def diameter_and_components(graph: CommutingGraph) -> dict:
     """Connected components (as class-index sets) and the diameter.
 
-    The diameter is the maximum finite class eccentricity when the graph is
-    connected and Infinity otherwise; a lone class of size >= 2 still has
-    internal diameter 1.  Conjugation is a graph automorphism, so the
-    eccentricity is constant on each orbit of classes, and the BFS runs only
-    from the graph's sources, one class per orbit.
+    The diameter is the maximum class eccentricity when the graph is
+    connected and Infinity otherwise.  Conjugation is a graph automorphism,
+    so the eccentricity is constant on each orbit of classes, and the BFS
+    runs only from the graph's sources, one class per orbit.  Components
+    come in one sweep over the class indices, each from the least class no
+    earlier component holds.
     """
-    n = len(graph.classes)
-    unseen = set(range(n))
+    seen: set = set()
     components = []
-    while unseen:
-        start = min(unseen)
-        dist, _ = _class_bfs(graph, start)
-        comp = sorted(dist)
-        components.append(comp)
-        unseen -= set(comp)
+    for start in range(len(graph.classes)):
+        if start not in seen:
+            comp = sorted(_class_bfs(graph, start)[0])
+            seen.update(comp)
+            components.append(comp)
     if len(components) > 1:
         return {"components": components, "diameter": math.inf}
-    diam = 0
-    for c in graph.sources:
-        dist, _ = _class_bfs(graph, c)
-        ecc = max(dist.values())
-        diam = max(diam, ecc)
-    if diam == 0 and graph.vertex_count > 1:
-        diam = 1
+    diam = max(max(_class_bfs(graph, c)[0].values()) for c in graph.sources)
     return {"components": components, "diameter": diam}

@@ -11,7 +11,8 @@ is an index group whose element c is coset number c: its Schreier tree
 and tables are G's, read through the coset labels, so it needs no walk.
 Whether a Frobenius quotient G/K with kernel L/K is metacyclic is read off
 the element orders of L, with no quotient at all.  Everything is meant for
-desk-scale groups.
+desk-scale groups.  Every breadth-first closure and worklist here uses the
+materialization walk's queue: a list that grows while it is iterated.
 
 The walk's names, and the matrix backend `MatrixAutElement`, are
 re-exported here for the code that reads them from this module; the class
@@ -22,7 +23,6 @@ no matrix code.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Iterable, Sequence
 
 from .errors import NotNormal
@@ -89,9 +89,8 @@ def _normal_closure(G: GroupHandle, seeds: Iterable[int]) -> tuple[list, set]:
     conj = G.conjugation_tables()
     gens: list = []
     members = {0}
-    queue = deque(seeds)
-    while queue:
-        x = queue.popleft()
+    queue = list(seeds)
+    for x in queue:
         if x not in members:
             gens.append(x)
             members = set(_index_closure(G, gens))
@@ -124,12 +123,6 @@ def is_normal(G: GroupHandle, H: SubgroupHandle) -> bool:
 
 def normal_closure(G: GroupHandle, x) -> SubgroupHandle:
     return SubgroupHandle(G, _normal_closure(G, [G.index_of(x)])[1])
-
-
-def _normalizes(images: Sequence[list], inside, i: int) -> bool:
-    """e_i conjugates into `inside` every element whose conjugation images
-    are listed."""
-    return all(img[i] in inside for img in images)
 
 
 def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
@@ -166,7 +159,7 @@ def sylow_subgroup(G: GroupHandle, p: int) -> SubgroupHandle:
         images.append(G.conjugation_images(gens[-1]))
         gens.append(next(
             i for i in order
-            if i not in inside and _normalizes(images, inside, i) and is_p_element(i)
+            if i not in inside and all(img[i] in inside for img in images) and is_p_element(i)
         ))
         members = _index_closure(G, gens)
     return SubgroupHandle(G, members)

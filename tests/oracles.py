@@ -203,6 +203,28 @@ def brute_centralizer_orbits(group, classes, class_of):
     return orbits
 
 
+def union_find_components(adjacency):
+    """The components of a graph given as neighbour lists, by union-find
+    rather than breadth-first search: every edge hangs the larger of its two
+    roots under the smaller, so each root is its component's least member, and the
+    components come sorted, in the order of their least members."""
+    root = list(range(len(adjacency)))
+
+    def find(i):
+        while root[i] != i:
+            i = root[i]
+        return i
+
+    for i, neighbours in enumerate(adjacency):
+        for j in neighbours:
+            low, high = sorted((find(i), find(j)))
+            root[high] = low
+    components: dict = {}
+    for i in range(len(adjacency)):
+        components.setdefault(find(i), []).append(i)
+    return list(components.values())
+
+
 def all_pairs_adjacency(graph):
     """The class adjacency of a built commuting graph: classes i != j are
     adjacent when their representatives commute, one product pair per pair."""
@@ -973,26 +995,6 @@ def power_form_u_v(spec, r):
         for v in cands:
             if len({(u ** r).coeffs, (u ** -r).coeffs, (v ** r).coeffs, (v ** -r).coeffs}) == 4:
                 return u, v
-    return None
-
-
-def pairwise_u_v(spec, r):
-    """(u, v) by the search `build_example` made before it chose by
-    congruences: over every pair of candidate exponents (k_u, k_v), in the
-    coefficient order of h^k, the first whose {u^r, u^-r, v^r, v^-r} is a
-    4-set, with each power read off the list of all powers of h."""
-    from commgraph.fields import element_of_order
-
-    n = r * r
-    h = element_of_order(spec, n)
-    h_pows = [spec.one()]
-    for _ in range(n - 1):
-        h_pows.append(h_pows[-1] * h)
-    order_r2 = sorted((k for k in range(1, n) if k % r), key=lambda k: h_pows[k].coeffs)
-    eigen = [(k, h_pows[k * r % n].coeffs, h_pows[-k * r % n].coeffs) for k in order_r2]
-    for (ku, *ue), (kv, *ve) in itertools.product(eigen, repeat=2):
-        if len({*ue, *ve}) == 4:
-            return h_pows[ku], h_pows[kv]
     return None
 
 

@@ -25,7 +25,6 @@ from oracles import (
     matrix_commutator_chain,
     matrix_path8,
     matrix_separation_families,
-    pairwise_u_v,
     power_form_centralizer,
     power_form_mul,
     power_form_u_v,
@@ -280,22 +279,16 @@ def test_normal_form_checks_its_product_and_action(example_group, monkeypatch):
         _NormalForm(eg.spec, eg.z, eg.f, eg.params.t)
 
 
-@pytest.mark.parametrize("triple", ["example_group", "example_31"])
-def test_u_v_match_the_power_form_choice(request, triple):
-    # the running products of h pick the same canonical (u, v) as powers
-    eg = request.getfixturevalue(triple)
-    assert (eg.u, eg.v) == power_form_u_v(eg.spec, eg.params.r)
-
-
-def test_u_v_by_congruence_match_the_pairwise_search():
+def test_u_v_match_the_power_form_choice():
     # u is the first candidate and v the first h^l with l != +-k_u mod r,
-    # the pair the search over every pair of candidates picks, at each
-    # triple of find_params(79) within the field cap
+    # the pair the search over every pair of candidates, each a power of h,
+    # picks at each triple of find_params(79) within the field cap
     triples = [p for p in find_params(79) if p.q ** p.r <= FIELD_CAP]
     assert len(triples) == 9
+    assert ParamTriple(11, 5, 3221) in triples and ParamTriple(31, 5, 11) in triples
     for params in triples:
         eg = build_example(params)
-        assert (eg.u, eg.v) == pairwise_u_v(eg.spec, params.r), params
+        assert (eg.u, eg.v) == power_form_u_v(eg.spec, params.r), params
 
 
 def test_x_orders(example_group):

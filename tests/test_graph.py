@@ -12,6 +12,7 @@ from oracles import (
     naive_diameter,
     naive_vertex_adjacency,
     scan_centralizer_classes,
+    union_find_components,
 )
 
 from commgraph.corpus import list_corpus
@@ -180,7 +181,16 @@ def _assert_graph_matches_scan(G):
     orbits = brute_centralizer_orbits(G, want[0], want[1])
     assert len(graph.sources) == len(orbits)
     assert all(len(orbit & set(graph.sources)) == 1 for orbit in orbits)
-    assert diameter_and_components(graph)["diameter"] == naive_diameter(G)
+    # a graph with a vertex has two centralizer classes at least: were C the
+    # centralizer of every non-central element, G minus Z(G) would lie in C,
+    # so C = G and those elements would be central; a connected graph thus
+    # has a finite diameter of at least 1
+    assert len(graph.classes) >= 2
+    res = diameter_and_components(graph)
+    assert res["components"] == union_find_components(want[2])
+    assert res["diameter"] == naive_diameter(G)
+    if len(res["components"]) == 1:
+        assert 1 <= res["diameter"] < math.inf
 
 
 @pytest.mark.parametrize("name", list_corpus() + sorted(EXTRA_GROUPS) + ["agaml1_9"])
