@@ -279,7 +279,14 @@ def test_normal_form_checks_its_product_and_action(example_group, monkeypatch):
         _NormalForm(eg.spec, eg.z, eg.f, eg.params.t)
 
 
-def test_u_v_match_the_power_form_choice():
+@pytest.mark.parametrize("triple", ["example_group", "example_31"])
+def test_u_v_match_the_power_form_choice(request, triple):
+    # the running products of h pick the same canonical (u, v) as powers
+    eg = request.getfixturevalue(triple)
+    assert (eg.u, eg.v) == power_form_u_v(eg.spec, eg.params.r)
+
+
+def test_u_v_by_congruence_match_the_pairwise_search():
     # u is the first candidate and v the first h^l with l != +-k_u mod r,
     # the pair the search over every pair of candidates, each a power of h,
     # picks at each triple of find_params(79) within the field cap
