@@ -8,8 +8,10 @@ is and is not, in and not in), an arithmetic operator swapped (+ and -,
 changed (0 to 1, 1 to 0, 2 to 1).  The repository's `src/` is never
 written.  For each mutant pytest runs `tests/` on the copy with -x,
 acceptance criteria 4f and 4i deselected (they fail on the unmutated
-code), and a timeout of TIMEOUT seconds.  The table lists each mutant with
-its result: killed (with the first failing test), survived, or timeout.
+code), a timeout of TIMEOUT seconds and an address-space limit of
+MEMORY_LIMIT bytes, so a mutant whose queue grows without end ends in a
+MemoryError.  The table lists each mutant with its result: killed (with
+the first failing test), survived, or timeout.
 
 The sites are listed in source order, and the sample is drawn from them
 with the seed, so the same seed, sample size and targets give the same
@@ -29,6 +31,7 @@ import argparse
 import ast
 import os
 import random
+import resource
 import shutil
 import signal
 import subprocess
@@ -40,6 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 PACKAGE = "commgraph"
 TIMEOUT = 300  # seconds per mutant; all of tests/ runs in about a minute
+MEMORY_LIMIT = 2_500_000 * 1024  # bytes of address space per mutant's pytest
 DESELECTED = (
     "tests/test_acceptance.py::test_criterion_4f_cfc_order",
     "tests/test_acceptance.py::test_criterion_4i_centralizer_c_order",
@@ -117,6 +121,12 @@ def _mutated_source(text: str, site) -> str:
     return ast.unparse(tree) + "\n"
 
 
+def limit_memory() -> None:
+    """Cap the calling process's address space at MEMORY_LIMIT bytes; each
+    mutant's pytest child runs it before exec."""
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
 def _run_tests(copy_src: Path) -> tuple[str, str]:
     """("killed", first failing test), ("survived", "") or ("timeout", "")."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-rfE", "tests"]
@@ -124,7 +134,8 @@ def _run_tests(copy_src: Path) -> tuple[str, str]:
         cmd += ["--deselect", test]
     env = dict(os.environ, PYTHONPATH=str(copy_src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True, start_new_session=True)
+                            stderr=subprocess.STDOUT, text=True, start_new_session=True,
+                            preexec_fn=limit_memory)
     try:
         out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:

@@ -42,7 +42,6 @@ from functools import cached_property
 from .errors import (
     CheckFailed,
     CommGraphError,
-    EigenvalueClash,
     NoSuchOrder,
     NoSuchParams,
     NotInD,
@@ -146,17 +145,17 @@ class _NormalForm:
     """D = <x, c> as pairs (i, h) standing for x^i * c_h, where h lies in <f>
     and c_h = diag(h, h, h^-1, h^-1), so that c^j = c_(f^j).
 
-    x = z * beta has the diagonal z and twist 1, and c = c_f.  In the
-    twisted matrices x^-1 c_h x = c_(Frob(h)), and q = p is prime
-    (`validate_params` checks it), so x^{-1} c x = c^q and
-    c_h x^k = x^k c_(h^(q^k)), hence the product
-    (i, h)(k, h') = (i + k, Frob^k(h) h'), with i taken mod ord(x), where
-    h^(q^k) is the k-th power of Frobenius, a cached linear map.  The
+    x = z * beta has the diagonal z and twist 1, and c = c_f.  In the twisted
+    matrices x^-1 c_h x = c_(Frob(h)), and q = p is prime (`validate_params`
+    checks it), so x^{-1} c x = c^q and c_h x^k = x^k c_(h^(q^k)), hence the
+    product (i, h)(k, h') = (i + k, Frob^k(h) h'), with i taken mod ord(x),
+    where h^(q^k) is the k-th power of Frobenius, a cached linear map.  The
     constructor checks the relation by this product, which fails if the
     product's twist runs the wrong way, and checks `act` against the
-    twisted matrices (`_check_action`).  It also checks that the two
-    orders are coprime, so <c> is normal, <x> meets it trivially and every
-    element of D has exactly one normal form: |D| = ord(x) * ord(c).
+    twisted matrices (`_check_action`).  ord(c) divides t and ord(x) divides
+    r(q - 1) (below), and `validate_params` makes t a prime that does not
+    divide q - 1, while r does, so the orders are coprime: <x> meets <c>
+    trivially and every element of D has one normal form, |D| = ord(x) ord(c).
 
     x has twist 1 over GF(q^r), so x^n has twist n mod r and x^n = 1 needs
     r | n: ord(x) = r * ord(x^r).  x^(j+1) = x^j x has the diagonal of x^j
@@ -179,8 +178,6 @@ class _NormalForm:
         self.order_x = r * self.order_xr
         self.order_c = element_order(f, t)
         self.order = self.order_x * self.order_c
-        if math.gcd(self.order_x, self.order_c) != 1:
-            raise NoSuchParams(f"ord(x) = {self.order_x} and ord(c) = {self.order_c} not coprime")
         # h has order dividing ord(c), so h^(q^k) = h^(q^k mod ord(c))
         self.qpow = [pow(q, k, self.order_c) for k in range(self.order_x)]
         self.one = spec.one()
@@ -351,12 +348,12 @@ def build_example(params: ParamTriple) -> ExampleGroup:
 
     Deterministic choices: u is the first element of order r^2 in canonical
     coefficient order, v the first partner making {u^r, u^-r, v^r, v^-r} a
-    4-set, f the canonical element of order t.  The elements of order r^2
-    are h^k with gcd(k, r) = 1 for h the canonical element of order r^2, so
-    only those r(r-1) candidates are sorted.  (h^k)^r = (h^l)^(+-r) exactly
-    when k = +-l mod r, so u is the first candidate and v the first h^l
-    with l != +-k_u mod r, which exists since r >= 5.  D is kept in its
-    metacyclic normal form x^i c_h; nothing is enumerated.
+    4-set, f the canonical element of order t.  The elements of order r^2 are
+    h^k with gcd(k, r) = 1 for h the canonical element of order r^2, so only
+    those r(r-1) candidates are sorted.  (h^k)^r = (h^l)^(+-r) exactly when
+    k = +-l mod r, and k_u != -k_u mod r as r is odd, so u is the first
+    candidate and v the first h^l with l != +-k_u mod r, which exists as
+    r >= 5.  D stays in its metacyclic normal form x^i c_h, unenumerated.
     """
     problems = validate_params(params.q, params.r, params.t)
     if problems:
@@ -373,8 +370,6 @@ def build_example(params: ParamTriple) -> ExampleGroup:
     order_r2 = sorted((k for k in range(1, n) if k % r), key=lambda k: h_pows[k].coeffs)
     ku = order_r2[0]
     kv = next(k for k in order_r2 if (k - ku) % r and (k + ku) % r)
-    if len({h_pows[k * r % n].coeffs for k in (ku, -ku, kv, -kv)}) != 4:
-        raise EigenvalueClash("no (u, v) pair satisfies the 4-set condition")
     u, v = h_pows[ku], h_pows[kv]
     f = element_of_order(spec, t)  # t divides q^r - 1, as validate_params checked
 

@@ -91,10 +91,6 @@ class NoSuchParams(CommGraphError):
     pass
 
 
-class EigenvalueClash(CommGraphError):
-    pass
-
-
 class CheckFailed(CommGraphError):
     def __init__(self, clause, detail=""):
         super().__init__(f"{clause}: {detail}" if detail else clause)

@@ -782,6 +782,14 @@ PAPER_VERIFY_FAILURES = {
     "not-frobenius": (
         lambda mp, eg: mp.setattr(diameter8, "verify_not_frobenius_structure", lambda eg: False),
         "not_frobenius", "not-frobenius", "not_frobenius"),
+    # two checks' own fail branches, on an altered example with no verify
+    # function replaced: z = (u, v, v, u^-1) has lam_1 lam_2 = v^2 != 1, so
+    # diag(z) is not symplectic, and x^r in place of c has |C_F| = 1
+    "not-frobenius-c-is-xr": (
+        lambda mp, eg: eg._replace(c=eg.xr), "not_frobenius", "not-frobenius", "fixed_points"),
+    "symplectic": (
+        lambda mp, eg: eg._replace(z=(eg.u, eg.v, eg.v, eg.u.inverse())),
+        "symplectic", "symplectic: A J A^T != J", "symplectic"),
 }
 
 
@@ -1117,6 +1125,10 @@ C3 = {"type": "permutation", "degree": 3, "generators": [[1, 2, 0]]}
     (_gf3_file(field={"p": 4, "modulus": [0, 1.0]}), "modulus entry must be an integer, got 1.0"),
     (_gf3_file(field={"p": 4, "modulus": [0, 0, 1]}), "4 is not prime"),
     (_gf3_file(field={"p": 4, "modulus": [1]}), "4 is not prime"),
+    # a twist group of the wrong order, and an entry of GF(3) given as two
+    # coefficients
+    (_gf3_file(aut_order=2), "aut_order must equal the field extension degree"),
+    (_gf3_file(generators=[{"matrix": [[[2, 0]]]}]), "expected 1 coefficients, got 2"),
 ])
 @pytest.mark.parametrize("command", ["analyze", "graph-export"])
 def test_group_file_shapes_are_named(tmp_path, capsys, command, payload, named):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -185,10 +186,16 @@ def test_find_params_excludes_small_r():
 
 
 def test_param_invariants():
-    for p in find_params(31):
+    # the rules validate_params enforces, and what they imply: ord(x), a
+    # divisor of r(q - 1), is prime to ord(c), a divisor of t, so
+    # |D| = ord(x) ord(c)
+    triples = find_params(79)
+    assert len(triples) == 14
+    for p in triples:
         assert (p.q - 1) % p.r == 0 and (p.q - 1) % (p.r * p.r) != 0
         assert ((p.q ** p.r - 1) // (p.q - 1)) % p.t == 0
         assert (p.q - 1) % p.t != 0
+        assert math.gcd(p.r * (p.q - 1), p.t) == 1
 
 
 def test_validate_params_rejections():
@@ -200,18 +207,24 @@ def test_validate_params_rejections():
 
 def test_validate_params_quotient_rule_matches_full_quotient():
     # the residue of (q^r-1)/(q-1) mod t is taken from q^r mod t(q-1); the
-    # full quotient decides the same rule wherever it is small enough to form
-    seen = 0
+    # full quotient decides the same rule wherever it is small enough to form;
+    # each triple that passes every rule has r(q - 1) prime to t
+    seen, valid = 0, 0
     for q in (p for p in range(11, 200, 2) if is_prime(p)):
         for r in (p for p in range(5, q) if is_prime(p) and (q - 1) % p == 0):
             if (q - 1) % (r * r) == 0:
                 continue
             quotient = (q ** r - 1) // (q - 1)
             for t in (p for p in range(2, 120) if is_prime(p)):
-                flagged = any("must divide (q^r-1)" in m for m in validate_params(q, r, t))
+                problems = validate_params(q, r, t)
+                flagged = any("must divide (q^r-1)" in m for m in problems)
                 assert flagged == (quotient % t != 0), (q, r, t)
                 seen += not flagged
+                if not problems:
+                    valid += 1
+                    assert math.gcd(r * (q - 1), t) == 1, (q, r, t)
     assert seen >= 5  # some triples pass the rule
+    assert valid == 10
 
 
 # --- construction ----------------------------------------------------------
@@ -289,13 +302,24 @@ def test_u_v_match_the_power_form_choice(request, triple):
 def test_u_v_by_congruence_match_the_pairwise_search():
     # u is the first candidate and v the first h^l with l != +-k_u mod r,
     # the pair the search over every pair of candidates, each a power of h,
-    # picks at each triple of find_params(79) within the field cap
+    # picks at each triple of find_params(79) within the field cap; and
+    # {u^r, u^-r, v^r, v^-r} has four elements.  For h of order r^2,
+    # (h^k)^(+-r) = h^(+-k r mod r^2) depends only on +-k mod r, and for r
+    # odd every pair of residues the congruence admits gives four exponents.
+    for r in (p for p in range(5, 100) if is_prime(p)):
+        n = r * r
+        assert all(k * r % n == k % r * r for k in range(-n, n))
+        for ku, kv in itertools.product(range(1, r), repeat=2):
+            if (kv - ku) % r and (kv + ku) % r:
+                assert len({k * r % n for k in (ku, -ku, kv, -kv)}) == 4, (r, ku, kv)
     triples = [p for p in find_params(79) if p.q ** p.r <= FIELD_CAP]
     assert len(triples) == 9
     assert ParamTriple(11, 5, 3221) in triples and ParamTriple(31, 5, 11) in triples
     for params in triples:
         eg = build_example(params)
         assert (eg.u, eg.v) == power_form_u_v(eg.spec, params.r), params
+        four = {(e ** s).coeffs for e in (eg.u, eg.v) for s in (params.r, -params.r)}
+        assert len(four) == 4, params
 
 
 def test_x_orders(example_group):

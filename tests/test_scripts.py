@@ -1,8 +1,10 @@
 """Smoke tests of the read-only scripts, each run as its own process."""
 
 import hashlib
+import importlib.util
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -53,3 +55,27 @@ def test_mutation_probe_kills_a_known_mutant_outside_src():
                     "tests/test_acceptance.py::test_criterion_1_dichotomy_suite"]
     assert summary == "1 mutants of 2 sites (seed 0): 1 killed, 0 survived, 0 timeout"
     assert digest() == before
+
+
+def test_mutation_probe_runs_pytest_under_a_memory_limit(monkeypatch, tmp_path):
+    # the probe starts its pytest child under a 2.5 GB address-space limit: a
+    # tiny child started in its place, with the same arguments, reads the
+    # limit back, and the probe's own process keeps its limit
+    spec = importlib.util.spec_from_file_location(
+        "mutation_probe", ROOT / "scripts" / "mutation_probe.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    before = resource.getrlimit(resource.RLIMIT_AS)
+    out = tmp_path / "limit"
+    code = ("import resource, sys; "
+            "open(sys.argv[1], 'w').write(str(resource.getrlimit(resource.RLIMIT_AS)))")
+    real_popen = subprocess.Popen
+
+    def tiny_child(cmd, **kwargs):
+        return real_popen([sys.executable, "-c", code, str(out)], **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", tiny_child)
+    assert probe._run_tests(tmp_path) == ("survived", "")
+    limit = 2_500_000 * 1024
+    assert out.read_text() == str((limit, limit))
+    assert resource.getrlimit(resource.RLIMIT_AS) == before
